@@ -84,11 +84,12 @@ def load_extractor(checkpoint: Optional[ExtractorSource] = None, *,
     constructed model via ``model=``, or an existing extractor (returned
     as-is, ignoring the keyword knobs).
 
-    ``precision`` selects the inference path: ``"fp32"`` (default,
-    bit-exact autograd fast path), or ``"fp16"`` / ``"int8"`` for the
-    quantized no-grad engine — optionally with ``calibration`` sample
-    clips ``(N, T, C, H, W)`` to fix the int8 activation scales on real
-    footage (a seeded synthetic batch is used otherwise).  See
+    ``precision`` selects the weight format of the fused inference
+    engine every video transformer runs on: ``"fp32"`` (default,
+    bit-identical to the autograd forward), or the smaller ``"fp16"`` /
+    ``"int8"`` memory formats — int8 optionally with ``calibration``
+    sample clips ``(N, T, C, H, W)`` to fix its activation scales on
+    real footage (a seeded synthetic batch is used otherwise).  See
     ``docs/performance.md``.
     """
     if (checkpoint is None) == (model is None):

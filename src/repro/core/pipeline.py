@@ -12,15 +12,20 @@ import numpy as np
 
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
+from repro.models.engine import InferenceEngine
+from repro.models.video_transformer import VideoTransformer
 from repro.nn.module import Module
 from repro.obs import get_logger, is_enabled, metrics, span
 from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
 
-#: Inference precisions a :class:`ScenarioExtractor` accepts.  ``fp32``
-#: runs the autograd no-grad path (the bit-exactness reference);
-#: ``fp16``/``int8`` route through the fused quantized
-#: :class:`~repro.models.engine.InferenceEngine`.
+#: Inference precisions a :class:`ScenarioExtractor` accepts.  Every
+#: :class:`VideoTransformer` runs the fused
+#: :class:`~repro.models.engine.InferenceEngine` at any precision; at
+#: ``fp32`` its logits are bit-identical to the autograd forward.
+#: ``fp16``/``int8`` are weight *memory* formats (2x / 3.7x smaller
+#: stored weights), not speedups.  Baseline models run the autograd
+#: no-grad path at fp32 only.
 PRECISIONS = ("fp32", "fp16", "int8")
 
 #: Default capacity of the sliding-window frame memo (frames, LRU).
@@ -29,14 +34,19 @@ FRAME_MEMO_SIZE = 2048
 _logger = get_logger("core.pipeline")
 
 
-def _frame_digest(frame: np.ndarray) -> bytes:
-    """Content hash of one frame ``(C, H, W)`` — dtype/shape-aware, so
-    two frames collide only when they are byte-identical."""
-    frame = np.ascontiguousarray(frame)
-    digest = hashlib.sha256()
-    digest.update(str(frame.dtype).encode())
-    digest.update(str(frame.shape).encode())
-    digest.update(frame.tobytes())
+def _frame_hasher(video: np.ndarray) -> "hashlib._Hash":
+    """SHA-256 state seeded with the dtype/shape header that every frame
+    of ``video`` ``(T, C, H, W)`` shares — built once per video."""
+    header = str(video.dtype) + str(video.shape[1:])
+    return hashlib.sha256(header.encode())
+
+
+def _frame_digest(hasher: "hashlib._Hash", frame: np.ndarray) -> bytes:
+    """Content hash of one frame ``(C, H, W)`` of the video ``hasher``
+    was built for — dtype/shape-aware, so two frames collide only when
+    they are byte-identical."""
+    digest = hasher.copy()
+    digest.update(np.ascontiguousarray(frame))
     return digest.digest()
 
 
@@ -83,10 +93,8 @@ class ScenarioExtractor:
         self.precision = precision
         self.calibration = calibration
         self.frame_memo_size = frame_memo_size
-        self._engine = None
-        if precision != "fp32":
-            from repro.models.engine import InferenceEngine
-
+        self._engine: Optional[InferenceEngine] = None
+        if precision != "fp32" or isinstance(model, VideoTransformer):
             self._engine = InferenceEngine(model, precision,
                                            calibration=calibration)
         # Sliding-window overlap reuse: LRU of per-frame activations
@@ -179,8 +187,6 @@ class ScenarioExtractor:
         quantized (e.g. the circuit breaker's frame-mlp fallback)
         downgrades to fp32 with a logged warning instead of failing —
         degraded service beats no service."""
-        from repro.models.video_transformer import VideoTransformer
-
         precision = self.precision
         if precision != "fp32" and not isinstance(model,
                                                   VideoTransformer):
@@ -211,9 +217,10 @@ class ScenarioExtractor:
                       ) -> List[ExtractionResult]:
         """Extract descriptions for ``(N, T, C, H, W)`` clips.
 
-        All clips run through the model in ``batch_size`` chunks under
-        ``no_grad`` — substantially faster per clip than repeated
-        :meth:`extract` calls."""
+        All clips run through the inference engine (baseline models:
+        the model under ``no_grad``) in ``batch_size`` chunks —
+        substantially faster per clip than repeated :meth:`extract`
+        calls."""
         start = time.perf_counter()
         with span("pipeline/forward"):
             logits = self.logits(clips, batch_size=batch_size)
@@ -321,8 +328,7 @@ class ScenarioExtractor:
         backend = self._reuse_backend()
         if reuse is None:
             reuse = (backend is not None
-                     and getattr(backend, "attention", None)
-                     == "factorized")
+                     and backend.attention == "factorized")
         if reuse and backend is not None and stride < window:
             return self._extract_sliding_reuse(video, starts, window,
                                                backend)
@@ -339,90 +345,88 @@ class ScenarioExtractor:
                 ))
         return results
 
-    def _reuse_backend(self):
-        """Whatever computes per-frame features for this precision —
-        the quantized engine, or the model itself at fp32 — if the
-        attention mode supports frame reuse at all."""
-        target = self._engine if self._engine is not None else self.model
-        if getattr(target, "supports_frame_reuse", False):
-            return target
+    def _reuse_backend(self) -> Optional[InferenceEngine]:
+        """The engine, if its attention mode supports frame reuse."""
+        engine = self._engine
+        if engine is not None and engine.supports_frame_reuse:
+            return engine
         return None
 
     def _extract_sliding_reuse(self, video: np.ndarray,
                                starts: List[int], window: int,
-                               backend) -> List[ExtractionResult]:
+                               backend: InferenceEngine
+                               ) -> List[ExtractionResult]:
         """Memoized sliding extraction: per-frame features from an LRU
         keyed on frame content hash; only novel frames run the
         per-frame stage."""
         results: List[ExtractionResult] = []
         digests: Dict[int, bytes] = {}
+        hasher = _frame_hasher(video)
         memo = self._frame_memo
         chunk = self.batch_size
-        self.model.eval()
-        with no_grad():
-            for i in range(0, len(starts), chunk):
-                started = time.perf_counter()
-                chunk_starts = starts[i:i + chunk]
-                # Unique frames this chunk needs, in first-use order.
-                needed: List[int] = []
-                seen = set()
-                for s in chunk_starts:
-                    for f in range(s, s + window):
-                        if f not in seen:
-                            seen.add(f)
-                            needed.append(f)
-                novel: List[int] = []
-                pending = set()
-                for f in needed:
-                    digest = digests.get(f)
-                    if digest is None:
-                        digest = _frame_digest(video[f])
-                        digests[f] = digest
-                    if digest in memo:
-                        memo.move_to_end(digest)
-                    elif digest not in pending:
-                        pending.add(digest)
-                        novel.append(f)
-                # A "hit" is any window-frame slot served without
-                # running the per-frame stage — whether the frame came
-                # from a previous chunk or is shared by several windows
-                # of this one.  hits + misses = windows × window.
-                hits = len(chunk_starts) * window - len(novel)
-                if novel:
-                    with span("pipeline/frame_features"):
-                        feats = backend.frame_features(video[novel])
-                    for f, feat in zip(novel, feats):
-                        memo[digests[f]] = feat
-                self._reuse_hits += hits
-                self._reuse_misses += len(novel)
-                metrics.counter("pipeline.reuse.frame_hits").inc(hits)
-                metrics.counter("pipeline.reuse.frame_misses") \
-                    .inc(len(novel))
-                sample = memo[digests[needed[0]]]
-                assembled = np.empty(
-                    (len(chunk_starts), window) + sample.shape,
-                    dtype=sample.dtype)
-                for wi, s in enumerate(chunk_starts):
-                    for t in range(window):
-                        assembled[wi, t] = memo[digests[s + t]]
-                with span("pipeline/forward"):
-                    logits = backend.head_logits_from_frame_features(
-                        assembled)
-                for start, r in zip(
-                        chunk_starts,
-                        self._finalize_batch(logits, window, started)):
-                    results.append(ExtractionResult(
-                        description=r.description,
-                        sentence=r.sentence,
-                        confidences=r.confidences,
-                        frame_range=(start, start + window),
-                        tag_confidences=r.tag_confidences,
-                    ))
-                # Evict only after assembly so a tiny capacity can
-                # never drop a frame the current chunk still needs.
-                floor = max(self.frame_memo_size, len(needed))
-                while len(memo) > floor:
-                    memo.popitem(last=False)
+        for i in range(0, len(starts), chunk):
+            started = time.perf_counter()
+            chunk_starts = starts[i:i + chunk]
+            # Unique frames this chunk needs, in first-use order.
+            needed: List[int] = []
+            seen = set()
+            for s in chunk_starts:
+                for f in range(s, s + window):
+                    if f not in seen:
+                        seen.add(f)
+                        needed.append(f)
+            novel: List[int] = []
+            pending = set()
+            for f in needed:
+                digest = digests.get(f)
+                if digest is None:
+                    digest = _frame_digest(hasher, video[f])
+                    digests[f] = digest
+                if digest in memo:
+                    memo.move_to_end(digest)
+                elif digest not in pending:
+                    pending.add(digest)
+                    novel.append(f)
+            # A "hit" is any window-frame slot served without
+            # running the per-frame stage — whether the frame came
+            # from a previous chunk or is shared by several windows
+            # of this one.  hits + misses = windows × window.
+            hits = len(chunk_starts) * window - len(novel)
+            if novel:
+                with span("pipeline/frame_features"):
+                    feats = backend.frame_features(video[novel])
+                for f, feat in zip(novel, feats):
+                    memo[digests[f]] = feat
+            self._reuse_hits += hits
+            self._reuse_misses += len(novel)
+            metrics.counter("pipeline.reuse.frame_hits").inc(hits)
+            metrics.counter("pipeline.reuse.frame_misses") \
+                .inc(len(novel))
+            sample = memo[digests[needed[0]]]
+            assembled = np.empty(
+                (len(chunk_starts), window) + sample.shape,
+                dtype=sample.dtype)
+            for wi, s in enumerate(chunk_starts):
+                for t in range(window):
+                    assembled[wi, t] = memo[digests[s + t]]
+            with span("pipeline/forward"):
+                logits = backend.head_logits_from_frame_features(
+                    assembled)
+            for start, r in zip(
+                    chunk_starts,
+                    self._finalize_batch(logits, window, started)):
+                results.append(ExtractionResult(
+                    description=r.description,
+                    sentence=r.sentence,
+                    confidences=r.confidences,
+                    frame_range=(start, start + window),
+                    tag_confidences=r.tag_confidences,
+                ))
+            # Evict only after assembly so a tiny capacity can
+            # never drop a frame the current chunk still needs.
+            floor = max(self.frame_memo_size, len(needed))
+            while len(memo) > floor:
+                memo.popitem(last=False)
         return results
 
     def reuse_stats(self) -> Dict[str, object]:

@@ -477,10 +477,10 @@ def precision_profile(model: Module, batch_size: int = 16,
     """Per-precision no-grad extraction latency for one model.
 
     Times :meth:`ScenarioExtractor.logits` end to end for each
-    requested precision (fp32 = autograd fast path, fp16/int8 = fused
-    quantized engine) on the same synthetic clips, and reports the
-    stored-weight footprint of the quantized projections.  Speedups are
-    relative to fp32.
+    requested precision on the same synthetic clips — all three run
+    the fused inference engine, fp16/int8 with smaller stored weights —
+    and reports the stored-weight footprint of the projections.
+    Speedups are relative to fp32.
     """
     from repro.core.pipeline import ScenarioExtractor
 

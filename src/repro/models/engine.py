@@ -1,24 +1,27 @@
-"""Quantized no-grad inference engine for video transformers.
+"""No-grad inference engine for video transformers.
 
 :class:`InferenceEngine` is a straight-line numpy forward pass over a
 trained :class:`~repro.models.video_transformer.VideoTransformer` —
-no autograd ``Tensor`` wrappers, no graph bookkeeping, and fused
-in-place kernels (einsum LayerNorm, in-place softmax/GELU/residuals)
-— selected by ``precision`` on :class:`~repro.core.pipeline.\
-ScenarioExtractor`:
+no autograd ``Tensor`` wrappers, no graph bookkeeping, in-place
+softmax/GELU/residuals.  :class:`~repro.core.pipeline.\
+ScenarioExtractor` runs every video transformer through it, at the
+``precision`` it was built with:
 
-- ``"fp32"`` — the fused engine at full precision (used internally for
-  calibration; the extractor's default fp32 path stays on the autograd
-  ``Tensor`` fast path, which is the bit-exactness reference).
-- ``"fp16"`` — weights stored in half precision, widened to fp32 for
-  BLAS.  Storage/rounding precision only: numpy has no half BLAS, so
-  this halves weight memory at fp32 speed (see ``docs/performance.md``
-  for the honest numbers).
-- ``"int8"`` — per-output-channel symmetric weight quantization for
-  every Linear/attention projection plus *static* per-site activation
-  scales fixed by a small calibration pass.  Quantized operands stay
-  integer-valued float32 so the matmul runs on BLAS and is exact
-  integer arithmetic at these accumulation depths.
+- ``"fp32"`` — the default.  Every kernel performs the autograd
+  forward's float32 operations in the same order, so logits and frame
+  features are bit-identical to ``VideoTransformer.forward`` (pinned
+  by ``tests/test_quantized.py``); the autograd forward remains the
+  training path and the parity reference.  Weights are the model's
+  own parameter arrays, never copies.
+- ``"fp16"`` — a memory format: weights stored in half precision and
+  widened to fp32 once for BLAS (numpy has no half BLAS), so weight
+  memory halves at fp32 speed.
+- ``"int8"`` — a memory format: per-output-channel symmetric weight
+  quantization for every Linear/attention projection (3.7x smaller
+  stored weights) plus *static* per-site activation scales fixed by a
+  small calibration pass.  Quantized operands stay integer-valued
+  float32 so the matmul runs on BLAS and is exact integer arithmetic
+  at these accumulation depths; it is no faster than fp32.
 
 Static (rather than dynamic per-batch) activation scales are load-
 bearing: they make every quantized output independent of how rows are
@@ -36,7 +39,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.models.video_transformer import VideoTransformer
-from repro.nn.layers import Linear
+from repro.nn.layers import LayerNorm, Linear
 from repro.nn.quant import (
     activation_scale,
     dequantize_per_channel,
@@ -135,21 +138,41 @@ class _Site:
 
 
 # -- fused kernels -------------------------------------------------------
-def _layer_norm(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    c = x - mu
-    # einsum over the feature axis avoids materialising c**2.
-    var = np.einsum("...i,...i->...", c, c) / np.float32(x.shape[-1])
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
-    c *= inv[..., None]
-    c *= w
-    c += b
+def _layer_norm(x: np.ndarray, norm: LayerNorm) -> np.ndarray:
+    """``norm(x)`` in the op order of ``autograd.functional.layer_norm``,
+    so fp32 results are bit-identical to the training forward."""
+    c = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(c).mean(axis=-1, keepdims=True)
+    c *= 1.0 / np.sqrt(var + np.float32(norm.eps))
+    c *= norm.weight.data
+    c += norm.bias.data
     return c
 
 
+#: Rows up to this long take their max column by column (see
+#: :func:`_row_max`); longer rows use numpy's reduction, which was
+#: faster at 129 tokens and slower at 64 on a 2-core x86 host.
+_COLUMN_MAX_LIMIT = 64
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, faster on short rows.
+
+    numpy reduces a short last axis one row at a time; for attention
+    scores over 16 tokens that costs ~10x more than ``n - 1``
+    elementwise maxima across the columns.  A max is exact in any
+    order, so the result is bit-identical either way."""
+    n = x.shape[-1]
+    if n > _COLUMN_MAX_LIMIT:
+        return x.max(axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(out, x[..., j:j + 1], out=out)
+    return out
+
+
 def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
@@ -334,14 +357,10 @@ class InferenceEngine:
                  ) -> np.ndarray:
         for entry in enc["layers"]:
             layer = entry["layer"]
-            x = x + self._attention(
-                _layer_norm(x, layer.norm1.weight.data,
-                            layer.norm1.bias.data), entry["attn"])
-            x += self._mlp(
-                _layer_norm(x, layer.norm2.weight.data,
-                            layer.norm2.bias.data), entry["mlp"])
-        norm = enc["encoder"].norm
-        return _layer_norm(x, norm.weight.data, norm.bias.data)
+            x = x + self._attention(_layer_norm(x, layer.norm1),
+                                    entry["attn"])
+            x += self._mlp(_layer_norm(x, layer.norm2), entry["mlp"])
+        return _layer_norm(x, enc["encoder"].norm)
 
     def _patch_tokens(self, clips: np.ndarray) -> np.ndarray:
         """(B, T, C, H, W) → (B, T, N, D) per-frame patch tokens."""
@@ -387,28 +406,27 @@ class InferenceEngine:
             blk = entry["block"]
             xt = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(
                 batch * patches, frames, dim)
-            yt = self._attention(
-                _layer_norm(xt, blk.norm_t.weight.data,
-                            blk.norm_t.bias.data), entry["attn_t"])
+            yt = self._attention(_layer_norm(xt, blk.norm_t),
+                                 entry["attn_t"])
             x += yt.reshape(batch, patches, frames,
                             dim).transpose(0, 2, 1, 3)
             xs = x.reshape(batch * frames, patches, dim)
-            ys = self._attention(
-                _layer_norm(xs, blk.norm_s.weight.data,
-                            blk.norm_s.bias.data), entry["attn_s"])
+            ys = self._attention(_layer_norm(xs, blk.norm_s),
+                                 entry["attn_s"])
             x += ys.reshape(batch, frames, patches, dim)
-            x += self._mlp(
-                _layer_norm(x, blk.norm_m.weight.data,
-                            blk.norm_m.bias.data), entry["mlp"])
-        x = _layer_norm(x, m.norm.weight.data, m.norm.bias.data)
+            x += self._mlp(_layer_norm(x, blk.norm_m), entry["mlp"])
+        x = _layer_norm(x, m.norm)
+        # Pooling mirrors VideoTransformer._divided_from_tokens op for
+        # op (``Tensor.mean`` multiplies the sum by the reciprocal).
         if self.config.pool == "attention":
             flat = x.reshape(batch, frames * patches, dim)
-            scores = np.einsum("bnd,d->bn", flat, m.pool_query.data)
+            scores = (flat * m.pool_query.data).sum(axis=-1)
             scores *= np.float32(1.0 / np.sqrt(dim))
             _softmax_inplace(scores)
-            feat = np.einsum("bn,bnd->bd", scores, flat)
+            feat = (flat * scores[..., None]).sum(axis=1)
         else:
-            feat = x.mean(axis=(1, 2))
+            feat = x.sum(axis=(1, 2))
+            feat *= np.float32(1.0 / (frames * patches))
         return self._head_logits(feat)
 
     def _frame_summaries(self, tokens: np.ndarray) -> np.ndarray:

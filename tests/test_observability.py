@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -701,26 +702,46 @@ class TestTop:
 # ----------------------------------------------------------------------
 # Service integration: the lifecycle join guarantee
 # ----------------------------------------------------------------------
+class _GatedInjector(FaultInjector):
+    """A :class:`FaultInjector` that can hold the worker: while ``gate``
+    is clear, a primary attempt sets ``held`` and waits for the gate
+    before drawing its usual faults."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.held = threading.Event()
+
+    def __call__(self, batch_size: int) -> None:
+        if not self.gate.is_set():
+            self.held.set()
+            self.gate.wait(30.0)
+        super().__call__(batch_size)
+
+
 def run_service_burst(tmp_path, failure_rate=0.4, seed=42):
     """A 200-request fault-injected burst in two phases on one service.
 
     Phase A (160 requests, concurrency matched to the queue) exercises
     cache hits, retries and breaker-driven degradation; phase B floods
-    40 fresh clips through ``submit`` without waiting — submission
-    outruns the worker, so the admission limit sheds deterministically.
-    All 200 lifecycles land in the same event log.
+    40 fresh clips through ``submit`` without waiting.  The worker is
+    held in the injector on the first flood clip while the other 39 are
+    submitted, so 16 fill the queue and the admission limit sheds the
+    rest deterministically.  All 200 lifecycles land in the same event
+    log.
     """
     from repro.core.cache import ExtractionCache
     from repro.serve.client import ServiceClient
 
     events = EventLog(str(tmp_path))
-    injector = FaultInjector(failure_rate=failure_rate, latency_s=0.01,
-                             latency_rate=0.1, seed=seed)
+    injector = _GatedInjector(failure_rate=failure_rate, latency_s=0.01,
+                              latency_rate=0.1, seed=seed)
+    config = ServiceConfig(max_batch=4, max_wait_s=0.002, max_queue=16,
+                           max_retries=1, breaker_failures=2,
+                           breaker_cooldown_s=0.02)
     service = ExtractionService(
-        make_model(),
-        ServiceConfig(max_batch=4, max_wait_s=0.002, max_queue=16,
-                      max_retries=1, breaker_failures=2,
-                      breaker_cooldown_s=0.02),
+        make_model(), config,
         fault_injector=injector,
         cache=ExtractionCache(None),
         events=events,
@@ -732,7 +753,15 @@ def run_service_burst(tmp_path, failure_rate=0.4, seed=42):
         client = ServiceClient(service)
         results = client.extract_many(burst, concurrency=16,
                                       timeout=30.0)
-        futures = [service.submit(clip, timeout=30.0) for clip in flood]
+        # Past the cooldown an open breaker lets the next batch probe
+        # the primary, so that batch is sure to reach the injector.
+        time.sleep(config.breaker_cooldown_s)
+        injector.gate.clear()
+        futures = [service.submit(flood[0], timeout=30.0)]
+        assert injector.held.wait(30.0), "worker never reached the gate"
+        futures += [service.submit(clip, timeout=30.0)
+                    for clip in flood[1:]]
+        injector.gate.set()
         results += [f.result() for f in futures]
         health = service.health()
     return results, events, health

@@ -1,14 +1,23 @@
 """Tests for the quantized no-grad fast path and sliding-window
 temporal-overlap reuse (docs/performance.md)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad
+from repro.autograd.tensor import Tensor
 from repro.core import ScenarioExtractor
-from repro.core.cache import extractor_version
+from repro.core.pipeline import _frame_digest, _frame_hasher
+from repro.core.cache import extractor_version, model_fingerprint
 from repro.data import SynthDriveConfig, generate_dataset
-from repro.models import ModelConfig, build_model
-from repro.models.engine import InferenceEngine
+from repro.models import ModelConfig, VideoTransformer, build_model
+from repro.models.engine import (
+    _COLUMN_MAX_LIMIT,
+    InferenceEngine,
+    _row_max,
+)
 from repro.nn.quant import (
     QMAX,
     activation_scale,
@@ -100,18 +109,53 @@ class TestQuantPrimitives:
         assert np.abs(widened - weight).max() <= np.abs(weight).max() / 1024
 
 
+def _autograd_logits(model, clips):
+    """The training forward under ``no_grad`` — the parity reference."""
+    model.eval()
+    with no_grad():
+        return {k: v.data for k, v in model(Tensor(clips)).items()}
+
+
 class TestInferenceEngine:
     @pytest.mark.parametrize("attention",
                              ["joint", "divided", "factorized"])
     def test_fp32_engine_matches_autograd_path(self, attention):
-        model = _model(attention)
-        clips = _clips()
+        for pool in ("mean", "attention"):
+            model = _model(attention, pool=pool)
+            engine = InferenceEngine(model, "fp32")
+            for batch in (1, 3, 16):
+                clips = _clips(batch)
+                reference = _autograd_logits(model, clips)
+                fast = engine.logits(clips)
+                assert fast.keys() == reference.keys()
+                for head in reference:
+                    np.testing.assert_array_equal(
+                        fast[head], reference[head],
+                        err_msg=f"pool={pool} batch={batch}")
+
+    @pytest.mark.parametrize("pool", ["mean", "attention"])
+    @pytest.mark.parametrize("attention", ["divided", "factorized"])
+    def test_fp32_engine_frame_hooks_match_model(self, attention, pool):
+        model = _model(attention, pool=pool)
         engine = InferenceEngine(model, "fp32")
-        reference = ScenarioExtractor(model).logits(clips)
-        fast = engine.logits(clips)
-        for head in reference:
-            np.testing.assert_allclose(fast[head], reference[head],
-                                       atol=1e-4)
+        frames = _clips(1, frames=7)[0]
+        with no_grad():
+            reference = model.frame_features(frames)
+        features = engine.frame_features(frames)
+        np.testing.assert_array_equal(features, reference)
+        windows = np.stack([features[s:s + 4] for s in (0, 2, 3)])
+        with no_grad():
+            expected = model.head_logits_from_frame_features(windows)
+        logits = engine.head_logits_from_frame_features(windows)
+        for head in expected:
+            np.testing.assert_array_equal(logits[head], expected[head])
+
+    def test_row_max_matches_reduction(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 5, 16, _COLUMN_MAX_LIMIT, _COLUMN_MAX_LIMIT + 1, 129):
+            x = rng.standard_normal((3, 7, n)).astype(np.float32)
+            np.testing.assert_array_equal(_row_max(x),
+                                          x.max(axis=-1, keepdims=True))
 
     def test_quantized_logits_close_to_fp32(self):
         model = _model()
@@ -248,6 +292,67 @@ class TestSlidingReuse:
                 for s in starts] == whole_starts
 
 
+class TestExtractorBackend:
+    @pytest.mark.parametrize("attention",
+                             ["joint", "divided", "factorized"])
+    def test_fp32_transformer_runs_the_engine(self, attention,
+                                              monkeypatch):
+        model = _model(attention)
+        clips = _clips(3)
+        reference = _autograd_logits(model, clips)
+        extractor = ScenarioExtractor(model)
+        assert isinstance(extractor._engine, InferenceEngine)
+
+        def autograd_forward(self, video):
+            raise AssertionError("fp32 inference ran the autograd path")
+
+        monkeypatch.setattr(VideoTransformer, "forward", autograd_forward)
+        logits = extractor.logits(clips)
+        for head in reference:
+            np.testing.assert_array_equal(logits[head], reference[head])
+
+    @pytest.mark.parametrize("name", ["c3d", "frame-mlp"])
+    def test_baseline_runs_autograd(self, name):
+        model = build_model(name, CFG)
+        clips = _clips(3)
+        extractor = ScenarioExtractor(model)
+        assert extractor._engine is None
+        assert not extractor.reuse_stats()["supported"]
+        reference = _autograd_logits(model, clips)
+        logits = extractor.logits(clips)
+        for head in reference:
+            np.testing.assert_array_equal(logits[head], reference[head])
+
+    def test_loaded_weights_reach_the_engine(self):
+        """The fp32 engine reads the model's parameter arrays, not
+        copies: weights loaded after the extractor was built are the
+        ones the next forward uses."""
+        model = _model("divided")
+        extractor = ScenarioExtractor(model)
+        clips = _clips(3)
+        before = extractor.logits(clips)
+        other = _model("divided", seed=9)
+        model.load_state_dict(other.state_dict())
+        after = extractor.logits(clips)
+        expected = _autograd_logits(other, clips)
+        assert not np.array_equal(after["scene"], before["scene"])
+        for head in expected:
+            np.testing.assert_array_equal(after[head], expected[head])
+
+    def test_frame_digest_unchanged(self):
+        """The per-video header keeps digests byte-identical to hashing
+        each frame's own dtype, shape and bytes."""
+        rng = np.random.default_rng(12)
+        video = (rng.random((5, 3, 16, 16)) * 255).astype(np.uint8)
+        hasher = _frame_hasher(video)
+        for frame in video:
+            expected = hashlib.sha256()
+            expected.update(str(frame.dtype).encode())
+            expected.update(str(frame.shape).encode())
+            expected.update(frame.tobytes())
+            assert _frame_digest(hasher, frame) == expected.digest()
+
+
 class TestPrecisionPlumbing:
     def test_extractor_rejects_unknown_precision(self):
         with pytest.raises(ValueError):
@@ -263,6 +368,9 @@ class TestPrecisionPlumbing:
         assert len({fp32, int8, fp16}) == 3
         assert int8.endswith("-int8")
         assert not fp32.endswith("fp32")  # seed caches stay valid
+        # fp32 output is bit-identical whichever forward runs it, so
+        # its version stays the bare fingerprint.
+        assert fp32 == model_fingerprint(model)
 
     def test_clone_preserves_precision(self):
         extractor = ScenarioExtractor(_model(), precision="int8",
