@@ -215,12 +215,12 @@ def mine(source: ExtractorSource, clips: np.ndarray,
     already-cached corpus performs zero extractor forward passes (see
     ``docs/caching.md``).
     """
+    if query is not None and tags:
+        raise ValueError("pass either query or tags, not both")
     extractor = _as_extractor(source)
     miner = ScenarioMiner(extractor, cache=_as_cache(cache, cache_dir))
     miner.index(np.asarray(clips))
     if query is not None:
-        if tags:
-            raise ValueError("pass either query or tags, not both")
         return miner.query(query, top_k=top_k, min_score=min_score)
     return miner.query_tags(top_k=top_k, min_score=min_score, **tags)
 

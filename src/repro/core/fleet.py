@@ -33,9 +33,9 @@ vocabulary / threshold can never be served as current (they live in a
 different directory).
 
 Queries go through :class:`FleetIndex`: per-shard SDL-vector arrays are
-**memory-mapped**, scored shard by shard, and the per-shard
-:func:`~repro.core.retrieval.topk_indices` candidates are merged with
-the same ``(-score, clip_id)`` ordering the in-memory miner uses — the
+**memory-mapped**, scored shard by shard with
+:func:`~repro.core.retrieval.cosine_topk`, and the per-shard candidates
+are merged with the in-memory miner's ``(-score, clip_id)`` order — the
 merged top-k is bit-identical to :meth:`ScenarioMiner.query` over the
 same clips (each shard's local ordering is a contiguous slice of the
 global ordering, so a shard's own top-k always covers its contribution
@@ -58,6 +58,7 @@ an optional ``on_progress`` callback — the hooks behind the
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import time
@@ -80,9 +81,9 @@ from repro.core.cache import (
     extractor_version,
 )
 from repro.core.export import result_to_record
-from repro.core.mining import MiningHit
+from repro.core.mining import MiningHit, tag_query
 from repro.core.pipeline import ScenarioExtractor
-from repro.core.retrieval import topk_indices
+from repro.core.retrieval import cosine_topk
 from repro.obs import get_logger, metrics
 from repro.obs import events as obs_events
 from repro.obs.telemetry import SnapshotRing
@@ -466,10 +467,10 @@ class FleetIndex:
 
     Per-shard SDL-vector arrays are opened with ``mmap_mode="r"`` — the
     OS pages vectors in on demand, so querying a million-clip corpus
-    never loads its matrix.  Rankings are bit-identical to the
-    in-memory :class:`~repro.core.mining.ScenarioMiner` over the same
-    clips: per-shard cosine scores use the miner's exact formula, each
-    shard contributes its own :func:`topk_indices` candidates, and the
+    never loads its matrix; a shard's row norms are computed once, when
+    it is first mapped.  Rankings are bit-identical to the in-memory
+    :class:`~repro.core.mining.ScenarioMiner` over the same clips: each
+    shard contributes its own :func:`cosine_topk` candidates, and the
     merge re-applies the global ``(-score, clip_id)`` ordering.
     """
 
@@ -479,6 +480,7 @@ class FleetIndex:
         self.manifest = manifest
         self._shards: List[dict] = list(manifest["shards"])
         self._matrices: Dict[str, np.ndarray] = {}
+        self._norms: Dict[str, np.ndarray] = {}
         self._record_cache: Dict[str, List[dict]] = {}
 
     @classmethod
@@ -501,6 +503,7 @@ class FleetIndex:
             matrix = np.load(self.store.vectors_path(shard),
                              mmap_mode="r")
             self._matrices[shard] = matrix
+            self._norms[shard] = np.linalg.norm(matrix, axis=1)
             metrics.gauge("fleet.vectors_mapped").add(
                 float(matrix.shape[0]))
         return matrix
@@ -523,23 +526,18 @@ class FleetIndex:
         if top_k <= 0:
             raise ValueError("top_k must be positive")
         q = sdl_vector(query)
-        q_norm = np.linalg.norm(q)
-        candidate_ids: List[int] = []
-        candidate_scores: List[float] = []
+        candidate_ids, candidate_scores = [], []
         candidate_local: List[Tuple[str, int]] = []
         for entry in self._shards:
             shard, offset = entry["name"], int(entry["offset"])
             matrix = self._matrix(shard)
-            denom = np.linalg.norm(matrix, axis=1) * q_norm
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.where(denom == 0.0, 0.0, matrix @ q / denom)
-            scores = np.clip(scores, 0.0, 1.0)
-            for local in topk_indices(scores, top_k):
-                candidate_ids.append(offset + int(local))
-                candidate_scores.append(float(scores[local]))
-                candidate_local.append((shard, int(local)))
-        ids = np.asarray(candidate_ids, dtype=np.intp)
-        scores = np.asarray(candidate_scores, dtype=np.float32)
+            positions, scores = cosine_topk(matrix, self._norms[shard], q,
+                                            top_k)
+            candidate_ids.append(offset + positions)
+            candidate_scores.append(scores)
+            candidate_local += [(shard, int(p)) for p in positions]
+        ids = np.concatenate(candidate_ids)
+        scores = np.concatenate(candidate_scores)
         order = np.lexsort((ids, -scores))[:top_k]
         hits: List[MiningHit] = []
         for position in order:
@@ -558,13 +556,8 @@ class FleetIndex:
                    **tags) -> List[MiningHit]:
         """Keyword-tag convenience query, mirroring
         :meth:`ScenarioMiner.query_tags`."""
-        query = ScenarioDescription(
-            scene=tags.get("scene", "straight-road"),
-            ego_action=tags.get("ego_action", "drive-straight"),
-            actors=frozenset(tags.get("actors", ())),
-            actor_actions=frozenset(tags.get("actor_actions", ())),
-        )
-        return self.query(query, top_k=top_k, min_score=min_score)
+        return self.query(tag_query(**tags), top_k=top_k,
+                          min_score=min_score)
 
     def iter_records(self) -> Iterator[dict]:
         """Stream every tag record in global clip-id order."""
@@ -576,20 +569,17 @@ class FleetIndex:
 def top_criticality(index: FleetIndex, n: int) -> List[dict]:
     """The ``n`` most critical clips, streamed shard by shard.
 
-    Keeps only the running top-``n`` in memory (ties resolve toward
+    Keeps only a heap of ``n`` records in memory (ties resolve toward
     the lower clip id — the same ordering a full sort would give).
     """
-    best: List[Tuple[float, int, dict]] = []
-    for record in index.iter_records():
-        best.append((-float(record["criticality"]),
-                     int(record["clip_id"]), record))
-        best.sort(key=lambda item: item[:2])
-        del best[n:]
+    best = heapq.nsmallest(
+        n, index.iter_records(),
+        key=lambda r: (-float(r["criticality"]), int(r["clip_id"])))
     return [
         {"clip_id": record["clip_id"],
          "criticality": record["criticality"],
          "sentence": record["sentence"]}
-        for _, _, record in best
+        for record in best
     ]
 
 
@@ -608,13 +598,13 @@ def mine_corpus(extractor: ScenarioExtractor, corpus_dir: str,
     opens the partitioned index, and ranks.  Returns the hits and the
     extraction-pass accounting.
     """
+    if query is not None and tags:
+        raise ValueError("pass either query or tags, not both")
     stats = extract_corpus(extractor, corpus_dir, store_dir=store_dir,
                            cache=cache, heartbeat_s=heartbeat_s,
                            on_progress=on_progress)
     index = FleetIndex.open(corpus_dir, extractor, store_dir=store_dir)
     if query is not None:
-        if tags:
-            raise ValueError("pass either query or tags, not both")
         hits = index.query(query, top_k=top_k, min_score=min_score)
     elif tags:
         hits = index.query_tags(top_k=top_k, min_score=min_score,

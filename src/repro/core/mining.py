@@ -14,14 +14,13 @@ answers repeat clips without a forward pass (see ``docs/caching.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.pipeline import ScenarioExtractor
-from repro.core.retrieval import topk_indices
+from repro.core.retrieval import RetrievalIndex
 from repro.sdl.description import ScenarioDescription
-from repro.sdl.similarity import sdl_vector
 
 
 @dataclass(frozen=True)
@@ -32,26 +31,32 @@ class MiningHit:
     sentence: str
 
 
+def tag_query(**tags) -> ScenarioDescription:
+    """The query description keyword tags stand for, e.g.
+    ``tag_query(ego_action="stop", actors={"pedestrian"})``."""
+    return ScenarioDescription(
+        scene=tags.get("scene", "straight-road"),
+        ego_action=tags.get("ego_action", "drive-straight"),
+        actors=frozenset(tags.get("actors", ())),
+        actor_actions=frozenset(tags.get("actor_actions", ())),
+    )
+
+
 class ScenarioMiner:
     """Indexes a clip corpus by extracted descriptions and answers
-    description queries."""
+    description queries; a clip's id is its position in the
+    underlying :class:`~repro.core.retrieval.RetrievalIndex`."""
 
     def __init__(self, extractor: ScenarioExtractor, cache=None) -> None:
         self.extractor = extractor
         self.cache = cache
-        self._descriptions: List[ScenarioDescription] = []
-        self._vectors: List[np.ndarray] = []
-        self._matrix: Optional[np.ndarray] = None
-        self._row_norms: Optional[np.ndarray] = None
+        self._index = RetrievalIndex()
 
     # -- indexing -----------------------------------------------------
     def index(self, clips: np.ndarray) -> None:
         """Extract and store descriptions for a corpus
         ``(N, T, C, H, W)``; replaces any previous index."""
-        self._descriptions = []
-        self._vectors = []
-        self._matrix = None
-        self._row_norms = None
+        self._index = RetrievalIndex()
         self.add_clips(clips)
 
     def add_clips(self, clips: np.ndarray) -> List[int]:
@@ -63,60 +68,28 @@ class ScenarioMiner:
         cache attached, clips seen before — under the same model
         version, vocabulary and threshold — skip extraction entirely.
         """
-        from repro.core.cache import cached_extract_batch
-
-        results = cached_extract_batch(self.extractor, np.asarray(clips),
-                                       self.cache)
-        return self.add_descriptions([r.description for r in results])
+        return self._index.add_clips(clips, extractor=self.extractor,
+                                     cache=self.cache)
 
     def index_descriptions(self,
                            descriptions: Sequence[ScenarioDescription]
                            ) -> None:
         """Index pre-computed descriptions (e.g. ground truth);
         replaces any previous index."""
-        self._descriptions = []
-        self._vectors = []
-        self._matrix = None
-        self._row_norms = None
+        self._index = RetrievalIndex()
         self.add_descriptions(descriptions)
 
     def add_descriptions(self,
                          descriptions: Sequence[ScenarioDescription]
                          ) -> List[int]:
         """Append pre-computed descriptions; returns their clip ids."""
-        start = len(self._descriptions)
-        for desc in descriptions:
-            self._descriptions.append(desc)
-            self._vectors.append(sdl_vector(desc))
-        if descriptions:
-            self._matrix = None
-            self._row_norms = None
-        return list(range(start, len(self._descriptions)))
+        return self._index.add_batch(descriptions)
 
     @property
     def size(self) -> int:
-        return len(self._descriptions)
+        return len(self._index)
 
     # -- querying -----------------------------------------------------
-    def _stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacked embedding matrix and its row norms, cached
-        between queries and invalidated whenever clips are appended —
-        an unchanged index is never re-stacked per query."""
-        if self._matrix is None:
-            self._matrix = np.stack(self._vectors)
-            self._row_norms = np.linalg.norm(self._matrix, axis=1)
-        return self._matrix, self._row_norms
-
-    def _scores(self, query: ScenarioDescription) -> np.ndarray:
-        """SDL cosine similarity of the query against every indexed
-        clip, vectorized over the stored embedding matrix."""
-        matrix, row_norms = self._stacked()
-        q = sdl_vector(query)
-        denom = row_norms * np.linalg.norm(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(denom == 0.0, 0.0, matrix @ q / denom)
-        return np.clip(scores, 0.0, 1.0)
-
     def query(self, query: ScenarioDescription, top_k: int = 5,
               min_score: float = 0.0) -> List[MiningHit]:
         """Rank indexed clips by SDL similarity to ``query``.
@@ -127,18 +100,16 @@ class ScenarioMiner:
         by truncating a sorted prefix, so threshold ties can't be
         half-dropped).  Ties in score rank by ascending clip id.
         """
-        if not self._descriptions:
+        if not len(self._index):
             raise RuntimeError("miner has no indexed clips; call index()")
         if top_k <= 0:
             raise ValueError("top_k must be positive")
-        scores = self._scores(query)
         hits = []
-        for clip_id in topk_indices(scores, top_k):
-            score = float(scores[clip_id])
+        for position, clip_id, score in self._index.search(query, top_k):
             if score < min_score:
                 continue
-            desc = self._descriptions[clip_id]
-            hits.append(MiningHit(clip_id=int(clip_id), score=score,
+            desc = self._index.description(position)
+            hits.append(MiningHit(clip_id=clip_id, score=score,
                                   description=desc,
                                   sentence=desc.to_sentence()))
         return hits
@@ -150,10 +121,5 @@ class ScenarioMiner:
 
         ``min_score`` is forwarded to :meth:`query` (it used to be
         silently dropped on this path)."""
-        query = ScenarioDescription(
-            scene=tags.get("scene", "straight-road"),
-            ego_action=tags.get("ego_action", "drive-straight"),
-            actors=frozenset(tags.get("actors", ())),
-            actor_actions=frozenset(tags.get("actor_actions", ())),
-        )
-        return self.query(query, top_k=top_k, min_score=min_score)
+        return self.query(tag_query(**tags), top_k=top_k,
+                          min_score=min_score)

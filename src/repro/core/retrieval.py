@@ -44,8 +44,22 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[order][:k]
 
 
+def cosine_topk(matrix: np.ndarray, row_norms: np.ndarray,
+                q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions and SDL cosine scores of the ``k`` rows of ``matrix``
+    closest to ``q``, best first (ties by position).  Every index scores
+    through here: a zero denominator scores 0 and scores are clipped to
+    ``[0, 1]``.  ``row_norms`` is ``np.linalg.norm(matrix, axis=1)``."""
+    denom = row_norms * np.linalg.norm(q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(denom == 0.0, 0.0, matrix @ q / denom)
+    scores = np.clip(scores, 0.0, 1.0)
+    positions = topk_indices(scores, k)
+    return positions, scores[positions]
+
+
 class RetrievalIndex:
-    """Cosine-similarity index over SDL embedding vectors.
+    """In-memory cosine-similarity index over SDL embedding vectors.
 
     ``extractor`` (and optionally ``cache``) enable
     :meth:`add_clips` — indexing raw clips through extraction.
@@ -54,6 +68,7 @@ class RetrievalIndex:
     def __init__(self, extractor=None, cache=None) -> None:
         self._ids: List[int] = []
         self._id_set: Set[int] = set()
+        self._descriptions: List[ScenarioDescription] = []
         self._vectors: List[np.ndarray] = []
         self._matrix: Optional[np.ndarray] = None
         self._row_norms: Optional[np.ndarray] = None
@@ -70,6 +85,7 @@ class RetrievalIndex:
             raise ValueError(f"clip id {clip_id} already indexed")
         self._ids.append(clip_id)
         self._id_set.add(clip_id)
+        self._descriptions.append(description)
         self._vectors.append(sdl_vector(description))
         self._matrix = None
         self._row_norms = None
@@ -110,6 +126,10 @@ class RetrievalIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
+    def description(self, position: int) -> ScenarioDescription:
+        """The description stored at ``position`` (insertion order)."""
+        return self._descriptions[position]
+
     def _stacked(self) -> Tuple[np.ndarray, np.ndarray]:
         """The stacked embedding matrix and its row norms, cached.
 
@@ -123,16 +143,23 @@ class RetrievalIndex:
             self._row_norms = np.linalg.norm(self._matrix, axis=1)
         return self._matrix, self._row_norms
 
-    def query(self, description: ScenarioDescription,
-              top_k: int = 5) -> List[int]:
-        """Clip ids ranked by similarity to the query description."""
+    def search(self, description: ScenarioDescription, top_k: int = 5
+               ) -> List[Tuple[int, int, float]]:
+        """The ``top_k`` closest clips as ``(position, clip_id, score)``,
+        best first (ties by insertion order)."""
         if not self._ids:
             raise RuntimeError("empty retrieval index")
         matrix, row_norms = self._stacked()
-        q = sdl_vector(description)
-        norms = row_norms * max(np.linalg.norm(q), 1e-9)
-        scores = matrix @ q / np.maximum(norms, 1e-9)
-        return [self._ids[i] for i in topk_indices(scores, top_k)]
+        positions, scores = cosine_topk(matrix, row_norms,
+                                        sdl_vector(description), top_k)
+        return [(int(p), self._ids[p], float(s))
+                for p, s in zip(positions, scores)]
+
+    def query(self, description: ScenarioDescription,
+              top_k: int = 5) -> List[int]:
+        """Clip ids ranked by similarity to the query description."""
+        return [clip_id for _, clip_id, _ in self.search(description,
+                                                         top_k)]
 
 
 def retrieval_metrics(queries: Sequence[ScenarioDescription],
@@ -148,7 +175,6 @@ def retrieval_metrics(queries: Sequence[ScenarioDescription],
     """
     if len(queries) != len(correct_ids):
         raise ValueError("queries and correct_ids must align")
-    max_k = max(ks)
     hits = {k: 0 for k in ks}
     reciprocal_ranks = []
     for query, target in zip(queries, correct_ids):

@@ -97,10 +97,20 @@ class TestFacadeFunctions:
         assert [(h.clip_id, h.score) for h in hits] \
             == [(h.clip_id, h.score) for h in expected]
 
-    def test_mine_rejects_query_plus_tags(self, extractor, clips):
+    def test_mine_rejects_query_plus_tags(self, extractor, clips,
+                                          monkeypatch):
         query = extractor.extract(clips[0]).description
+        forwards = []
+        real = extractor.extract_batch
+
+        def counting(batch, **kwargs):
+            forwards.append(len(batch))
+            return real(batch, **kwargs)
+
+        monkeypatch.setattr(extractor, "extract_batch", counting)
         with pytest.raises(ValueError, match="not both"):
             api.mine(extractor, clips, query=query, ego_action="stop")
+        assert forwards == []  # rejected before extracting the corpus
 
     def test_retrieve_matches_manual_index(self, extractor, clips):
         query = extractor.extract(clips[0]).description

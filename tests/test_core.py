@@ -317,10 +317,22 @@ class TestIndexRegressions:
         with np.errstate(divide="ignore", invalid="ignore"):
             naive = np.where(denom == 0.0, 0.0, matrix @ q / denom)
         naive = np.clip(naive, 0.0, 1.0)
-        first = miner._scores(query)
-        again = miner._scores(query)  # served from the cached matrix
+
+        def scores():
+            by_position = np.empty_like(naive)
+            for position, _, score in miner._index.search(query,
+                                                          miner.size):
+                by_position[position] = score
+            return by_position
+
+        first = scores()
+        cached = miner._index._matrix
+        again = scores()  # served from the cached matrix
+        assert miner._index._matrix is cached
         assert np.array_equal(first, naive)
         assert np.array_equal(again, naive)
+        assert [h.score for h in miner.query(query, top_k=miner.size)] \
+            == sorted(naive.tolist(), reverse=True)
 
     def test_miner_matrix_invalidated_on_append_and_reindex(
             self, trained_extractor):
@@ -328,11 +340,15 @@ class TestIndexRegressions:
         miner = ScenarioMiner(extractor)
         miner.index_descriptions(dataset.descriptions[:8])
         miner.query(dataset.descriptions[0], top_k=2)
-        matrix = miner._matrix
+        matrix = miner._index._matrix
+        assert matrix is not None
         miner.query(dataset.descriptions[1], top_k=2)
-        assert miner._matrix is matrix
+        assert miner._index._matrix is matrix
         miner.add_descriptions(dataset.descriptions[8:10])
-        assert miner._matrix is None
-        assert len(miner._scores(dataset.descriptions[0])) == 10
+        assert miner._index._matrix is None
+        assert len(miner._index.search(dataset.descriptions[0], 50)) == 10
+        assert miner._index._matrix.shape[0] == 10
         miner.index_descriptions(dataset.descriptions[:4])
-        assert len(miner._scores(dataset.descriptions[0])) == 4
+        assert miner._index._matrix is None
+        assert len(miner._index.search(dataset.descriptions[0], 50)) == 4
+        assert miner._index._matrix.shape[0] == 4

@@ -13,7 +13,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import ScenarioExtractor, ScenarioMiner, fleet
+from repro.core import (
+    RetrievalIndex,
+    ScenarioExtractor,
+    ScenarioMiner,
+    fleet,
+)
 from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, build_model
 from repro.sdl import ScenarioDescription
@@ -107,6 +112,10 @@ class TestOutOfCoreParity:
 
     def test_topk_bitwise_equal_to_memory_miner(self, mined, dataset):
         _, _, index, miner = mined
+        retrieval = RetrievalIndex()
+        retrieval.add_batch([
+            h.description for h in sorted(miner.query(QUERY, miner.size),
+                                          key=lambda h: h.clip_id)])
         queries = [QUERY] + list(dataset.descriptions[:5])
         for query in queries:
             for top_k in (1, 3, 14, 50):
@@ -116,6 +125,10 @@ class TestOutOfCoreParity:
                         for h in fleet_hits] \
                     == [(h.clip_id, h.score, h.sentence, h.description)
                         for h in memory_hits]
+                assert retrieval.query(query, top_k=top_k) \
+                    == [h.clip_id for h in memory_hits]
+                assert all(score <= 1.0 for _, _, score
+                           in retrieval.search(query, top_k=top_k))
 
     def test_min_score_filter_matches(self, mined):
         _, _, index, miner = mined
@@ -159,10 +172,26 @@ class TestOutOfCoreParity:
         records = list(index.iter_records())
         expected = sorted(records,
                           key=lambda r: (-r["criticality"],
-                                         r["clip_id"]))[:5]
-        top = fleet.top_criticality(index, 5)
-        assert [(t["clip_id"], t["criticality"]) for t in top] \
-            == [(r["clip_id"], r["criticality"]) for r in expected]
+                                         r["clip_id"]))
+        for n in (5, len(records), len(records) + 10):
+            top = fleet.top_criticality(index, n)
+            assert [(t["clip_id"], t["criticality"]) for t in top] \
+                == [(r["clip_id"], r["criticality"])
+                    for r in expected[:n]]
+
+        # Tied criticalities, streamed out of clip-id order.
+        class Records:
+            def iter_records(self):
+                for clip_id, criticality in ((3, 0.5), (0, 0.9), (2, 0.5),
+                                             (1, 0.5), (4, 0.9)):
+                    yield {"clip_id": clip_id, "criticality": criticality,
+                           "sentence": f"clip {clip_id}"}
+
+        top = fleet.top_criticality(Records(), 3)
+        assert [t["clip_id"] for t in top] == [0, 4, 1]
+        top = fleet.top_criticality(Records(), 10)
+        assert [t["clip_id"] for t in top] == [0, 4, 1, 2, 3]
+        assert [t["criticality"] for t in top] == [0.9, 0.9, 0.5, 0.5, 0.5]
 
     def test_records_carry_export_schema_fields(self, mined, dataset):
         _, _, index, _ = mined
@@ -323,6 +352,11 @@ class TestMineCorpus:
         with pytest.raises(ValueError, match="not both"):
             fleet.mine_corpus(extractor, corpus, query=QUERY,
                               ego_action="stop")
+        # Rejected before extraction: no store, no manifest.
+        store = os.path.join(corpus, fleet.DEFAULT_STORE_DIR)
+        assert not os.path.exists(store)
+        assert not os.path.exists(fleet.FleetStore(
+            store, fleet.extraction_fingerprint(extractor)).manifest_path)
 
     def test_api_facade(self, dataset, tmp_path):
         import repro

@@ -80,3 +80,75 @@ def test_pool_burst_replays_from_event_log(trained, capsys):
     assert sum(w["routed"] for w in per_worker.values()) \
         == serve["requests"]
     assert not any(w["dead"] for w in per_worker.values())
+
+
+def test_cache_rerun_is_pure_reuse(trained, capsys):
+    # Populate the extraction cache, re-run, and require the re-run to
+    # be pure cache: zero forward passes, full hit rate, bit-identical
+    # exported records and mining hits (see docs/caching.md).
+    root, data, model = trained
+    runs = []
+    for i in (1, 2):
+        out = root / f"mine-run{i}.jsonl"
+        capsys.readouterr()
+        assert main(["mine", "--data", data, "--checkpoint", model,
+                     "--out", str(out), "--cache-dir",
+                     str(root / "smoke-cache"), "--ego-action", "stop",
+                     "--json"]) == 0
+        runs.append((json.loads(capsys.readouterr().out),
+                     out.read_text()))
+    (first, first_jsonl), (second, second_jsonl) = runs
+
+    assert first["schema"] == "repro.mine/v1"
+    assert first["extracted_clips"] == first["clips"], first["cache"]
+    assert second["extracted_clips"] == 0, second["cache"]
+    assert second["cache"]["hit_rate"] == 1.0, second["cache"]
+    assert first_jsonl == second_jsonl, \
+        "cached re-run changed the exported records"
+    assert first["hits"] == second["hits"], \
+        "cached re-run changed the mining hits"
+
+
+def test_fleet_mining_resumes_and_repairs(trained, capsys):
+    # Out-of-core mining resumability (docs/mining.md): mine a sharded
+    # on-disk corpus, re-run (must skip every shard), then delete half
+    # the per-shard stores and re-run again: only the deleted shards
+    # may re-extract, and the results must be unchanged.
+    root, _, model = trained
+    corpus = root / "fleet-corpus"
+    assert main(["generate", "--clips", "16", "--frames", "4",
+                 "--corpus-dir", str(corpus), "--shard-size", "4"]) == 0
+
+    def mine():
+        capsys.readouterr()
+        assert main(["mine", "--corpus-dir", str(corpus),
+                     "--checkpoint", model, "--ego-action", "stop",
+                     "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    first = mine()
+    second = mine()
+    # Simulate partial store loss: drop half the shard stores.
+    tags = sorted(corpus.glob("_fleet/*/*.tags.jsonl"))
+    assert len(tags) == 4, tags
+    for path in tags[:2]:
+        path.unlink()
+        path.with_name(path.name.replace(".tags.jsonl",
+                                         ".vectors.npy")).unlink()
+    third = mine()
+
+    assert first["schema"] == "repro.mine/v1"
+    assert first["fleet"]["shards_extracted"] == 4, first["fleet"]
+    assert first["clips"] == 16, first
+    # Full re-run: pure resume, zero forward passes.
+    assert second["fleet"]["shards_extracted"] == 0, second["fleet"]
+    assert second["fleet"]["shards_skipped"] == 4, second["fleet"]
+    assert second["extracted_clips"] == 0, second
+    # After deleting 2 stores: exactly those 2 re-extract.
+    assert third["fleet"]["shards_extracted"] == 2, third["fleet"]
+    assert third["fleet"]["shards_skipped"] == 2, third["fleet"]
+    # Results never change across resume or repair.
+    assert first["hits"], "the stop query matched nothing"
+    assert first["hits"] == second["hits"] == third["hits"]
+    assert first["top_criticality"] == second["top_criticality"] \
+        == third["top_criticality"]
