@@ -521,7 +521,7 @@ def cmd_serve(args) -> int:
     canary_summary = None
     prom_stop = None
     if args.prometheus_out:
-        # Periodic atomic exposition (tmp + os.replace): a crash
+        # Periodic atomic exposition (repro.durable): a crash
         # mid-burst leaves the last complete scrape on disk, never a
         # truncated file.
         import threading
@@ -673,6 +673,7 @@ def cmd_profile(args) -> int:
     ``--compare BASELINE.json`` additionally prints per-stage speedup
     against a saved report and exits non-zero when any checked stage is
     more than ``--max-slowdown`` times slower — the CI perf gate."""
+    from repro.durable import atomic_write
     from repro.obs.profiler import (
         compare_reports,
         format_comparison,
@@ -686,8 +687,7 @@ def cmd_profile(args) -> int:
     else:
         print(format_report(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        atomic_write(args.out, json.dumps(report, indent=2))
         print(f"\nwrote JSON report to {args.out}")
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fh:

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.pipeline import ExtractionResult, ScenarioExtractor
+from repro.durable import append_record, atomic_open, read_records, torn_tail
 from repro.nn.module import Module
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics
@@ -143,6 +144,7 @@ class ExtractionCache:
         self.misses = 0
         self.evictions = 0
         self.corrupt = 0
+        self._sep = ""
         if self.cache_dir is not None:
             self._load()
 
@@ -157,24 +159,16 @@ class ExtractionCache:
         path = self.path
         if path is None or not os.path.exists(path):
             return
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    result = _record_to_result(record)
-                except Exception as exc:  # torn write, vocab drift, ...
-                    self.corrupt += 1
-                    metrics.counter("cache.corrupt").inc()
-                    _logger.warning(
-                        "skipping corrupt cache record %s:%d (%s)",
-                        path, lineno, exc,
-                    )
-                    continue
-                self._entries[key] = result
+
+        def corrupt(lineno: int, exc: Exception) -> None:  # torn, drift
+            self.corrupt += 1
+            metrics.counter("cache.corrupt").inc()
+            _logger.warning("skipping corrupt cache record %s:%d (%s)",
+                            path, lineno, exc)
+
+        self._entries.update(read_records(
+            path, lambda r: (r["key"], _record_to_result(r)), corrupt))
+        self._sep = "\n" if torn_tail(path) else ""
         if (self.max_entries is not None
                 and len(self._entries) > self.max_entries):
             self._evict_locked()
@@ -184,30 +178,22 @@ class ExtractionCache:
         path = self.path
         if path is None:
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        line = json.dumps(_result_to_record(key, result),
-                          sort_keys=True) + "\n"
-        # One O_APPEND write per record: concurrent writers interleave
-        # whole lines, and a crash can only tear the final line — which
-        # _load skips and logs.
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        # One append write per record: concurrent writers interleave
+        # whole lines, a crash can only tear the final line (which _load
+        # skips), and the first record after a torn tail starts afresh.
+        append_record(path, self._sep + json.dumps(
+            _result_to_record(key, result), sort_keys=True) + "\n")
+        self._sep = ""
 
     def _compact(self) -> None:
-        """Rewrite the store to match memory, atomically (tmp+rename)."""
-        path = self.path
-        if path is None:
+        """Rewrite the store to match memory (atomic publish)."""
+        if self.path is None:
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_open(self.path) as handle:
             for key, result in self._entries.items():
                 handle.write(json.dumps(_result_to_record(key, result),
                                         sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        self._sep = ""
 
     # -- store API -----------------------------------------------------
     def __len__(self) -> int:

@@ -8,14 +8,15 @@ service would persist.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.criticality import description_criticality
 from repro.core.pipeline import ExtractionResult, ScenarioExtractor
+from repro.durable import atomic_open, read_records
 from repro.sdl.description import ScenarioDescription
 
 
@@ -46,10 +47,10 @@ def export_corpus(extractor: ScenarioExtractor, clips: np.ndarray,
     Extraction is streamed in bounded chunks (``chunk_size`` clips per
     :func:`~repro.core.cache.cached_extract_batch` call, defaulting to
     the extractor's batch size) and the file is written **atomically**:
-    lines go to ``path + ".tmp"`` as chunks complete and the temp file
-    is renamed over ``path`` only after the last record — a crash
-    mid-export leaves any previous export intact instead of a truncated
-    file that :func:`load_corpus` would half-parse.
+    lines go to a temp file as chunks complete, published over ``path``
+    (:func:`repro.durable.atomic_open`) only after the last record — a
+    crash mid-export leaves any previous export intact instead of a
+    truncated file that :func:`load_corpus` would half-parse.
 
     Returns the records (also useful without the file side-effect via
     ``path=None`` — then nothing is written).  An optional
@@ -66,9 +67,8 @@ def export_corpus(extractor: ScenarioExtractor, clips: np.ndarray,
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     records: List[dict] = []
-    tmp = None if path is None else f"{path}.tmp"
-    handle = None if tmp is None else open(tmp, "w")
-    try:
+    with (contextlib.nullcontext() if path is None
+          else atomic_open(path)) as handle:
         for start in range(0, len(clips), chunk_size):
             chunk = clips[start:start + chunk_size]
             results = cached_extract_batch(extractor, chunk, cache)
@@ -81,30 +81,13 @@ def export_corpus(extractor: ScenarioExtractor, clips: np.ndarray,
                 if handle is not None:
                     handle.write(json.dumps(record, sort_keys=True)
                                  + "\n")
-        if handle is not None:
-            handle.close()
-            handle = None
-            os.replace(tmp, path)
-            tmp = None
-    finally:
-        if handle is not None:
-            handle.close()
-        if tmp is not None and os.path.exists(tmp):
-            os.remove(tmp)
     return records
 
 
 def load_corpus(path: str) -> List[dict]:
     """Read records written by :func:`export_corpus`; descriptions are
     re-validated through :class:`ScenarioDescription`."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            # Validation: raises on vocabulary drift.
-            ScenarioDescription.from_dict(record["description"])
-            records.append(record)
+    records = list(read_records(path))
+    for record in records:  # validation: raises on vocabulary drift
+        ScenarioDescription.from_dict(record["description"])
     return records

@@ -84,6 +84,7 @@ from repro.core.export import result_to_record
 from repro.core.mining import MiningHit, tag_query
 from repro.core.pipeline import ScenarioExtractor
 from repro.core.retrieval import cosine_topk
+from repro.durable import atomic_open, read_records
 from repro.obs import get_logger, metrics
 from repro.obs import events as obs_events
 from repro.obs.telemetry import SnapshotRing
@@ -133,13 +134,14 @@ def write_corpus(clips: np.ndarray, corpus_dir: str,
     for start in range(0, len(clips), shard_size):
         shard_dir = os.path.join(corpus_dir,
                                  f"{_SHARD_PREFIX}{shards:04d}")
-        os.makedirs(shard_dir, exist_ok=True)
         for offset in range(start, min(start + shard_size, len(clips))):
             payload = {"clip": np.ascontiguousarray(clips[offset])}
             if families is not None:
                 payload["family"] = np.array(str(families[offset]))
-            np.savez(os.path.join(
-                shard_dir, f"{_CLIP_PREFIX}{offset:06d}.npz"), **payload)
+            with atomic_open(os.path.join(
+                    shard_dir, f"{_CLIP_PREFIX}{offset:06d}.npz"),
+                    "wb") as handle:
+                np.savez(handle, **payload)
         shards += 1
     return {"shards": shards, "clips": len(clips)}
 
@@ -229,38 +231,22 @@ class FleetStore:
 
     def write_shard(self, shard: str, records: List[dict],
                     matrix: np.ndarray) -> None:
-        """Persist one shard's tag store + vector array atomically
-        (tmp + rename per file, records last — the skip check keys on
-        both files existing)."""
-        os.makedirs(self.root, exist_ok=True)
-        vectors_path = self.vectors_path(shard)
-        tmp = vectors_path + ".tmp"
-        with open(tmp, "wb") as handle:
+        """Persist one shard's tag store + vector array (one atomic
+        publish per file, records last — the skip check keys on both
+        files existing)."""
+        with atomic_open(self.vectors_path(shard), "wb") as handle:
             np.save(handle, np.ascontiguousarray(matrix,
                                                  dtype=np.float32))
-        os.replace(tmp, vectors_path)
-        tags_path = self.tags_path(shard)
-        tmp = tags_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_open(self.tags_path(shard)) as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, tags_path)
 
     def read_shard_records(self, shard: str) -> List[dict]:
-        records = []
-        with open(self.tags_path(shard), encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return records
+        return list(read_records(self.tags_path(shard)))
 
     def write_manifest(self, manifest: dict) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_open(self.manifest_path) as handle:
             json.dump(manifest, handle, sort_keys=True, indent=2)
-        os.replace(tmp, self.manifest_path)
 
     def read_manifest(self) -> dict:
         with open(self.manifest_path, encoding="utf-8") as handle:
@@ -355,7 +341,6 @@ class _FleetHeartbeat:
         obs_events.emit("fleet_progress", **progress)
         try:
             if self._ring is None:
-                os.makedirs(self._store.root, exist_ok=True)
                 self._ring = SnapshotRing(os.path.join(
                     self._store.root, TELEMETRY_FILE))
             self._ring.append({

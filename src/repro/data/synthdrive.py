@@ -14,6 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.durable import atomic_open
+from repro.nn.module import checkpoint_path
 from repro.sdl.annotator import annotate
 from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
@@ -116,13 +118,13 @@ class SynthDriveDataset:
                 self.subset(test_idx))
 
     def save(self, path: str) -> None:
-        """Persist to ``.npz`` (videos + JSON descriptions + families)."""
-        np.savez_compressed(
-            path,
-            videos=self.videos,
-            descriptions=np.array([d.to_json() for d in self.descriptions]),
-            families=np.array(self.families),
-        )
+        """Persist to ``.npz`` (videos + JSON descriptions + families),
+        atomically, under the :func:`checkpoint_path` name."""
+        descriptions = [d.to_json() for d in self.descriptions]
+        with atomic_open(checkpoint_path(path), "wb") as handle:
+            np.savez_compressed(handle, videos=self.videos,
+                                descriptions=np.array(descriptions),
+                                families=np.array(self.families))
 
     @classmethod
     def load(cls, path: str) -> "SynthDriveDataset":

@@ -18,6 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.durable import atomic_open
 
 #: Reserved archive entry holding the JSON checkpoint metadata.
 CHECKPOINT_META_KEY = "__checkpoint_meta__"
@@ -29,9 +30,9 @@ CHECKPOINT_FORMAT = "repro.checkpoint/v1"
 def checkpoint_path(path: str) -> str:
     """Normalise a checkpoint path to its on-disk ``.npz`` name.
 
-    ``np.savez`` silently appends ``.npz`` when the extension is
-    missing, so without this a ``save("model")`` / ``load("model")``
-    round-trip fails — both sides must normalise identically.
+    ``np.load`` takes the path verbatim, so without this a
+    ``save("model")`` / ``load("model")`` round-trip fails — both sides
+    must normalise identically.
     """
     path = str(path)
     return path if path.endswith(".npz") else path + ".npz"
@@ -173,7 +174,8 @@ class Module:
         return meta
 
     def save(self, path: str) -> None:
-        """Save parameters (plus :meth:`checkpoint_meta`) to ``.npz``."""
+        """Save parameters (plus :meth:`checkpoint_meta`) to ``.npz``,
+        atomically: a crash mid-save keeps the previous checkpoint."""
         arrays: Dict[str, np.ndarray] = dict(self.state_dict())
         if CHECKPOINT_META_KEY in arrays:
             raise ValueError(
@@ -182,7 +184,8 @@ class Module:
         arrays[CHECKPOINT_META_KEY] = np.array(
             json.dumps(self.checkpoint_meta())
         )
-        np.savez(checkpoint_path(path), **arrays)
+        with atomic_open(checkpoint_path(path), "wb") as handle:
+            np.savez(handle, **arrays)
 
     def load(self, path: str) -> None:
         """Load parameters from an ``.npz`` archive created by :meth:`save`."""

@@ -1,10 +1,11 @@
 """Structured, append-only request event log (``repro.events/v1``).
 
 The event log is the persisted record of request lifecycles through the
-serving stack: one JSON object per line, appended with a single
-``O_APPEND`` write (same crash-tolerance argument as the extraction
-cache store), rotated by size, and read back corruption-tolerantly — a
-torn or garbled line is skipped and counted, never fatal.
+serving stack: one JSON object per line, appended as one record write
+(:func:`repro.durable.append_record`, the extraction cache's
+crash-tolerance argument), rotated by size, and read back
+corruption-tolerantly — a torn or garbled line is skipped and counted,
+never fatal.
 
 Every record carries:
 
@@ -40,6 +41,7 @@ import time
 from collections import deque
 from typing import Dict, Iterator, List, Optional
 
+from repro.durable import append_record, atomic_write, read_records, torn_tail
 from repro.obs import context
 from repro.obs.registry import get_registry
 
@@ -91,15 +93,22 @@ class EventLog:
         self._dumps = 0
         self._ring: "deque[dict]" = deque(maxlen=recorder_size)
         self._counter = get_registry().counter("events.emitted")
-        if self.log_dir is not None and os.path.exists(self.path):
-            self._bytes = os.path.getsize(self.path)
-            self._rotations = len(self._rotated_paths())
-            # Continue the sequence after existing records so ``seq``
-            # stays a total order across process restarts.
-            last = 0
-            for record in read_events(self.path):
-                last = max(last, int(record.get("seq", 0)))
-            self._seq = last
+        self._sep = b""  # b"\n" while the active segment ends mid-line
+        if self.log_dir is not None:
+            segments = self._rotated_paths()
+            self._rotations = len(segments)
+            if os.path.exists(self.path):
+                self._bytes = os.path.getsize(self.path)
+                self._sep = b"\n" if torn_tail(self.path) else b""
+                segments.append(self.path)
+            # Continue ``seq`` after the newest segment holding a record
+            # so it stays a total order across process restarts, also
+            # after a crash between a rotation and the next append.
+            for path in reversed(segments):
+                self._seq = max((int(r.get("seq", 0))
+                                 for r in read_events(path)), default=0)
+                if self._seq:
+                    break
 
     # -- paths ---------------------------------------------------------
     @property
@@ -116,7 +125,6 @@ class EventLog:
             name for name in os.listdir(self.log_dir)
             if name.startswith(ROTATED_PREFIX)
             and name.endswith(".jsonl")
-            and not name.startswith("flight-")
         )
         return [os.path.join(self.log_dir, name) for name in names]
 
@@ -146,7 +154,6 @@ class EventLog:
         if trace_id is not None:
             record["trace_id"] = trace_id
         record.update(fields)
-        line = None
         with self._lock:
             self._seq += 1
             record["seq"] = self._seq
@@ -157,7 +164,9 @@ class EventLog:
                 if (self._bytes and
                         self._bytes + len(line) > self.rotate_bytes):
                     self._rotate_locked()
-                self._write(self.path, line, append=True)
+                # After a torn tail the first record starts a new line.
+                line, self._sep = self._sep + line, b""
+                append_record(self.path, line)
                 self._bytes += len(line)
         self._counter.inc()
         return record
@@ -168,17 +177,7 @@ class EventLog:
             self.log_dir, f"{ROTATED_PREFIX}{self._rotations:06d}.jsonl")
         os.replace(self.path, rotated)
         self._bytes = 0
-
-    @staticmethod
-    def _write(path: str, data: bytes, append: bool) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        flags = os.O_WRONLY | os.O_CREAT | (os.O_APPEND if append
-                                            else os.O_TRUNC)
-        fd = os.open(path, flags, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        self._sep = b""
 
     # -- flight recorder -----------------------------------------------
     def recent(self, n: Optional[int] = None) -> List[dict]:
@@ -190,13 +189,13 @@ class EventLog:
     def dump_flight(self, reason: str) -> Optional[str]:
         """Write the flight-recorder ring to its own file.
 
-        The dump is a standalone JSONL file (``flight-NNNN-<reason>``)
-        whose first line is a header record describing the trigger;
-        the ring contents follow in emission order.  Returns the dump
-        path, or ``None`` in memory mode (the ring is still available
-        via :meth:`recent`).  A ``flight_dump`` event is appended to
-        the main log either way, so dumps are discoverable from the
-        stream itself.
+        The dump is a standalone JSONL file (``flight-NNNN-<reason>``),
+        published atomically, whose first line is a header record
+        describing the trigger; the ring contents follow in emission
+        order.  Returns the dump path, or ``None`` in memory mode (the
+        ring is still available via :meth:`recent`).  A ``flight_dump``
+        event is appended to the main log either way, so dumps are
+        discoverable from the stream itself.
         """
         with self._lock:
             records = list(self._ring)
@@ -218,8 +217,7 @@ class EventLog:
             }
             lines = [json.dumps(header, sort_keys=True)]
             lines += [json.dumps(r, sort_keys=True) for r in records]
-            self._write(path, ("\n".join(lines) + "\n").encode("utf-8"),
-                        append=False)
+            atomic_write(path, "\n".join(lines) + "\n")
         self.emit("flight_dump", reason=reason, events=len(records),
                   path=path)
         return path
@@ -240,10 +238,9 @@ class EventLog:
         if self.log_dir is None:
             yield from self.recent()
             return
-        for path in self._rotated_paths():
-            yield from read_events(path)
-        if os.path.exists(self.path):
-            yield from read_events(self.path)
+        for path in self._rotated_paths() + [self.path]:
+            if os.path.exists(path):
+                yield from read_events(path)
 
 
 # ----------------------------------------------------------------------
@@ -319,41 +316,31 @@ def read_events(path: str) -> Iterator[dict]:
     corrupt = registry.counter("events.corrupt")
     forward = registry.counter("events.forward_compat")
     family = EVENTS_FORMAT.rsplit("/", 1)[0] + "/"
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                schema = record.get("schema")
-                if not (isinstance(schema, str)
-                        and schema.startswith(family)):
-                    raise ValueError(f"unknown event schema {schema!r}")
-                if "event" not in record:
-                    raise ValueError("record missing 'event'")
-            except Exception:
-                corrupt.inc()
-                continue
-            if record["schema"] != EVENTS_FORMAT:
-                forward.inc()
-            yield record
+
+    def parse(record: dict) -> dict:
+        schema = record.get("schema")
+        if not (isinstance(schema, str) and schema.startswith(family)):
+            raise ValueError(f"unknown event schema {schema!r}")
+        if "event" not in record:
+            raise ValueError("record missing 'event'")
+        if schema != EVENTS_FORMAT:
+            forward.inc()
+        return record
+
+    return read_records(path, parse, lambda lineno, exc: corrupt.inc())
 
 
 def read_event_log(path: str) -> List[dict]:
     """All events under ``path`` (a log directory or one JSONL file),
     in emission order."""
     if os.path.isdir(path):
-        files = sorted(
-            name for name in os.listdir(path)
-            if name.endswith(".jsonl") and not name.startswith("flight-")
-        )
         # rotated segments (events-NNNNNN) precede the active segment
-        files.sort(key=lambda name: (name == EVENTS_FILE, name))
-        events: List[dict] = []
-        for name in files:
-            events.extend(read_events(os.path.join(path, name)))
-        return events
+        files = sorted(
+            (name for name in os.listdir(path)
+             if name.endswith(".jsonl") and not name.startswith("flight-")),
+            key=lambda name: (name == EVENTS_FILE, name))
+        return [event for name in files
+                for event in read_events(os.path.join(path, name))]
     return list(read_events(path))
 
 

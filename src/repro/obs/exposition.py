@@ -20,11 +20,10 @@ so a scrape (or the golden-file test) is reproducible byte for byte.
 from __future__ import annotations
 
 import math
-import os
 import re
-import tempfile
 from typing import Dict, List, Optional
 
+from repro.durable import atomic_write
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -114,23 +113,12 @@ def write_prometheus(path: str,
                      prefix: str = "") -> str:
     """Atomically write the exposition to ``path``; returns the text.
 
-    Renders to a temporary file in the target directory and
-    ``os.replace``s it over ``path``, so a scraper (or a crash
-    mid-write) never observes a truncated exposition — the file is
-    always the complete output of some past render.
+    Publishes through :func:`repro.durable.atomic_write`, so a scraper
+    (or a crash mid-write) never observes a truncated exposition — the
+    file is always the complete output of some past render.
     """
     text = render_prometheus(registry, prefix=prefix)
-    directory = os.path.dirname(os.fspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, text)
     return text
 
 

@@ -25,6 +25,8 @@ import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.durable import atomic_write
+
 LabelSet = Tuple[Tuple[str, str], ...]
 
 #: Default histogram bucket upper bounds — log-spaced and tuned for
@@ -310,15 +312,14 @@ class MetricsRegistry:
     # -- export --------------------------------------------------------
     def export_jsonl(self, path_or_file) -> int:
         """Write one JSON object per series per line; returns the line
-        count.  Accepts a path or an open text file."""
+        count.  Accepts a path (published atomically) or an open text
+        file."""
         rows = self.snapshot()
+        text = "".join(json.dumps(row) + "\n" for row in rows)
         if hasattr(path_or_file, "write"):
-            for row in rows:
-                path_or_file.write(json.dumps(row) + "\n")
+            path_or_file.write(text)
         else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row) + "\n")
+            atomic_write(path_or_file, text)
         return len(rows)
 
     def format_table(self) -> str:

@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.durable import atomic_write, read_records
 from repro.obs.events import EventLog
 from repro.obs.registry import MetricsRegistry
 
@@ -191,8 +191,8 @@ class TelemetryMerger:
 class SnapshotRing:
     """Bounded JSONL ring of merged telemetry snapshots on disk.
 
-    Each :meth:`append` rewrites the file atomically (tmp +
-    ``os.replace``, the export/fleet idiom) keeping only the newest
+    Each :meth:`append` republishes the file atomically
+    (:func:`repro.durable.atomic_write`) keeping only the newest
     ``capacity`` records, so a reader — or a crash — always sees a
     complete, parseable file whose tail is the current state.
     """
@@ -209,19 +209,8 @@ class SnapshotRing:
         record.setdefault("schema", TELEMETRY_FORMAT)
         self._records.append(record)
         del self._records[:-self.capacity]
-        payload = "".join(json.dumps(r, sort_keys=True) + "\n"
-                          for r in self._records)
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(self.path, "".join(json.dumps(r, sort_keys=True)
+                                        + "\n" for r in self._records))
         return record
 
     def __len__(self) -> int:
@@ -232,21 +221,9 @@ class SnapshotRing:
         """Records of a ring file; corrupt or foreign lines skipped."""
         if not os.path.exists(path):
             return []
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not str(record.get("schema", "")) \
-                        .startswith("repro.telemetry/"):
-                    continue
-                records.append(record)
-        return records
+        return [r for r in read_records(path, on_corrupt=lambda *_: None)
+                if isinstance(r, dict) and str(r.get("schema", ""))
+                .startswith("repro.telemetry/")]
 
 
 __all__ = [

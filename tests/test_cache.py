@@ -115,6 +115,27 @@ class TestCacheStore:
         assert reloaded.corrupt == 2
         assert reloaded.stats()["corrupt_records"] == 2
 
+    def test_record_after_torn_tail_survives(self, tmp_path):
+        # A crash that tears the final record costs only that record:
+        # the first put after reopening starts a fresh line instead of
+        # landing on the torn one (and being dropped with it).
+        from repro.core.pipeline import ExtractionResult
+
+        def result(i):
+            return ExtractionResult(description=_description(),
+                                    sentence=f"s{i}.", confidences={},
+                                    frame_range=(0, 4))
+
+        cache = ExtractionCache(str(tmp_path))
+        cache.put("k1", result(1))
+        with open(cache.path, "a", encoding="utf-8") as handle:
+            handle.write('{"schema": "repro.cache/v1", "key": "k2", ')
+        ExtractionCache(str(tmp_path)).put("k3", result(3))
+        reloaded = ExtractionCache(str(tmp_path))
+        assert reloaded.get("k3") is not None
+        assert reloaded.get("k1") is not None
+        assert reloaded.corrupt == 1
+
     def test_eviction_caps_entries_and_compacts(self, tmp_path):
         from repro.core.pipeline import ExtractionResult
 

@@ -1,5 +1,7 @@
 """Tests for SynthDrive generation, loaders, transforms and label noise."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,12 @@ class TestDatasetOps:
         loaded = SynthDriveDataset.load(path)
         np.testing.assert_array_equal(loaded.videos, small_dataset.videos)
         assert loaded.descriptions == small_dataset.descriptions
+        assert loaded.families == small_dataset.families
+
+    def test_save_appends_npz_like_numpy(self, small_dataset, tmp_path):
+        small_dataset.save(str(tmp_path / "ds"))
+        assert sorted(os.listdir(tmp_path)) == ["ds.npz"]
+        loaded = SynthDriveDataset.load(str(tmp_path / "ds.npz"))
         assert loaded.families == small_dataset.families
 
     def test_misaligned_inputs_raise(self, small_dataset):

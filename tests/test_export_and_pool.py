@@ -102,7 +102,7 @@ class TestExport:
         # The interrupted run never truncated the published file and
         # left no partial temp file behind.
         assert load_corpus(path) == before
-        assert not (tmp_path / "corpus.jsonl.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_first_export_leaves_nothing(self, corpus_setup,
                                                 tmp_path, monkeypatch):
@@ -116,7 +116,7 @@ class TestExport:
         with pytest.raises(RuntimeError):
             export_corpus(extractor, dataset.videos, path, chunk_size=2)
         assert not (tmp_path / "fresh.jsonl").exists()
-        assert not (tmp_path / "fresh.jsonl.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestAttentionPooling:

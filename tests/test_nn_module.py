@@ -1,5 +1,7 @@
 """Tests for the module system: registration, modes, state dicts."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,28 @@ class TestStateDict:
         b.load(path)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 4)))
         np.testing.assert_allclose(a(x).data, b(x).data, rtol=1e-6)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        # A save that dies mid-write (disk full, interrupt) must leave
+        # the previous checkpoint loadable and no temp file behind.
+        a, b = make_mlp(seed=3), make_mlp(seed=4)
+        path = str(tmp_path / "ckpt.npz")
+        a.save(path)
+
+        def torn_savez(file, **arrays):
+            handle = open(file, "wb") if isinstance(file, str) else file
+            handle.write(b"PK\x03\x04 torn archive")
+            raise OSError("simulated crash mid-save")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="mid-save"):
+            b.save(path)
+        monkeypatch.undo()
+        b.load(path)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 4)))
+        np.testing.assert_allclose(a(x).data, b(x).data, rtol=1e-6)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt.npz"]
 
     def test_zero_grad_clears(self):
         mlp = make_mlp()

@@ -172,6 +172,38 @@ class TestEventLog:
         record = log2.emit("b")
         assert record["seq"] == 2
 
+    def test_event_after_torn_tail_survives(self, tmp_path):
+        # The first emit after reopening a log whose last line was torn
+        # starts a fresh line, so only the torn record is lost.
+        EventLog(str(tmp_path)).emit("a", request_id=1)
+        with open(tmp_path / "events.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "repro.events/v1", "event": "to')
+        EventLog(str(tmp_path)).emit("b", request_id=1)
+        corrupt = obs.metrics.counter("events.corrupt")
+        before = corrupt.value
+        events = read_event_log(str(tmp_path))
+        assert [e["event"] for e in events] == ["a", "b"]
+        assert corrupt.value - before == 1
+
+    def test_restart_after_rotation_keeps_segments_and_seq(self, tmp_path):
+        # A crash between a rotation's rename and the next append leaves
+        # no active segment.  The restarted log must continue both the
+        # rotation numbering (no rotated segment overwritten) and seq.
+        log = EventLog(str(tmp_path), rotate_bytes=400)
+        for i in range(8):
+            log.emit("tick", request_id=i)
+        rotations = log.stats()["rotations"]
+        assert rotations >= 1
+        os.replace(log.path, tmp_path / f"events-{rotations + 1:06d}.jsonl")
+        restarted = EventLog(str(tmp_path), rotate_bytes=400)
+        for i in range(8, 16):
+            restarted.emit("tick", request_id=i)
+        assert restarted.stats()["rotations"] > rotations + 1
+        events = read_event_log(str(tmp_path))
+        assert [e["request_id"] for e in events] == list(range(16))
+        seqs = [e["seq"] for e in events]
+        assert seqs == list(range(1, 17))
+
     def test_memory_mode_keeps_ring_only(self):
         log = EventLog(None)
         for i in range(5):
