@@ -17,8 +17,8 @@ Layered architecture (bottom-up):
 - ``repro.serve`` — fault-tolerant extraction service: micro-batching,
   retries, load shedding, circuit-breaker degradation, hot reload.
 - ``repro.eval`` — experiment harness regenerating every table/figure.
-- ``repro.obs`` — telemetry: metrics registry, tracing spans, and the
-  ``repro profile`` workload profiler (off by default).
+- ``repro.obs`` — telemetry: metrics registry, tracing spans, event
+  log, SLOs and quality monitoring (off by default).
 
 The **stable public API** lives in :mod:`repro.api` and is re-exported
 here lazily: ``repro.load_extractor``, ``repro.extract_clip``,

@@ -17,8 +17,8 @@ backward) in a *single* graph node:
   reuse one materialised bias.
 
 ``repro.obs.instrument`` patches timed wrappers over the kernels named
-by :data:`PROFILED_KERNELS` while telemetry is enabled, so ``repro
-profile`` keeps seeing the hot path after fusion.
+by :data:`PROFILED_KERNELS` while telemetry is enabled, so the per-op
+timers keep seeing the hot path after fusion.
 """
 
 from __future__ import annotations

@@ -27,8 +27,6 @@ Commands
   rate, firing SLO alerts and the quality panel (windows, drift
   alerts, canary verdicts); ``--json`` prints one ``repro.top/v1``
   snapshot for CI (see ``docs/observability.md``).
-- ``profile`` — run a short train + extraction workload under telemetry
-  and report per-stage latency/throughput (see ``docs/observability.md``).
 
 Checkpoints are self-describing (``repro.checkpoint/v1``): ``extract``,
 ``evaluate``, ``mine`` and ``serve`` rebuild the model from checkpoint
@@ -666,76 +664,6 @@ def cmd_top(args) -> int:
                    iterations=args.iterations, slo_config=slo)
 
 
-def cmd_profile(args) -> int:
-    """``profile``: per-stage latency/throughput report of a short
-    train + extraction workload, JSON and human-readable.
-
-    ``--compare BASELINE.json`` additionally prints per-stage speedup
-    against a saved report and exits non-zero when any checked stage is
-    more than ``--max-slowdown`` times slower — the CI perf gate."""
-    from repro.durable import atomic_write
-    from repro.obs.profiler import (
-        compare_reports,
-        format_comparison,
-        format_report,
-        run_profile,
-    )
-
-    report = run_profile(args.workload, seed=args.seed)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_report(report))
-    if args.out:
-        atomic_write(args.out, json.dumps(report, indent=2))
-        print(f"\nwrote JSON report to {args.out}")
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        comparison = compare_reports(report, baseline)
-        print()
-        print(format_comparison(comparison))
-        slow = [row for row in comparison["stages"]
-                if row["checked"] and row["speedup"] < 1.0 / args.max_slowdown]
-        if slow:
-            stages = ", ".join(row["stage"] for row in slow)
-            print(f"\nperf regression: {stages} slower than "
-                  f"{args.max_slowdown:.1f}x the baseline")
-            return 1
-    return _check_inference_gates(args, report)
-
-
-def _check_inference_gates(args, report) -> int:
-    """Absolute perf/accuracy gates on an ``inference`` workload report
-    (no-ops on other workloads and when the flags are unset)."""
-    failures = []
-    sliding = report.get("sliding", {})
-    precision = report.get("precision", {})
-    if args.min_reuse_speedup > 0 and sliding:
-        speedup = sliding.get("reuse_speedup", 0.0)
-        if speedup < args.min_reuse_speedup:
-            failures.append(
-                f"sliding reuse speedup {speedup:.2f}x < required "
-                f"{args.min_reuse_speedup:.2f}x")
-        if not sliding.get("bitwise_identical", False):
-            failures.append(
-                "memoized sliding extraction is not bit-identical "
-                "to the naive path")
-    if args.max_f1_drop >= 0 and precision:
-        for mode in ("fp16", "int8"):
-            drop = precision.get(f"{mode}_macro_f1_drop_pts")
-            if drop is not None and drop > args.max_f1_drop:
-                failures.append(
-                    f"{mode} macro-F1 drop {drop:.2f}pt > allowed "
-                    f"{args.max_f1_drop:.2f}pt")
-    if failures:
-        print("\ninference gate failures:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    return 0
-
-
 def cmd_stats(args) -> int:
     """``stats``: print tag frequencies and imbalance of a dataset."""
     from repro.sdl.statistics import format_statistics
@@ -913,29 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluate the confidence SLO objective with "
                           "this floor during replay")
     top.set_defaults(fn=cmd_top)
-
-    profile = sub.add_parser(
-        "profile", help="per-stage latency/throughput report"
-    )
-    profile.add_argument("--workload", default="smoke",
-                         choices=("smoke", "small", "inference"))
-    profile.add_argument("--out", default="",
-                         help="also write the JSON report to this path")
-    profile.add_argument("--json", action="store_true",
-                         help="print JSON instead of the table")
-    profile.add_argument("--compare", default="",
-                         help="baseline report JSON to diff against")
-    profile.add_argument("--max-slowdown", type=float, default=2.0,
-                         help="fail (exit 1) when a checked stage is this "
-                              "many times slower than the baseline")
-    profile.add_argument("--min-reuse-speedup", type=float, default=0.0,
-                         help="inference workload: fail unless memoized "
-                              "sliding extraction is at least this much "
-                              "faster than naive AND bit-identical")
-    profile.add_argument("--max-f1-drop", type=float, default=-1.0,
-                         help="inference workload: fail when the int8 or "
-                              "fp16 macro-F1 drop exceeds this many points")
-    profile.set_defaults(fn=cmd_profile)
 
     mine = sub.add_parser(
         "mine", help="cache-backed corpus mining: JSONL export ranked "

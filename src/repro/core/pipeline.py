@@ -319,8 +319,9 @@ class ScenarioExtractor:
           attention, whose per-frame spatial-encoder summaries are the
           dominant cost.  ``divided`` attention only has reusable patch
           embeddings (its blocks run temporal attention first, so every
-          later activation is window-dependent) and measures *slower*
-          memoized, so auto mode leaves it naive.
+          later activation is window-dependent); memoized it measures
+          a median 1.01-1.07x (see ``docs/performance.md``), too little
+          to engage by default, so auto mode leaves it naive.
         - ``True``: force memoization on any supporting mode.
         - ``False``: always naive.  ``joint`` attention has no
           per-frame stage and is always naive."""

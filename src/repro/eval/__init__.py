@@ -20,17 +20,9 @@ from repro.eval.experiments import (
     train_model,
 )
 from repro.eval.efficiency import (
-    batch_scaling,
-    cache_reuse_curve,
     estimate_flops,
-    fleet_scaling,
     measure_throughput,
-    observability_overhead,
-    precision_profile,
     quantized_accuracy_delta,
-    service_scaling,
-    sliding_reuse_profile,
-    telemetry_overhead,
 )
 from repro.eval.formatting import format_figure_series, format_table
 
@@ -51,17 +43,9 @@ __all__ = [
     "run_fig6_localization",
     "run_fig7_traffic_density",
     "run_fig8_criticality",
-    "batch_scaling",
-    "cache_reuse_curve",
     "estimate_flops",
-    "fleet_scaling",
     "measure_throughput",
-    "observability_overhead",
-    "precision_profile",
     "quantized_accuracy_delta",
-    "service_scaling",
-    "sliding_reuse_profile",
-    "telemetry_overhead",
     "format_table",
     "format_figure_series",
 ]

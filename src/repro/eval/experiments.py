@@ -173,18 +173,10 @@ def run_table3_retrieval(scale: ExperimentScale,
 # Table 4 — efficiency
 # ----------------------------------------------------------------------
 def run_table4_efficiency(scale: ExperimentScale,
-                          models: Sequence[str] = TABLE1_MODELS,
-                          stage_profile: bool = False
+                          models: Sequence[str] = TABLE1_MODELS
                           ) -> Dict[str, Dict[str, float]]:
-    """Analytic GFLOPs + measured throughput per model; with
-    ``stage_profile=True`` each row also carries the measured per-stage
-    latency split from ``repro.obs`` spans (``"stages"`` sub-dict), so
-    the table reports measured numbers alongside the estimates."""
-    from repro.eval.efficiency import (
-        estimate_flops,
-        measure_throughput,
-        measured_profile,
-    )
+    """Analytic GFLOPs + measured throughput per model."""
+    from repro.eval.efficiency import estimate_flops, measure_throughput
 
     results = {}
     for name in models:
@@ -195,12 +187,6 @@ def run_table4_efficiency(scale: ExperimentScale,
             "gflops": estimate_flops(model) / 1e9,
             **stats,
         }
-        if stage_profile:
-            profile = measured_profile(model,
-                                       batch_size=scale.batch_size,
-                                       repeats=1)
-            results[name]["stages"] = profile["stages"]
-            results[name]["measured_ms_per_clip"] = profile["ms_per_clip"]
     return results
 
 

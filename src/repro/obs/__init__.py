@@ -31,9 +31,8 @@ The subsystem has six pieces (see ``docs/observability.md``):
 Everything is **off by default**: :func:`span` is a no-op and the
 autograd ops are the pristine unpatched originals until
 :func:`enable` is called; events are recorded only when an
-:class:`~repro.obs.events.EventLog` is attached.  ``repro profile``
-(see :mod:`repro.obs.profiler`) runs a short train + extraction
-workload under telemetry and reports per-stage latency/throughput.
+:class:`~repro.obs.events.EventLog` is attached.  Speed is measured by
+the ``bench/`` harness (``bench/README.md``), not by this package.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ scaled-dot-product-attention / linear+GELU kernels against the composed
 reference ops (forward bit-exact, backward by gradcheck and against the
 composed graph), the mask→bias cache, the grad-disabled dispatch that
 skips graph bookkeeping, batched extraction, parallel dataset
-generation determinism, and the profile comparison gate.
+generation determinism.
 """
 
 import numpy as np
@@ -316,48 +316,3 @@ class TestParallelGeneration:
         parallel = generate_dataset(config, workers=2)
         assert serial.families == parallel.families
         np.testing.assert_array_equal(serial.videos, parallel.videos)
-
-
-class TestCompareReports:
-    def _report(self, forward, extract_total, clip_ms):
-        return {
-            "workload": "smoke",
-            "train": {"forward_seconds": forward, "backward_seconds": 0.2,
-                      "optim_seconds": 0.01, "total_seconds": forward + 0.21},
-            "extract": {"total_seconds": extract_total},
-            "data": {"collate_seconds": 0.05},
-            "inference": {"ms_per_clip": clip_ms},
-        }
-
-    def test_speedups_and_gate(self):
-        from repro.obs.profiler import compare_reports
-
-        baseline = self._report(1.0, 0.4, 10.0)
-        current = self._report(0.5, 0.2, 5.0)
-        comparison = compare_reports(current, baseline)
-        by_stage = {row["stage"]: row for row in comparison["stages"]}
-        assert by_stage["train/forward"]["speedup"] == pytest.approx(2.0)
-        assert by_stage["inference/clip"]["speedup"] == pytest.approx(2.0)
-        assert comparison["best_speedup"] >= 2.0
-        assert comparison["worst_slowdown"] <= 1.0 + 1e-9
-
-    def test_micro_stages_unchecked(self):
-        from repro.obs.profiler import compare_reports
-
-        baseline = self._report(1.0, 0.4, 10.0)
-        baseline["data"]["collate_seconds"] = 1e-5  # below the floor
-        current = self._report(1.0, 0.4, 10.0)
-        current["data"]["collate_seconds"] = 1e-3   # 100x "slower"
-        comparison = compare_reports(current, baseline)
-        by_stage = {row["stage"]: row for row in comparison["stages"]}
-        assert not by_stage["data/collate"]["checked"]
-        # The noisy micro-stage must not drag the gate numbers.
-        assert comparison["worst_slowdown"] == pytest.approx(1.0)
-
-    def test_format_comparison_renders(self):
-        from repro.obs.profiler import compare_reports, format_comparison
-
-        comparison = compare_reports(self._report(0.5, 0.2, 5.0),
-                                     self._report(1.0, 0.4, 10.0))
-        text = format_comparison(comparison)
-        assert "train/forward" in text and "speedup" in text

@@ -204,6 +204,15 @@ class TestCachedExtraction:
         assert [r.description for r in results] \
             == [r.description for r in direct]
 
+    def test_half_primed_corpus_hits_exactly_primed_clips(self, extractor,
+                                                          clips):
+        cache = ExtractionCache()
+        cached_extract_batch(extractor, clips[:5], cache)
+        hits, misses = cache.hits, cache.misses
+        cached_extract_batch(extractor, clips, cache)
+        assert cache.hits - hits == 5
+        assert cache.misses - misses == len(clips) - 5
+
     def test_matches_uncached_results(self, extractor, clips):
         cached = cached_extract_batch(extractor, clips,
                                       ExtractionCache())
@@ -494,16 +503,3 @@ class TestApiCache:
         api.mine(counting, clips, cache=cache, ego_action="stop")
         assert counts["clips"] == len(clips)  # full re-extraction
         assert extractor_version(counting) != extractor_version(extractor)
-
-
-class TestEfficiencyCurve:
-    def test_cache_reuse_curve_shape(self, model):
-        from repro.eval import cache_reuse_curve
-
-        curve = cache_reuse_curve(model, corpus_size=4,
-                                  reuse_fractions=(0.0, 1.0), seed=0)
-        assert set(curve) == {0.0, 1.0}
-        assert curve[0.0]["hit_rate"] == 0.0
-        assert curve[1.0]["hit_rate"] == 1.0
-        for row in curve.values():
-            assert row["clips_per_s"] > 0.0

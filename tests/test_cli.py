@@ -142,26 +142,3 @@ class TestServe:
             names = {json.loads(line)["name"] for line in fh}
         assert "serve.requests" in names
         assert "serve.batch_size" in names
-
-
-class TestProfile:
-    def test_profile_smoke_emits_table_and_json(self, tmp_path, capsys):
-        out_path = str(tmp_path / "profile.json")
-        code = main(["profile", "--workload", "smoke", "--out", out_path])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "train:" in text
-        assert "ms/clip" in text
-        with open(out_path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        assert report["schema"] == "repro.profile/v1"
-        assert report["workload"] == "smoke"
-        assert report["train"]["per_epoch"]
-        assert report["extract"]["clips_per_s"] > 0
-
-    def test_profile_json_mode(self, capsys):
-        code = main(["profile", "--workload", "smoke", "--json"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["workload"] == "smoke"
-        assert report["forward_stages"]

@@ -404,21 +404,6 @@ class TestFleetObservability:
         assert gauge.value - before == 14
 
 
-class TestFleetScalingCurve:
-    def test_curve_reports_parity_and_resume(self):
-        from repro.eval import fleet_scaling
-
-        model = build_model("frame-mlp", CFG)
-        curve = fleet_scaling(model, corpus_sizes=(4, 6), shard_size=2,
-                              top_k=3)
-        assert sorted(curve) == [4, 6]
-        for size, entry in curve.items():
-            assert entry["shards"] == size // 2
-            assert entry["parity"] is True
-            assert entry["resume_shards_skipped"] == entry["shards"]
-            assert entry["extract_s"] > 0
-
-
 class TestFleetCLI:
     def test_mine_corpus_dir_resumable(self, tmp_path, capsys):
         from repro.cli import main

@@ -579,14 +579,6 @@ class TestSelfTime:
         assert "self_seconds" in totals["sum"]
         assert totals["sum"]["self_seconds"] > 0
 
-    def test_profiler_tables_show_self_column(self):
-        from repro.obs.profiler import format_report, run_profile
-
-        report = run_profile("smoke", seed=0)
-        ops = report["autograd_ops"]
-        assert ops and all("self_seconds" in row for row in ops)
-        assert "inclusive / self" in format_report(report)
-
 
 # ----------------------------------------------------------------------
 # Structured console logging (S2)
@@ -974,20 +966,3 @@ class TestApiCorrelation:
                         if e["event"] in ("cache_hit", "cache_miss")]
         assert cache_events
         assert len({e["trace_id"] for e in cache_events}) == 1
-
-
-# ----------------------------------------------------------------------
-# Observability overhead measurement
-# ----------------------------------------------------------------------
-class TestOverheadMeasurement:
-    def test_observability_overhead_reports_both_modes(self):
-        from repro.eval.efficiency import observability_overhead
-
-        report = observability_overhead(make_model(), requests=8,
-                                        concurrency=4)
-        assert report["bare_clips_per_s"] > 0
-        assert report["events_clips_per_s"] > 0
-        assert report["events_emitted"] > 0
-        # at minimum enqueue + result per request; flush/model_forward
-        # amortise across coalesced batches
-        assert report["events_per_request"] >= 2

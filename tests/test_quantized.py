@@ -426,43 +426,3 @@ class TestAccuracyGate:
         assert report["fp16_macro_f1_drop_pts"] <= 1.0
         assert report["int8_macro_f1_drop_pts"] <= 1.0
         assert report["int8_scene_acc_drop_pts"] <= 5.0
-
-    def test_sliding_reuse_profile_shape(self, trained):
-        from repro.eval import sliding_reuse_profile
-
-        model, _ = trained
-        profile = sliding_reuse_profile(model, video_frames=16,
-                                        repeats=1)
-        assert profile["bitwise_identical"]
-        assert profile["stride"] == 1  # window 4 -> floor at 1
-        assert profile["frame_hits"] + profile["frame_misses"] \
-            == profile["windows"] * profile["window"]
-
-    def test_inference_profile_report_shape(self):
-        from repro.obs.profiler import (
-            WORKLOADS,
-            _COMPARE_STAGES,
-            format_report,
-        )
-
-        assert "inference" in WORKLOADS
-        gated = {label for label, _, _ in _COMPARE_STAGES}
-        assert {"sliding/naive", "sliding/memoized",
-                "precision/int8"} <= gated
-        report = {
-            "schema": "repro.profile/v1", "workload": "inference",
-            "spec": {"precision_model": "vt-divided",
-                     "sliding_model": "vt-factorized"},
-            "precision": {"batch_size": 16, "fp32_ms_per_clip": 1.0,
-                          "int8_ms_per_clip": 0.9,
-                          "int8_speedup": 1.11,
-                          "int8_macro_f1_drop_pts": 0.0},
-            "sliding": {"video_frames": 192, "window": 8, "stride": 2,
-                        "windows": 93, "naive_seconds": 0.075,
-                        "memoized_seconds": 0.032,
-                        "reuse_speedup": 2.3, "frame_hits": 552,
-                        "frame_misses": 192,
-                        "bitwise_identical": True},
-        }
-        text = format_report(report)
-        assert "2.30x" in text and "int8" in text
