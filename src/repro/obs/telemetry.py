@@ -5,7 +5,7 @@ process, so every worker's :class:`~repro.obs.registry.MetricsRegistry`
 — cache hits, breaker trips, batch/latency histograms — and its
 internal event stream are invisible to the parent except through
 point-in-time ``health()`` probes.  This module closes that gap with a
-ship-and-merge protocol over the pool's existing result queue:
+ship-and-merge protocol over the pool's existing result channel:
 
 * Workers run a :class:`TelemetryShipper`: on a wall-clock cadence it
   snapshots the *delta* of its local registry since the last frame
@@ -56,18 +56,18 @@ from repro.obs.registry import MetricsRegistry
 TELEMETRY_FORMAT = "repro.telemetry/v1"
 
 #: Worker-internal events worth shipping to the pool log.  Request
-#: lifecycle events (``enqueue`` / ``result`` / ``shed``) are *not*
-#: shipped: worker-local request ids restart at 1 per replica, so they
-#: would collide with the parent's ids and corrupt the lifecycle join
-#: that ``repro top --from-events`` verifies.
+#: lifecycle events (``enqueue`` / ``result`` / ``shed``) belong to the
+#: parent, which records each request's once; a second copy from a
+#: worker would break the lifecycle join that
+#: ``repro top --from-events`` verifies.
 WORKER_EVENT_WHITELIST = frozenset({
     "flush", "retry", "cache_hit", "cache_miss", "breaker_open",
     "breaker_close", "model_forward", "degrade",
 })
 
-#: Request-correlation fields stripped from shipped events — they refer
-#: to worker-local ids that mean nothing (or worse, the wrong thing)
-#: in the parent's namespace.
+#: Request-correlation fields stripped from shipped events: the
+#: parent's own events carry each request's ids, so shipped internal
+#: events stay unstamped.
 _STRIP_FIELDS = ("schema", "seq", "mono", "request_id", "request_ids",
                  "trace_id")
 

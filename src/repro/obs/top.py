@@ -318,9 +318,10 @@ def snapshot_from_service(service,
 
     Consumes only the versioned ``repro.health/v1`` document — any
     other (or missing) schema is rejected, so the dashboard never
-    renders from an unversioned payload.  A pool health document
-    (``role: "pool"``) additionally populates the per-worker panel from
-    its worker sub-documents.
+    renders from an unversioned payload.  A health document with
+    ``workers`` (a pool's) additionally populates the per-worker panel
+    from those replica sub-documents; a worker's ``requests`` is its
+    ``routed`` count, the number the event replay shows.
     """
     from repro.obs import metrics
     from repro.serve.service import BATCH_SIZE_BUCKETS
@@ -333,17 +334,16 @@ def snapshot_from_service(service,
             "expected repro.health/v1")
     counts = service.status_counts()
     pool = None
-    if health.get("role") == "pool":
+    if health.get("workers"):
         per_worker = {}
-        for rank, doc in sorted(health.get("workers", {}).items(),
+        for rank, doc in sorted(health["workers"].items(),
                                 key=lambda item: int(item[0])):
-            requests = doc.get("requests") or {}
             per_worker[str(rank)] = {
                 "status": doc.get("status"),
                 "breaker": doc.get("breaker"),
                 "queue_depth": doc.get("queue_depth"),
                 "model_version": doc.get("model_version"),
-                "requests": sum(requests.values()),
+                "requests": doc.get("routed", 0),
                 "cache_hit_rate": (doc.get("cache") or {}).get(
                     "hit_rate"),
             }

@@ -5,13 +5,14 @@
 accounting, SLO/quality/events, canary-gated reload and the health
 envelope exactly as :class:`~repro.serve.service.ExtractionService`
 does, and routes each request to one of N process-based workers (see
-:mod:`repro.serve.worker`).  Each worker runs a full single-replica
-service — its own model replica, micro-batch queue, retry/backoff,
-circuit breaker, fallback model and cache shard.  The router shards
-requests by clip content hash (:mod:`repro.serve.router`), so a given
-clip always lands on the worker whose
-:class:`~repro.core.cache.ExtractionCache` shard already holds it:
-cache coherence across processes with zero cross-process locking.
+:mod:`repro.serve.worker`).  Each worker hosts one
+:class:`~repro.serve.service.Replica` — its own model replica,
+micro-batch queue, retry/backoff, circuit breaker, fallback model and
+cache shard — and nothing above it.  The router shards requests by
+clip content hash (:mod:`repro.serve.router`), so a given clip always
+lands on the worker whose :class:`~repro.core.cache.ExtractionCache`
+shard already holds it: cache coherence across processes with zero
+cross-process locking.
 
 What the process transport adds:
 
@@ -22,25 +23,29 @@ What the process transport adds:
   ever mixes model versions, and at most one replica is out of
   rotation at a time.
 - **Health rolls up.**  :meth:`health` carries ``role: "pool"``,
-  per-worker sub-documents (each the worker's own service health) and
-  the worst breaker state and summed cache stats of the pool.
+  per-worker sub-documents (each its replica's, ``role: "replica"``,
+  plus the rank's ``routed`` count) and the worst breaker state and
+  summed cache stats of the pool.
 - **Worker internals ship home.**  Each worker runs the telemetry
   plane (:mod:`repro.obs.telemetry`): seq-numbered frames of metric
   deltas and whitelisted internal events flow back over the result
-  queue and merge into the parent registry under ``worker=<rank>``
+  channel and merge into the parent registry under ``worker=<rank>``
   labels (and into the pool event log).  Disable with
   ``telemetry_interval_s=None``.
 
-Workers that die resolve their in-flight requests as ``"error"`` and
-are then **auto-restarted** (bounded by ``max_worker_restarts`` per
-rank) with the same rank and world size, so a replacement re-attaches
-the exact ``shard-RR-of-WW/`` cache directory its predecessor
-populated.  Replacements start from a ``spawn`` context: they launch
-from a restart thread while the collector thread runs, and forking
-then could copy a held lock into the child.  The window between death
-and recovery fails static (requests for the shard are refused with
-``"error"``); a rank that exhausts its restart budget stays down until
-the pool restarts.  See ``docs/serving.md``.
+A worker holds the only write end of its result channel, so its death
+reads as EOF on the collector, even halfway through a message (the
+torn message is dropped).  Workers that die resolve their in-flight
+requests as ``"error"`` and are then **auto-restarted** (bounded by
+``max_worker_restarts`` per rank) with the same rank and world size,
+so a replacement re-attaches the exact ``shard-RR-of-WW/`` cache
+directory its predecessor populated.  Replacements start from a
+``spawn`` context: they launch from a restart thread while the
+collector thread runs, and forking then could copy a held lock into
+the child.  The window between death and recovery fails static
+(requests for the shard are refused with ``"error"``); a rank that
+exhausts its restart budget stays down until the pool restarts.  See
+``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 from multiprocessing import connection
@@ -68,8 +72,9 @@ from repro.serve.router import ShardRouter
 from repro.serve.service import (
     HEALTH_SCHEMA,
     ServeResult,
+    _as_extractor,
+    RequestFuture,
     _Frontend,
-    _Request,
 )
 from repro.serve.worker import WorkerSpec, worker_main
 
@@ -80,10 +85,12 @@ _BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 _HEALTH_PROBE_TIMEOUT_S = 5.0
 
 
-def _unreachable(rank: int, **fields) -> Dict[str, object]:
-    """Health sub-document for a rank that is down or did not answer."""
-    return {"schema": HEALTH_SCHEMA, "role": "service", "rank": rank,
-            "status": "unreachable", **fields}
+def _replica_doc(rank: int, status: str, **fields) -> Dict[str, object]:
+    """A rank's health sub-document: ``status`` is ``"unreachable"`` for
+    a rank that is down or did not answer, else the replica's breaker
+    verdict."""
+    return {"schema": HEALTH_SCHEMA, "role": "replica", "rank": rank,
+            "status": status, **fields}
 
 
 def _close_queue(q) -> None:
@@ -168,8 +175,13 @@ class ServicePool(_Frontend):
             raise ValueError("max_worker_restarts must be >= 0")
         if telemetry_interval_s is not None and telemetry_interval_s <= 0:
             raise ValueError("telemetry_interval_s must be positive")
-        super().__init__(extractor, config, events, slo, quality,
-                         precision)
+        extractor = _as_extractor(extractor, precision)
+        super().__init__(extractor, config, events, slo, quality)
+        # The reference extractor restarted workers boot from and the
+        # canary gate compares against; both change under the lock.
+        self._primary = extractor
+        self._model_version = 1
+        self._model_lock = threading.Lock()
         self.world_size = workers
         self.router = ShardRouter(workers)
         self._fault_spec = (fault_injector.spec()
@@ -200,12 +212,12 @@ class ServicePool(_Frontend):
         # Replacement workers launch from a restart thread while the
         # collector runs, so they must not fork: spawn starts a clean
         # interpreter.  A spawned child cannot inherit fork-context
-        # locks, so each worker gets its own queues, made by the
-        # context that starts it.
+        # locks, so each worker gets its own queue and channel, made by
+        # the context that starts it.
         self._respawn_mp = multiprocessing.get_context("spawn")
         self._procs: List = []
         self._request_qs: List = []
-        self._result_qs: List = []
+        self._channels: List = []
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
 
@@ -215,12 +227,14 @@ class ServicePool(_Frontend):
         self._cond = threading.Condition()
         self._outstanding: List[int] = [0] * workers
         # request id -> (request, rank it was routed to)
-        self._inflight: Dict[int, Tuple[_Request, int]] = {}
+        self._inflight: Dict[int, Tuple[RequestFuture, int]] = {}
         self._draining_ranks: set = set()
-        self._pending: List[List[_Request]] = [[] for _ in range(workers)]
+        self._pending: List[List[RequestFuture]] = [
+            [] for _ in range(workers)]
         self._dead: Dict[int, str] = {}
         self._up: set = set()
-        self._probes: Dict[int, dict] = {}
+        # probe id -> [reply event, (reply kind, payload) or None]
+        self._probes: Dict[int, list] = {}
         self._next_probe = 0
 
         self._workers_gauge = metrics.gauge("serve.pool.workers")
@@ -254,11 +268,10 @@ class ServicePool(_Frontend):
         # live thread that may hold locks can deadlock the child) and
         # before installing the parent event log as process-wide active
         # (workers must not inherit it — their cache events stay local).
-        workers = [self._new_worker(rank, self._mp)
+        # One launch at a time, so no fork inherits a sibling's channel.
+        workers = [self._launch(rank, self._mp)
                    for rank in range(self.world_size)]
-        for proc, _, _ in workers:
-            proc.start()
-        self._procs, self._request_qs, self._result_qs = (
+        self._procs, self._request_qs, self._channels = (
             list(column) for column in zip(*workers))
         self._install_events()
         self._collector_stop.clear()
@@ -266,15 +279,11 @@ class ServicePool(_Frontend):
                                            name="repro-pool-collector",
                                            daemon=True)
         self._collector.start()
-        deadline = time.monotonic() + self._start_timeout_s
         with self._cond:
-            while len(self._up) < self.world_size:
-                if self._dead:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(min(remaining, 0.2))
+            # ``up`` messages and deaths both notify.
+            self._cond.wait_for(
+                lambda: len(self._up) == self.world_size or self._dead,
+                timeout=self._start_timeout_s)
             up = len(self._up)
             dead = dict(self._dead)
         if up < self.world_size:
@@ -289,40 +298,50 @@ class ServicePool(_Frontend):
         self._emit("pool_start", workers=self.world_size)
         return self
 
-    def _new_worker(self, rank: int, context) -> tuple:
-        """An unstarted worker process for ``rank`` and its fresh
-        request and result queues, all made by ``context`` (a spawned
-        child can only inherit spawn-context locks)."""
+    def _launch(self, rank: int, context) -> tuple:
+        """Start a worker process for ``rank``; return it with its fresh
+        request queue and the read end of its result channel, all made
+        by ``context`` (a spawned child can only inherit spawn-context
+        locks).  The parent closes its copy of the write end once the
+        worker has started, so the worker holds the only one."""
         self._spawns[rank] += 1
-        request_q, result_q = context.Queue(), context.Queue()
+        request_q = context.Queue()
+        reader, writer = context.Pipe(duplex=False)
         proc = context.Process(
             target=worker_main,
-            args=(self._worker_spec(rank), request_q, result_q),
+            args=(self._worker_spec(rank), request_q, writer),
             name=f"repro-pool-worker-{rank}", daemon=True)
-        return proc, request_q, result_q
+        try:
+            proc.start()
+        finally:
+            writer.close()
+        return proc, request_q, reader
 
     def _worker_spec(self, rank: int) -> WorkerSpec:
         """The spec a (re)spawn of ``rank`` boots from.
 
-        Built from the *current* serving extractor — a worker
-        restarted after a hot reload comes back on the reloaded model —
-        and the same rank/world_size, so it re-opens the identical
+        Built from the *current* serving extractor and model version —
+        a worker restarted after a hot reload comes back on the
+        reloaded model and stamps its version — and the same
+        rank/world_size, so it re-opens the identical
         ``shard-RR-of-WW/`` cache directory its predecessor used.
         """
+        primary, version = self._serving()
         return WorkerSpec(
             rank=rank, world_size=self.world_size,
-            model=self._primary.model,
-            codec=self._primary.codec,
-            threshold=self._primary.threshold,
-            batch_size=self._primary.batch_size,
-            precision=getattr(self._primary, "precision", "fp32"),
-            calibration=getattr(self._primary, "calibration", None),
+            model=primary.model,
+            codec=primary.codec,
+            threshold=primary.threshold,
+            batch_size=primary.batch_size,
+            precision=getattr(primary, "precision", "fp32"),
+            calibration=getattr(primary, "calibration", None),
             config=self.config,
             fault_spec=self._fault_spec,
             cache_dir=self._cache_dir,
             cache_memory=self._cache_memory,
             telemetry_interval_s=self.telemetry_interval_s,
             epoch=self._spawns[rank],
+            model_version=version,
         )
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
@@ -363,17 +382,18 @@ class ServicePool(_Frontend):
         if self._collector is not None:
             self._collector.join(5.0)
             self._collector = None
-        for q in self._request_qs + self._result_qs:
-            _close_queue(q)
+        for request_q, channel in zip(self._request_qs, self._channels):
+            _close_queue(request_q)
+            channel.close()
         self._request_qs = []
-        self._result_qs = []
+        self._channels = []
         self._procs = []
         self._workers_gauge.set(0.0)
         self._emit("pool_stop")
         self._restore_events()
 
     # -- transport hooks -----------------------------------------------
-    def _admit(self, request: _Request) -> None:
+    def _admit(self, request: RequestFuture) -> None:
         """Route to the worker that owns the clip's content hash: buffer
         while that rank drains for a reload, fail static while it is
         down, shed when its outstanding requests reach ``max_queue``."""
@@ -399,17 +419,31 @@ class ServicePool(_Frontend):
         if down is not None:
             self._fail([request], f"worker {rank} is down ({down})")
         else:
-            self._shed_counters[rank].inc()
-            self._shed(request, worker=rank, queue_depth=depth)
+            self._shed(request, rank, queue_depth=depth)
 
-    def _take_inflight_locked(self) -> List[_Request]:
+    def _shed(self, request: RequestFuture, rank: int, **fields) -> None:
+        """Refuse ``request`` for ``rank``: ``shed`` event + result."""
+        self._shed_counters[rank].inc()
+        self._emit("shed", request, worker=rank, **fields)
+        self._finish(request, request.outcome(
+            "shed", self.model_version,
+            error=f"queue full ({self.config.max_queue})"))
+
+    def _fail(self, requests: List[RequestFuture], error: str) -> None:
+        """Resolve every request in ``requests`` as ``"error"``."""
+        version = self.model_version
+        for request in requests:
+            self._finish(request, request.outcome("error", version,
+                                                  error=error))
+
+    def _take_inflight_locked(self) -> List[RequestFuture]:
         """Forget every routed request; caller holds ``_cond``."""
         orphans = [request for request, _ in self._inflight.values()]
         self._inflight.clear()
         self._outstanding = [0] * self.world_size
         return orphans
 
-    def _dispatch_locked(self, request: _Request, rank: int) -> None:
+    def _dispatch_locked(self, request: RequestFuture, rank: int) -> None:
         """Hand ``request`` to its worker; caller holds ``_cond``."""
         self._outstanding[rank] += 1
         self._inflight[request.request_id] = (request, rank)
@@ -419,7 +453,8 @@ class ServicePool(_Frontend):
                    outstanding=self._outstanding[rank])
         remaining = max(0.0, request.deadline - time.monotonic())
         self._request_qs[rank].put(
-            ("extract", request.request_id, request.clip, remaining))
+            ("extract", request.request_id, request.clip,
+             request.clip_hash, remaining))
 
     def _swap(self, candidate: ScenarioExtractor) -> int:
         """Rolling reload: each live rank is drained (routing to its
@@ -437,6 +472,10 @@ class ServicePool(_Frontend):
             self._primary = candidate
             self._model_version += 1
             return self._model_version
+
+    def _serving(self) -> Tuple[ScenarioExtractor, int]:
+        with self._model_lock:
+            return self._primary, self._model_version
 
     def _reload_rank(self, rank: int, model: Module) -> None:
         """Drain one rank, swap its checkpoint, re-admit it."""
@@ -457,11 +496,8 @@ class ServicePool(_Frontend):
                     self._cond.wait(min(remaining, 0.2))
             if rank in self._dead:
                 return
-            # Inner reload is force=True: the canary verdict was already
-            # rendered once, at pool level.
-            reply = self._probe(rank, ("reload", None, model, True),
-                                kinds=("reload_ok", "reload_err"),
-                                timeout=self._drain_timeout_s)
+            reply = self._ask([rank], "reload", model,
+                              timeout=self._drain_timeout_s)[rank]
             if reply is None:
                 raise RuntimeError(f"worker {rank} reload timed out")
             kind, payload = reply
@@ -479,8 +515,8 @@ class ServicePool(_Frontend):
             buffered = self._pending[rank]
             self._pending[rank] = []
             now = time.monotonic()
-            sheds: List[_Request] = []
-            expired: List[_Request] = []
+            sheds: List[RequestFuture] = []
+            expired: List[RequestFuture] = []
             for request in buffered:
                 if now >= request.deadline:
                     expired.append(request)
@@ -492,8 +528,7 @@ class ServicePool(_Frontend):
         for request in expired:
             self._resolve_timeout(request)
         for request in sheds:
-            self._shed_counters[rank].inc()
-            self._shed(request, worker=rank)
+            self._shed(request, rank)
 
     def ready(self) -> bool:
         """Readiness: running, every worker alive, router not saturated."""
@@ -505,31 +540,34 @@ class ServicePool(_Frontend):
     def _replica_health(self, running: bool) -> Dict[str, object]:
         """The pool rollup.
 
-        ``workers`` maps rank → that worker's own full service health
-        document (itself ``repro.health/v1`` with ``role: "service"``);
-        ``breaker`` is the worst of the pool and ``cache`` sums the
-        shard stats.  A rank that died or failed to answer reports
-        ``status: "unreachable"``.
+        ``workers`` maps rank → that worker's replica document
+        (``repro.health/v1``, ``role: "replica"``: rank, status, model
+        version, queue depth, in-flight, breaker, and cache/reuse stats
+        when present) plus ``routed``, the rank's
+        ``serve.pool.routed{worker}`` count; ``breaker`` is the worst
+        of the pool and ``cache`` sums the shard stats.  A rank that
+        died or failed to answer reports ``status: "unreachable"``.
         """
         with self._cond:
             outstanding = list(self._outstanding)
             dead = dict(self._dead)
         workers: Dict[str, dict] = {}
         if running:
-            probes = []
-            for rank in range(self.world_size):
-                if rank in dead:
-                    continue
-                probes.append((rank, self._probe_async(
-                    rank, ("health", None), kinds=("health",))))
-            deadline = time.monotonic() + _HEALTH_PROBE_TIMEOUT_S
-            for rank, probe_id in probes:
-                reply = self._probe_wait(
-                    probe_id, max(0.0, deadline - time.monotonic()))
-                workers[str(rank)] = (reply[1] if reply is not None
-                                      else _unreachable(rank))
+            live = [rank for rank in range(self.world_size)
+                    if rank not in dead]
+            replies = self._ask(live, "health",
+                                timeout=_HEALTH_PROBE_TIMEOUT_S)
+            for rank, reply in replies.items():
+                fields = reply[1] if reply is not None else {}
+                status = ("unreachable" if reply is None
+                          else "ok" if fields["breaker"] == "closed"
+                          else "degraded")
+                workers[str(rank)] = _replica_doc(rank, status, **fields)
         for rank, message in dead.items():
-            workers[str(rank)] = _unreachable(rank, error=message)
+            workers[str(rank)] = _replica_doc(rank, "unreachable",
+                                              error=message)
+        for rank, doc in workers.items():
+            doc["routed"] = int(self._routed_counters[int(rank)].value)
         breaker = max(["closed"] + [doc.get("breaker", "closed")
                                     for doc in workers.values()],
                       key=lambda state: _BREAKER_SEVERITY.get(state, 0))
@@ -557,67 +595,70 @@ class ServicePool(_Frontend):
         return fields
 
     # -- worker messaging ----------------------------------------------
-    def _probe_async(self, rank: int, message: tuple,
-                     kinds: tuple) -> int:
+    def _ask(self, ranks: List[int], kind: str, *args,
+             timeout: float) -> Dict[int, Optional[tuple]]:
+        """Send ``(kind, probe_id, *args)`` to every rank in ``ranks``
+        and wait, ``timeout`` in all, for the replies: rank → ``(reply
+        kind, payload)``, or ``None`` for a rank that did not answer."""
+        probes: Dict[int, int] = {}
         with self._cond:
-            self._next_probe += 1
-            probe_id = self._next_probe
-            self._probes[probe_id] = {"event": threading.Event(),
-                                      "kinds": kinds, "reply": None}
-        payload = (message[0], probe_id) + message[2:]
-        self._request_qs[rank].put(payload)
-        return probe_id
-
-    def _probe_wait(self, probe_id: int,
-                    timeout: float) -> Optional[tuple]:
-        entry = self._probes.get(probe_id)
-        if entry is None:
-            return None
-        entry["event"].wait(timeout)
-        with self._cond:
-            self._probes.pop(probe_id, None)
-        return entry["reply"]
-
-    def _probe(self, rank: int, message: tuple, kinds: tuple,
-               timeout: float) -> Optional[tuple]:
-        return self._probe_wait(
-            self._probe_async(rank, message, kinds), timeout)
+            for rank in ranks:
+                self._next_probe += 1
+                probes[rank] = self._next_probe
+                self._probes[self._next_probe] = [threading.Event(), None]
+        for rank, probe_id in probes.items():
+            self._request_qs[rank].put((kind, probe_id) + args)
+        deadline = time.monotonic() + timeout
+        replies = {}
+        for rank, probe_id in probes.items():
+            self._probes[probe_id][0].wait(
+                max(0.0, deadline - time.monotonic()))
+            with self._cond:
+                replies[rank] = self._probes.pop(probe_id)[1]
+        return replies
 
     # -- collector -----------------------------------------------------
     def _collect_loop(self) -> None:
-        """Drain every worker's result queue; single consumer,
-        parent-side.
-
-        Worker liveness is checked every 0.1 s whether or not results
-        are flowing: under a steady burst the queues never run empty,
-        and a dead rank must still be noticed."""
-        next_check = time.monotonic()
+        """Read every worker's result channel; single consumer,
+        parent-side.  A worker's death surfaces here as EOF on its
+        channel (see :meth:`_read`)."""
         while True:
-            now = time.monotonic()
-            if now >= next_check:
-                self._check_workers()
-                next_check = now + 0.1
-            # A restart swaps a rank's queue: wait on this snapshot.
-            result_qs = list(self._result_qs)
+            # A restart swaps a rank's channel: wait on this snapshot.
+            channels = {channel: rank
+                        for rank, channel in enumerate(self._channels)
+                        if not channel.closed}
             try:
-                ready = connection.wait([q._reader for q in result_qs],
-                                        timeout=0.1)
-            except (OSError, ValueError):  # a queue closed under us
+                ready = connection.wait(list(channels), timeout=0.1)
+            except (OSError, ValueError):  # a channel closed under us
                 ready = []
             if not ready and self._collector_stop.is_set():
                 return
-            for result_q in result_qs:
-                if result_q._reader in ready:
-                    self._read(result_q)
+            for channel in ready:
+                self._read(channels[channel], channel)
 
-    def _read(self, result_q) -> bool:
-        """Act on the next message in ``result_q``; False if none."""
+    def _read(self, rank: int, channel) -> None:
+        """Act on the next message from ``rank``.
+
+        The worker holds the only write end, so EOF means it exited,
+        after everything it wrote was read; a message its exit cut
+        short raises ``OSError`` and is dropped.  Either way the channel
+        is closed, never polled again, and while the pool runs the rank
+        is marked dead."""
         try:
-            message = result_q.get_nowait()
-        except (queue_mod.Empty, OSError, ValueError, EOFError):
-            return False
+            message = channel.recv()
+        except (EOFError, OSError) as exc:
+            channel.close()
+            with self._cond:
+                running = self._running
+            if running:
+                proc = self._procs[rank]
+                proc.join(1.0)
+                reason = f"worker exited with code {proc.exitcode}"
+                if not isinstance(exc, EOFError):
+                    reason += "; torn result message dropped"
+                self._mark_dead(rank, reason)
+            return
         self._on_message(message)
-        return True
 
     def _on_message(self, message: tuple) -> None:
         """Act on one worker → parent message (see
@@ -633,9 +674,9 @@ class ServicePool(_Frontend):
             _, rank, probe_id, payload = message
             with self._cond:
                 entry = self._probes.get(probe_id)
-                if entry is not None and kind in entry["kinds"]:
-                    entry["reply"] = (kind, payload)
-                    entry["event"].set()
+                if entry is not None:
+                    entry[1] = (kind, payload)
+                    entry[0].set()
         elif kind == "up":
             with self._cond:
                 self._up.add(message[1])
@@ -658,42 +699,25 @@ class ServicePool(_Frontend):
             self.slo.record_cache(result.cached)
         if request is None:  # resolved parent-side already (stop path)
             return
-        # Re-stamp with the parent's identifiers and end-to-end latency;
-        # the worker's status / retries / batch / model_version stand.
+        # Stamp the trace id and end-to-end latency; the worker's
+        # status / retries / batch / model_version stand.
         stamped = dataclasses.replace(
-            result,
-            request_id=request.request_id,
-            trace_id=request.trace_id,
-            latency_s=time.monotonic() - request.enqueued_at,
-        )
+            result, trace_id=request.trace_id,
+            latency_s=time.monotonic() - request.enqueued_at)
         self._finish(request, stamped, worker=rank)
-
-    def _check_workers(self) -> None:
-        with self._cond:
-            running = self._running
-        if not running:
-            return
-        for rank, proc in enumerate(self._procs):
-            if proc.exitcode is not None and rank not in self._dead:
-                self._mark_dead(
-                    rank, f"worker exited with code {proc.exitcode}")
 
     def _mark_dead(self, rank: int, message: str) -> None:
         """Resolve the rank's in-flight work as errors, then schedule a
         bounded auto-restart (requests arriving before the replacement
         comes up still fail static).
 
-        Runs on the collector, the only reader of the rank's result
-        queue.  What the worker wrote before it died (results,
-        telemetry frames) is read first, so only requests it never
-        answered fail."""
+        Runs on the collector once the rank's channel is at EOF (or the
+        worker reported a fatal error before coming up), so only
+        requests the worker never answered fail."""
         with self._cond:
             if rank in self._dead:
                 return
             self._dead[rank] = message
-        while self._read(self._result_qs[rank]):
-            pass
-        with self._cond:
             orphans = [self._inflight.pop(rid)[0]
                        for rid, (_, r) in list(self._inflight.items())
                        if r == rank]
@@ -734,24 +758,23 @@ class ServicePool(_Frontend):
                 if not self._running:
                     return
                 self._up.discard(rank)
-                proc, request_q, result_q = self._new_worker(
-                    rank, self._respawn_mp)
-            # Spawning pickles the spec, weights included, so start()
-            # can take a while.  Only a started process is published
-            # where stop() joins it.
-            proc.start()
+            # Spawning pickles the spec, weights included, so the
+            # launch can take a while.  Only a started process is
+            # published where stop() joins it.
+            proc, request_q, channel = self._launch(rank,
+                                                    self._respawn_mp)
             with self._cond:
                 replaced = self._running
                 if replaced:
                     retired = (self._request_qs[rank],
-                               self._result_qs[rank])
+                               self._channels[rank])
                     self._procs[rank] = proc
                     self._request_qs[rank] = request_q
-                    self._result_qs[rank] = result_q
+                    self._channels[rank] = channel
                 else:  # stopped meanwhile: stop() never saw this worker
-                    retired = (request_q, result_q)
-            for q in retired:
-                _close_queue(q)
+                    retired = (request_q, channel)
+            _close_queue(retired[0])
+            retired[1].close()
             if not replaced:
                 proc.terminate()
                 proc.join(1.0)

@@ -1,22 +1,19 @@
-"""Fault-tolerant extraction serving: one request core, two transports.
+"""Fault-tolerant extraction serving: one request core over replicas.
 
-:class:`_Frontend` is the request core both serving surfaces share.  It
+:class:`_Frontend` is the request core both serving surfaces share: it
 owns request and trace ids, submit validation, per-status accounting,
 the SLO tracker and quality monitor, lifecycle events, canary-gated
-reload and the ``repro.health/v1`` envelope.  A transport subclasses it
-and supplies only admission, the model swap, its replica health fields
-and start/stop:
-
-- :class:`ExtractionService` (this module) serves in-process.  A
-  dynamic micro-batching queue (flush on ``max_batch`` or the
-  ``max_wait_s`` deadline, whichever first) feeds
-  :meth:`~repro.core.pipeline.ScenarioExtractor.extract_batch`, behind
-  per-request timeouts, bounded retry with exponential backoff, a
-  queue-depth admission limit that sheds load (``"shed"``), a circuit
-  breaker that degrades to a cheap per-frame fallback model, and an
-  optional extraction cache answered before the queue.
-- :class:`~repro.serve.pool.ServicePool` routes each request to one of
-  N worker processes, each running an :class:`ExtractionService`.
+reload and the ``repro.health/v1`` envelope.  :class:`Replica` is the
+model side: a dynamic micro-batching queue (flush on ``max_batch`` or
+the ``max_wait_s`` deadline, whichever first) feeding
+:meth:`~repro.core.pipeline.ScenarioExtractor.extract_batch`, behind
+bounded retry with exponential backoff, a queue-depth admission limit
+that sheds load (``"shed"``), a circuit breaker that degrades to a
+cheap per-frame fallback model, and an optional extraction cache
+answered before the queue.  :class:`ExtractionService` is the
+front-end over one in-thread replica;
+:class:`~repro.serve.pool.ServicePool` routes each request to one of N
+worker processes, each hosting a replica (:mod:`repro.serve.worker`).
 
 Every request resolves to exactly one :class:`ServeResult` carrying a
 correlation ``trace_id`` (:mod:`repro.obs.context`); the ``serve.*``
@@ -39,7 +36,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +67,8 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 #: Every status a request can resolve to.
 STATUSES = ("ok", "degraded", "shed", "timeout", "error")
+
+_EXPIRED = "deadline expired before completion"
 
 
 @dataclass(frozen=True)
@@ -123,58 +122,68 @@ class ServeResult:
         return self.result.tag_confidences
 
 
-class _Request:
-    """Internal per-request state; resolution is first-writer-wins."""
+class _Job:
+    """What a :class:`Replica` needs of one request.
+
+    ``request_id`` and ``trace_id`` only label the result and batch
+    events; ``clip_hash`` keys the cache and is set by whoever admits
+    the job when the replica has one."""
 
     __slots__ = ("request_id", "trace_id", "clip", "clip_hash",
-                 "enqueued_at", "deadline", "retries", "_event", "_lock",
-                 "result")
+                 "enqueued_at", "deadline", "retries")
 
     def __init__(self, request_id: int, clip: np.ndarray,
                  enqueued_at: float, deadline: float,
                  clip_hash: Optional[str] = None,
                  trace_id: str = "") -> None:
         self.request_id = request_id
-        self.trace_id = trace_id or obs_context.mint_trace_id(request_id)
+        self.trace_id = trace_id
         self.clip = clip
         self.clip_hash = clip_hash
         self.enqueued_at = enqueued_at
         self.deadline = deadline
         self.retries = 0
+
+    def outcome(self, status: str, version: int,
+                result: Optional[ExtractionResult] = None,
+                batch_size: int = 0, cached: bool = False,
+                error: str = "") -> ServeResult:
+        """This job's :class:`ServeResult`, timed from ``enqueued_at``."""
+        return ServeResult(
+            request_id=self.request_id, status=status, result=result,
+            retries=self.retries, batch_size=batch_size,
+            latency_s=time.monotonic() - self.enqueued_at,
+            model_version=version, cached=cached, error=error,
+            trace_id=self.trace_id)
+
+
+class RequestFuture(_Job):
+    """Handle returned by ``submit`` on either serving surface — the
+    front-end's request itself; resolution is first-writer-wins."""
+
+    __slots__ = ("_frontend", "_event", "_lock", "_result")
+
+    def __init__(self, frontend: "_Frontend", request_id: int,
+                 clip: np.ndarray, enqueued_at: float,
+                 deadline: float) -> None:
+        super().__init__(request_id, clip, enqueued_at, deadline,
+                         trace_id=obs_context.mint_trace_id(request_id))
+        self._frontend = frontend
         self._event = threading.Event()
         self._lock = threading.Lock()
-        self.result: Optional[ServeResult] = None
+        self._result: Optional[ServeResult] = None
 
     def try_resolve(self, result: ServeResult) -> bool:
         """Install ``result`` unless already resolved; True if we won."""
         with self._lock:
-            if self.result is not None:
+            if self._result is not None:
                 return False
-            self.result = result
+            self._result = result
         self._event.set()
         return True
 
-    def wait(self, timeout: Optional[float]) -> bool:
-        return self._event.wait(timeout)
-
-
-class RequestFuture:
-    """Handle returned by ``submit`` on either serving surface."""
-
-    def __init__(self, service: "_Frontend", request: _Request) -> None:
-        self._service = service
-        self._request = request
-
-    @property
-    def request_id(self) -> int:
-        return self._request.request_id
-
-    @property
-    def trace_id(self) -> str:
-        return self._request.trace_id
-
     def done(self) -> bool:
-        return self._request.result is not None
+        return self._result is not None
 
     def result(self, timeout: Optional[float] = None) -> ServeResult:
         """Block for the outcome; never raises for service-side faults.
@@ -183,23 +192,21 @@ class RequestFuture:
         an in-flight batch to land) or ``timeout``, whichever is
         shorter, then resolves to ``"timeout"`` if the worker has not.
         """
-        request = self._request
-        deadline_wait = max(0.0, request.deadline - time.monotonic()) + 0.05
+        deadline_wait = max(0.0, self.deadline - time.monotonic()) + 0.05
         wait = deadline_wait if timeout is None else min(timeout,
                                                          deadline_wait)
-        while not request.wait(wait):
-            if time.monotonic() >= request.deadline:
-                self._service._resolve_timeout(request)
+        while not self._event.wait(wait):
+            if time.monotonic() >= self.deadline:
+                self._frontend._resolve_timeout(self)
                 break
             if timeout is not None:
                 break
-            wait = max(0.0, request.deadline - time.monotonic()) + 0.05
-        result = request.result
-        if result is None:
+            wait = max(0.0, self.deadline - time.monotonic()) + 0.05
+        if self._result is None:
             raise TimeoutError(
-                f"request {request.request_id} not resolved within wait"
+                f"request {self.request_id} not resolved within wait"
             )
-        return result
+        return self._result
 
 
 class CircuitBreaker:
@@ -212,7 +219,7 @@ class CircuitBreaker:
     decisions, pinned by test), but each observation costs a binary
     search instead of an O(n log n) sort of the window.
 
-    ``on_open`` / ``on_close`` callbacks (set by the service for
+    ``on_open`` / ``on_close`` callbacks (set by the replica for
     event-log emission and flight dumps) are invoked *outside* the
     breaker lock, with a short reason string.
     """
@@ -312,6 +319,25 @@ class CircuitBreaker:
 HEALTH_SCHEMA = "repro.health/v1"
 
 
+def _as_extractor(extractor: Union[ScenarioExtractor, Module],
+                  precision: str) -> ScenarioExtractor:
+    """Wrap a bare model with ``precision``; a prebuilt extractor keeps
+    its own."""
+    if isinstance(extractor, Module):
+        return ScenarioExtractor(extractor, precision=precision)
+    return extractor
+
+
+def _record(result: ServeResult,
+            breaker: Optional[CircuitBreaker]) -> None:
+    """The metrics and breaker latency of one resolution, recorded once
+    per request: by the front-end, or by a pool worker for its rank."""
+    metrics.counter("serve.requests", status=result.status).inc()
+    metrics.histogram("serve.latency_seconds").observe(result.latency_s)
+    if breaker is not None and result.status != "shed":
+        breaker.record_latency(result.latency_s)
+
+
 class _Frontend:
     """The request core shared by :class:`ExtractionService` and
     :class:`~repro.serve.pool.ServicePool` (see module docstring).
@@ -321,6 +347,7 @@ class _Frontend:
     - ``_admit(request)``: check that it is running, emit ``enqueue``,
       then answer, queue, route or shed the request.  The request must
       end up resolved exactly once, through :meth:`_finish`.
+    - ``_serving()``: the serving extractor and its model version.
     - ``_swap(candidate)``: install an extractor that already passed
       the canary gate; return the new model version.
     - ``_replica_health(running)``: the transport's health
@@ -336,22 +363,13 @@ class _Frontend:
     #: latencies; a pool's breakers live in its workers.
     breaker: Optional[CircuitBreaker] = None
 
-    def __init__(self, extractor: Union[ScenarioExtractor, Module],
+    def __init__(self, extractor: ScenarioExtractor,
                  config: Optional[ServiceConfig],
                  events: Optional[EventLog],
                  slo: Optional[Union[SLOConfig, SLOTracker]],
-                 quality: Optional[Union[QualityConfig, QualityMonitor]],
-                 precision: str) -> None:
-        if isinstance(extractor, Module):
-            # ``precision`` only applies when the front-end builds the
-            # extractor itself; a prebuilt extractor keeps its own.
-            extractor = ScenarioExtractor(extractor, precision=precision)
+                 quality: Optional[Union[QualityConfig, QualityMonitor]]
+                 ) -> None:
         self.config = config or ServiceConfig()
-        # ``_primary`` and ``_model_version`` change together, under
-        # ``_model_lock``.
-        self._primary = extractor
-        self._model_lock = threading.Lock()
-        self._model_version = 1
         model_cfg = extractor.model.config
         self.clip_shape = (model_cfg.frames, model_cfg.channels,
                            model_cfg.height, model_cfg.width)
@@ -373,7 +391,6 @@ class _Frontend:
         self._status_counts: Dict[str, int] = {s: 0 for s in STATUSES}
         self._counts_lock = threading.Lock()
         self._reload_counter = metrics.counter("serve.reloads")
-        self._latency_hist = metrics.histogram("serve.latency_seconds")
 
     def __enter__(self):
         return self.start()
@@ -400,14 +417,15 @@ class _Frontend:
         if timeout is None:
             timeout = self.config.default_timeout_s
         now = time.monotonic()
-        request = _Request(self._allocate_id(), clip, now, now + timeout)
+        request = RequestFuture(self, self._allocate_id(), clip, now,
+                                now + timeout)
         # The bound context makes the cache's hit/miss events and any
         # request-scoped spans carry this request's ids; ``enqueue`` is
         # the intake event for *every* request (cached, shed, queued),
         # so each lifecycle reads enqueue -> terminal ``result``.
         with obs_context.bind(request.request_id, request.trace_id):
             self._admit(request)
-        return RequestFuture(self, request)
+        return request
 
     def extract(self, clip: np.ndarray,
                 timeout: Optional[float] = None) -> ServeResult:
@@ -450,9 +468,7 @@ class _Frontend:
                 f"reload would change clip shape {self.clip_shape} -> "
                 f"{new_shape}; start a new {self._role} instead"
             )
-        with self._model_lock:
-            serving = self._primary
-            serving_version = self._model_version
+        serving, serving_version = self._serving()
         candidate = serving.clone_with_model(model)
         if (not force and self.quality is not None
                 and self.quality.canary_ready):
@@ -474,8 +490,7 @@ class _Frontend:
 
     @property
     def model_version(self) -> int:
-        with self._model_lock:
-            return self._model_version
+        return self._serving()[1]
 
     # -- probes --------------------------------------------------------
     def health(self) -> Dict[str, object]:
@@ -505,7 +520,7 @@ class _Frontend:
             "ready": self.ready(),
             **replicas,
             "model_version": self.model_version,
-            "precision": getattr(self._primary, "precision", "fp32"),
+            "precision": getattr(self._serving()[0], "precision", "fp32"),
             "uptime_s": (time.monotonic() - self._started_at
                          if running else 0.0),
             "requests": self.status_counts(),
@@ -534,7 +549,7 @@ class _Frontend:
             obs_events.set_active(self._prev_active_events)
             self._prev_active_events = None
 
-    def _emit(self, event: str, request: Optional[_Request] = None,
+    def _emit(self, event: str, request: Optional[RequestFuture] = None,
               **fields) -> None:
         """Record a lifecycle event when an event log is attached.
 
@@ -554,24 +569,7 @@ class _Frontend:
             self._next_id += 1
             return self._next_id
 
-    def _make_result(self, request: _Request, status: str,
-                     result: Optional[ExtractionResult] = None,
-                     batch_size: int = 0, version: int = 0,
-                     cached: bool = False, error: str = "") -> ServeResult:
-        return ServeResult(
-            request_id=request.request_id,
-            status=status,
-            result=result,
-            retries=request.retries,
-            batch_size=batch_size,
-            latency_s=time.monotonic() - request.enqueued_at,
-            model_version=version or self.model_version,
-            cached=cached,
-            error=error,
-            trace_id=request.trace_id,
-        )
-
-    def _finish(self, request: _Request, result: ServeResult,
+    def _finish(self, request: RequestFuture, result: ServeResult,
                 worker: Optional[int] = None) -> bool:
         """Resolve + account; False when the request already resolved.
 
@@ -579,10 +577,7 @@ class _Frontend:
         worker served the request."""
         if not request.try_resolve(result):
             return False
-        metrics.counter("serve.requests", status=result.status).inc()
-        self._latency_hist.observe(result.latency_s)
-        if self.breaker is not None and result.status != "shed":
-            self.breaker.record_latency(result.latency_s)
+        _record(result, self.breaker)
         with self._counts_lock:
             self._status_counts[result.status] += 1
         self.slo.record_request(result.ok, result.latency_s)
@@ -614,36 +609,22 @@ class _Frontend:
         self._emit("result", request, **event_fields)
         return True
 
-    def _resolve_timeout(self, request: _Request) -> None:
-        self._finish(request, self._make_result(
-            request, "timeout",
-            error="deadline expired before completion"))
-
-    def _shed(self, request: _Request, **fields) -> None:
-        """Refuse ``request`` at admission: ``shed`` event + result."""
-        self._emit("shed", request, **fields)
-        self._finish(request, self._make_result(
-            request, "shed", error=f"queue full ({self.config.max_queue})"))
-
-    def _fail(self, requests: List[_Request], error: str,
-              **result_fields) -> None:
-        """Resolve every request in ``requests`` as ``"error"``."""
-        for request in requests:
-            self._finish(request, self._make_result(
-                request, "error", error=error, **result_fields))
+    def _resolve_timeout(self, request: RequestFuture) -> None:
+        self._finish(request, request.outcome("timeout", self.model_version,
+                                              error=_EXPIRED))
 
 
-class ExtractionService(_Frontend):
-    """In-process micro-batching transport over a
-    :class:`ScenarioExtractor` (see module docstring).
+class Replica:
+    """One model replica behind a micro-batch queue (see module
+    docstring).
+
+    Every job it admits resolves exactly once, through
+    ``on_result(job, result)``: on the admitting thread for a cache hit
+    or a shed, on the batch thread otherwise.  The host accounts for
+    the result.
 
     Parameters
     ----------
-    extractor:
-        The primary extractor (or bare model, which gets wrapped with
-        ``precision``).
-    config:
-        Batching/robustness knobs; see :class:`ServiceConfig`.
     fallback:
         Extractor used while the circuit breaker is open.  Defaults to
         a ``frame-mlp`` per-frame baseline built from the primary's
@@ -652,12 +633,335 @@ class ExtractionService(_Frontend):
         Optional :class:`FaultInjector` applied to primary attempts.
     cache:
         Optional :class:`~repro.core.cache.ExtractionCache`, or a
-        directory path to open one in.  Hits are answered at ``submit``
-        time — before the micro-batch queue — with ``cached=True``;
+        directory path to open one in.  Hits are answered at admission
+        — before the micro-batch queue — with ``cached=True``;
         successful primary results populate it.  Entries are keyed by
         the primary model's content fingerprint, so a hot-reload to
         different weights never serves stale descriptions (degraded
         fallback results are never cached).
+    events:
+        Receives the batch events (``flush``/``retry``/``degrade``/
+        ``model_forward`` carry the member ``request_ids``) and
+        ``breaker_open``/``breaker_close``; the flight recorder is
+        dumped when the breaker opens or a batch exhausts its retries.
+    model_version:
+        The version the replica starts at; each :meth:`swap` adds one.
+    """
+
+    def __init__(self, extractor: ScenarioExtractor, config: ServiceConfig,
+                 on_result: Callable[[_Job, ServeResult], None],
+                 fallback: Optional[Union[ScenarioExtractor,
+                                          Module]] = None,
+                 fault_injector: Optional[FaultInjector] = None,
+                 cache: Union[ExtractionCache, str, os.PathLike,
+                              None] = None,
+                 events: Optional[EventLog] = None,
+                 model_version: int = 1) -> None:
+        self.config = config
+        self._on_result = on_result
+        # ``_primary``, ``_model_version`` and ``_cache_version`` change
+        # together, under ``_model_lock``.
+        self._primary = extractor
+        self._model_version = model_version
+        self._model_lock = threading.Lock()
+        if cache is not None and not isinstance(cache, ExtractionCache):
+            cache = ExtractionCache(os.fspath(cache))
+        self.cache = cache
+        self._cache_version = (extractor_version(extractor)
+                               if cache is not None else "")
+        if fallback is None:
+            from repro.models.factory import build_model
+
+            fallback = build_model("frame-mlp", extractor.model.config,
+                                   codec=extractor.codec)
+        if isinstance(fallback, Module):
+            fallback = extractor.clone_with_model(fallback)
+        self.fallback = fallback
+        self.fault_injector = fault_injector
+        self.events = events
+        self.breaker = CircuitBreaker(config)
+        self.breaker.on_open = self._on_breaker_open
+        self.breaker.on_close = self._on_breaker_close
+
+        self._queue: deque = deque()
+        self._queue_cond = threading.Condition()
+        self._running = False
+        self._thread: Optional[threading.Thread] = None
+        self._inflight = 0
+
+        self._retry_counter = metrics.counter("serve.retries")
+        self._cache_hit_counter = metrics.counter("serve.cache_hits")
+        self._depth_gauge = metrics.gauge("serve.queue_depth")
+        self._batch_hist = metrics.histogram("serve.batch_size",
+                                             bounds=BATCH_SIZE_BUCKETS)
+
+    # -- lifecycle -----------------------------------------------------
+    def start(self) -> bool:
+        """Start the batch thread; False when already running."""
+        with self._queue_cond:
+            if self._running:
+                return False
+            self._running = True
+        self._thread = threading.Thread(target=self._loop,
+                                        name="repro-serve-worker",
+                                        daemon=True)
+        self._thread.start()
+        return True
+
+    def stop(self, drain: bool = True, timeout: float = 10.0) -> bool:
+        """Stop admitting and shut the batch thread down; False when not
+        running.  ``drain=True`` serves everything already queued
+        first; otherwise queued jobs resolve as ``"error"``."""
+        with self._queue_cond:
+            if not self._running:
+                return False
+            dropped = [] if drain else list(self._queue)
+            if dropped:
+                self._queue.clear()
+                self._depth_gauge.set(0.0)
+            self._running = False
+            self._queue_cond.notify_all()
+        self._fail(dropped, "service stopped")
+        if self._thread is not None:
+            self._thread.join(timeout)
+            self._thread = None
+        return True
+
+    # -- intake, model, health -----------------------------------------
+    def admit(self, job: _Job) -> None:
+        """Answer ``job`` from the cache, else queue it for the batch
+        thread, else shed it; raises ``RuntimeError`` once stopping."""
+        if self.cache is not None:
+            hit = self.cache.get(self._cache_key(job.clip_hash))
+            if hit is not None:
+                self._cache_hit_counter.inc()
+                self._on_result(job, job.outcome(
+                    "ok", self.model_version, result=hit, cached=True))
+                return
+        with self._queue_cond:
+            if not self._running:
+                raise RuntimeError("service is not running")
+            full = len(self._queue) >= self.config.max_queue
+            if not full:
+                self._queue.append(job)
+                self._depth_gauge.set(float(len(self._queue)))
+                self._queue_cond.notify()
+        if full:
+            self._on_result(job, job.outcome(
+                "shed", self.model_version,
+                error=f"queue full ({self.config.max_queue})"))
+
+    def serving(self) -> Tuple[ScenarioExtractor, int]:
+        """The serving extractor and its model version, read together."""
+        with self._model_lock:
+            return self._primary, self._model_version
+
+    @property
+    def model_version(self) -> int:
+        return self.serving()[1]
+
+    @property
+    def depth(self) -> int:
+        """Jobs waiting in the queue."""
+        with self._queue_cond:
+            return len(self._queue)
+
+    def swap(self, candidate: ScenarioExtractor) -> int:
+        """Install ``candidate`` under the model lock and return the new
+        model version: the in-flight batch finishes on the old model,
+        every later batch uses the new one."""
+        with self._model_lock:
+            self._primary = candidate
+            self._model_version += 1
+            version = self._model_version
+            if self.cache is not None:
+                # New weights → new content fingerprint: entries cached
+                # under the old model can never be served again.
+                self._cache_version = extractor_version(candidate)
+        self.breaker.reset()
+        return version
+
+    def health(self) -> Dict[str, object]:
+        """Queue depth, in-flight batch size, breaker state, and the
+        cache and frame-reuse stats when present."""
+        fields: Dict[str, object] = {
+            "queue_depth": self.depth,
+            "inflight": self._inflight,
+            "breaker": self.breaker.state,
+        }
+        reuse_stats = getattr(self.serving()[0], "reuse_stats", None)
+        if reuse_stats is not None:
+            fields["reuse"] = reuse_stats()
+        if self.cache is not None:
+            fields["cache"] = self.cache.stats()
+        return fields
+
+    # -- internals -----------------------------------------------------
+    def _emit(self, event: str, **fields) -> None:
+        if self.events is not None:
+            self.events.emit(event, **fields)
+
+    def _on_breaker_open(self, reason: str) -> None:
+        self._emit("breaker_open", reason=reason)
+        if self.events is not None:
+            self.events.dump_flight(f"breaker_open-{reason}")
+
+    def _on_breaker_close(self, reason: str) -> None:
+        self._emit("breaker_close", reason=reason)
+
+    def _cache_key(self, clip_hash: str) -> str:
+        with self._model_lock:
+            primary, version = self._primary, self._cache_version
+        return cache_key(clip_hash, version,
+                         primary.codec.vocab.content_hash,
+                         primary.threshold)
+
+    def _fail(self, jobs: List[_Job], error: str, version: int = 0,
+              batch_size: int = 0) -> None:
+        """Resolve every job in ``jobs`` as ``"error"``."""
+        version = version or self.model_version
+        for job in jobs:
+            self._on_result(job, job.outcome(
+                "error", version, batch_size=batch_size, error=error))
+
+    def _loop(self) -> None:
+        while True:
+            batch = self._collect_batch()
+            if batch is None:
+                return
+            if batch:
+                self._inflight = len(batch)
+                try:
+                    self._process_batch(batch)
+                finally:
+                    self._inflight = 0
+
+    def _collect_batch(self) -> Optional[List[_Job]]:
+        """Block for the first job, then coalesce until the batch is
+        full or the micro-batch deadline passes.  ``None`` = shut down."""
+        config = self.config
+        with self._queue_cond:
+            while not self._queue:
+                if not self._running:
+                    return None
+                self._queue_cond.wait(0.1)
+            batch = [self._queue.popleft()]
+            flush_at = time.monotonic() + config.max_wait_s
+            while len(batch) < config.max_batch:
+                if self._queue:
+                    batch.append(self._queue.popleft())
+                    continue
+                remaining = flush_at - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._queue_cond.wait(remaining)
+            self._depth_gauge.set(float(len(self._queue)))
+        return batch
+
+    def _process_batch(self, batch: List[_Job]) -> None:
+        now = time.monotonic()
+        live = []
+        for job in batch:
+            if now >= job.deadline:
+                self._on_result(job, job.outcome(
+                    "timeout", self.model_version, error=_EXPIRED))
+            else:
+                live.append(job)
+        if not live:
+            return
+        self._batch_hist.observe(float(len(live)))
+        clips = np.stack([job.clip for job in live])
+        member_ids = [job.request_id for job in live]
+        self._emit("flush", batch_size=len(live), request_ids=member_ids)
+
+        with self._model_lock:
+            primary = self._primary
+            version = self._model_version
+            cache_version = self._cache_version
+
+        backoff = self.config.backoff_s
+        attempts = 0
+        force_fallback = False
+        while True:
+            use_primary = (not force_fallback
+                           and self.breaker.allow_primary())
+            extractor = primary if use_primary else self.fallback
+            try:
+                with span("serve/batch"):
+                    if use_primary and self.fault_injector is not None:
+                        self.fault_injector(len(live))
+                    results = extractor.extract_batch(clips)
+            except TransientWorkerError as exc:
+                if use_primary:
+                    self.breaker.record_failure()
+                    attempts += 1
+                    if attempts <= self.config.max_retries:
+                        for job in live:
+                            job.retries += 1
+                        self._retry_counter.inc(len(live))
+                        self._emit("retry", attempt=attempts,
+                                   request_ids=member_ids,
+                                   error=str(exc))
+                        if backoff > 0:
+                            time.sleep(backoff)
+                        backoff *= self.config.backoff_multiplier
+                    else:
+                        # retries exhausted: degrade this batch
+                        force_fallback = True
+                        self._emit("degrade",
+                                   reason="retries_exhausted",
+                                   request_ids=member_ids,
+                                   error=str(exc))
+                        if self.events is not None:
+                            self.events.dump_flight("retries_exhausted")
+                    continue
+                # fallback itself failed transiently: give up explicitly
+                self._fail(live, str(exc), version, len(live))
+                return
+            except Exception as exc:  # non-retryable worker bug
+                if use_primary:
+                    self.breaker.record_failure()
+                self._fail(live, f"{type(exc).__name__}: {exc}",
+                           version, len(live))
+                return
+            if use_primary:
+                self.breaker.record_success()
+            status = "ok" if use_primary else "degraded"
+            self._emit("model_forward",
+                       model="primary" if use_primary else "fallback",
+                       batch_size=len(live), model_version=version,
+                       request_ids=member_ids)
+            for job, extraction in zip(live, results):
+                if (use_primary and self.cache is not None
+                        and job.clip_hash is not None):
+                    # Keyed by the snapshot taken with the model that
+                    # actually ran — consistent across a mid-batch
+                    # reload.  Fallback results are never cached.
+                    self.cache.put(
+                        cache_key(job.clip_hash, cache_version,
+                                  primary.codec.vocab.content_hash,
+                                  primary.threshold),
+                        extraction)
+                self._on_result(job, job.outcome(
+                    status, version, result=extraction,
+                    batch_size=len(live)))
+            return
+
+
+class ExtractionService(_Frontend):
+    """In-process serving surface: the front-end over one in-thread
+    :class:`Replica` (see module docstring).
+
+    Parameters
+    ----------
+    extractor:
+        The primary extractor (or bare model, which gets wrapped with
+        ``precision``).
+    config:
+        Batching/robustness knobs; see :class:`ServiceConfig`.
+    fallback / fault_injector / cache:
+        The replica's; see :class:`Replica`.  Cache hits are answered
+        at ``submit`` time.
     events:
         Optional :class:`~repro.obs.events.EventLog`.  When attached,
         every request's lifecycle is recorded (``enqueue`` →
@@ -692,276 +996,69 @@ class ExtractionService(_Frontend):
                  quality: Optional[Union[QualityConfig,
                                          QualityMonitor]] = None,
                  precision: str = "fp32") -> None:
-        super().__init__(extractor, config, events, slo, quality,
-                         precision)
-        extractor = self._primary
-        if cache is not None and not isinstance(cache, ExtractionCache):
-            cache = ExtractionCache(os.fspath(cache))
-        self.cache = cache
-        self._cache_version = (extractor_version(extractor)
-                               if cache is not None else "")
-        if fallback is None:
-            from repro.models.factory import build_model
+        extractor = _as_extractor(extractor, precision)
+        super().__init__(extractor, config, events, slo, quality)
+        self._replica = Replica(extractor, self.config,
+                                self._from_replica, fallback=fallback,
+                                fault_injector=fault_injector,
+                                cache=cache, events=events)
+        self.breaker = self._replica.breaker
+        self._fallback = self._replica.fallback
 
-            fallback = build_model("frame-mlp", extractor.model.config,
-                                   codec=extractor.codec)
-        if isinstance(fallback, Module):
-            fallback = extractor.clone_with_model(fallback)
-        self._fallback = fallback
-        self.fault_injector = fault_injector
-        self.breaker = CircuitBreaker(self.config)
-        self.breaker.on_open = self._on_breaker_open
-        self.breaker.on_close = self._on_breaker_close
-
-        self._queue: deque = deque()
-        self._queue_cond = threading.Condition()
-        self._draining = False
-        self._worker: Optional[threading.Thread] = None
-        self._inflight = 0
-
-        self._retry_counter = metrics.counter("serve.retries")
-        self._cache_hit_counter = metrics.counter("serve.cache_hits")
-        self._depth_gauge = metrics.gauge("serve.queue_depth")
-        self._batch_hist = metrics.histogram("serve.batch_size",
-                                             bounds=BATCH_SIZE_BUCKETS)
+    @property
+    def _primary(self) -> ScenarioExtractor:
+        return self._replica.serving()[0]
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ExtractionService":
-        """Start the worker thread; idempotent."""
-        with self._queue_cond:
-            if self._running:
-                return self
-            self._running = True
-            self._draining = False
+        """Start the replica's batch thread; idempotent."""
+        if self._replica.start():
             self._started_at = time.monotonic()
-        self._install_events()
-        self._worker = threading.Thread(target=self._worker_loop,
-                                        name="repro-serve-worker",
-                                        daemon=True)
-        self._worker.start()
+            self._install_events()
+            self._running = True
         return self
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop accepting requests and shut the worker down.
+        """Stop accepting requests and shut the replica down.
 
         ``drain=True`` serves everything already queued first;
         otherwise queued requests resolve as ``"error"``.
         """
-        with self._queue_cond:
-            if not self._running:
-                return
-            self._draining = True
-            if not drain:
-                self._fail(list(self._queue), "service stopped")
-                self._queue.clear()
-                self._depth_gauge.set(0.0)
-            self._running = False
-            self._queue_cond.notify_all()
-        if self._worker is not None:
-            self._worker.join(timeout)
-            self._worker = None
-        self._restore_events()
+        self._running = False
+        if self._replica.stop(drain, timeout):
+            self._restore_events()
 
     def ready(self) -> bool:
         """Readiness: accepting work and not saturated."""
-        with self._queue_cond:
-            return (self._running and not self._draining
-                    and len(self._queue) < self.config.max_queue)
+        return (self._running
+                and self._replica.depth < self.config.max_queue)
 
     # -- transport hooks -----------------------------------------------
-    def _admit(self, request: _Request) -> None:
-        """Answer from the cache, else queue for the micro-batcher, else
-        shed."""
-        with self._queue_cond:
-            if not self._running or self._draining:
-                raise RuntimeError("service is not running")
-            depth = len(self._queue)
-        self._emit("enqueue", request, queue_depth=depth)
-        if self.cache is not None:
+    def _admit(self, request: RequestFuture) -> None:
+        """Hand the request to the replica: answered from its cache,
+        queued for its micro-batcher, or shed."""
+        if not self._running:
+            raise RuntimeError("service is not running")
+        self._emit("enqueue", request, queue_depth=self._replica.depth)
+        if self._replica.cache is not None:
             request.clip_hash = clip_content_hash(request.clip)
-            hit = self.cache.get(self._cache_key(request.clip_hash))
-            self.slo.record_cache(hit is not None)
-            if hit is not None:
-                self._cache_hit_counter.inc()
-                self._finish(request, self._make_result(
-                    request, "ok", result=hit, cached=True))
-                return
-        with self._queue_cond:
-            if not self._running or self._draining:
-                raise RuntimeError("service is not running")
-            if len(self._queue) >= self.config.max_queue:
-                self._shed(request, queue_depth=len(self._queue))
-                return
-            self._queue.append(request)
-            self._depth_gauge.set(float(len(self._queue)))
-            self._queue_cond.notify()
+        self._replica.admit(request)
+
+    def _from_replica(self, request: RequestFuture,
+                      result: ServeResult) -> None:
+        """Everything the replica resolves: one cache-objective sample
+        per replica lookup, whatever status it ends in."""
+        if self._replica.cache is not None:
+            self.slo.record_cache(result.cached)
+        if result.status == "shed":
+            self._emit("shed", request, queue_depth=self.config.max_queue)
+        self._finish(request, result)
+
+    def _serving(self) -> Tuple[ScenarioExtractor, int]:
+        return self._replica.serving()
 
     def _swap(self, candidate: ScenarioExtractor) -> int:
-        """Swap under the model lock: the in-flight batch finishes on
-        the old model, every later batch uses the new one."""
-        with self._model_lock:
-            self._primary = candidate
-            self._model_version += 1
-            version = self._model_version
-            if self.cache is not None:
-                # New weights → new content fingerprint: entries cached
-                # under the old model can never be served again.
-                self._cache_version = extractor_version(candidate)
-        self.breaker.reset()
-        return version
+        return self._replica.swap(candidate)
 
     def _replica_health(self, running: bool) -> Dict[str, object]:
-        with self._queue_cond:
-            depth = len(self._queue)
-        fields: Dict[str, object] = {
-            "queue_depth": depth,
-            "inflight": self._inflight,
-            "breaker": self.breaker.state,
-        }
-        reuse_stats = getattr(self._primary, "reuse_stats", None)
-        if reuse_stats is not None:
-            fields["reuse"] = reuse_stats()
-        if self.cache is not None:
-            fields["cache"] = self.cache.stats()
-        return fields
-
-    # -- internals -----------------------------------------------------
-    def _on_breaker_open(self, reason: str) -> None:
-        self._emit("breaker_open", reason=reason)
-        if self.events is not None:
-            self.events.dump_flight(f"breaker_open-{reason}")
-
-    def _on_breaker_close(self, reason: str) -> None:
-        self._emit("breaker_close", reason=reason)
-
-    def _cache_key(self, clip_hash: str) -> str:
-        with self._model_lock:
-            version = self._cache_version
-        return cache_key(clip_hash, version,
-                         self._primary.codec.vocab.content_hash,
-                         self._primary.threshold)
-
-    # -- worker --------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            if batch:
-                self._inflight = len(batch)
-                try:
-                    self._process_batch(batch)
-                finally:
-                    self._inflight = 0
-
-    def _collect_batch(self) -> Optional[List[_Request]]:
-        """Block for the first request, then coalesce until the batch is
-        full or the micro-batch deadline passes.  ``None`` = shut down."""
-        config = self.config
-        with self._queue_cond:
-            while not self._queue:
-                if not self._running:
-                    return None
-                self._queue_cond.wait(0.1)
-            batch = [self._queue.popleft()]
-            flush_at = time.monotonic() + config.max_wait_s
-            while len(batch) < config.max_batch:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = flush_at - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._queue_cond.wait(remaining)
-            self._depth_gauge.set(float(len(self._queue)))
-        return batch
-
-    def _process_batch(self, batch: List[_Request]) -> None:
-        now = time.monotonic()
-        live = []
-        for request in batch:
-            if now >= request.deadline:
-                self._resolve_timeout(request)
-            else:
-                live.append(request)
-        if not live:
-            return
-        self._batch_hist.observe(float(len(live)))
-        clips = np.stack([r.clip for r in live])
-        member_ids = [r.request_id for r in live]
-        self._emit("flush", batch_size=len(live),
-                   request_ids=member_ids)
-
-        with self._model_lock:
-            primary = self._primary
-            version = self._model_version
-            cache_version = self._cache_version
-
-        backoff = self.config.backoff_s
-        attempts = 0
-        force_fallback = False
-        while True:
-            use_primary = (not force_fallback
-                           and self.breaker.allow_primary())
-            extractor = primary if use_primary else self._fallback
-            try:
-                with span("serve/batch"):
-                    if use_primary and self.fault_injector is not None:
-                        self.fault_injector(len(live))
-                    results = extractor.extract_batch(clips)
-            except TransientWorkerError as exc:
-                if use_primary:
-                    self.breaker.record_failure()
-                    attempts += 1
-                    if attempts <= self.config.max_retries:
-                        for request in live:
-                            request.retries += 1
-                        self._retry_counter.inc(len(live))
-                        self._emit("retry", attempt=attempts,
-                                   request_ids=member_ids,
-                                   error=str(exc))
-                        if backoff > 0:
-                            time.sleep(backoff)
-                        backoff *= self.config.backoff_multiplier
-                    else:
-                        # retries exhausted: degrade this batch
-                        force_fallback = True
-                        self._emit("degrade",
-                                   reason="retries_exhausted",
-                                   request_ids=member_ids,
-                                   error=str(exc))
-                        if self.events is not None:
-                            self.events.dump_flight("retries_exhausted")
-                    continue
-                # fallback itself failed transiently: give up explicitly
-                self._fail(live, str(exc), batch_size=len(live),
-                           version=version)
-                return
-            except Exception as exc:  # non-retryable worker bug
-                if use_primary:
-                    self.breaker.record_failure()
-                self._fail(live, f"{type(exc).__name__}: {exc}",
-                           batch_size=len(live), version=version)
-                return
-            if use_primary:
-                self.breaker.record_success()
-            status = "ok" if use_primary else "degraded"
-            self._emit("model_forward",
-                       model="primary" if use_primary else "fallback",
-                       batch_size=len(live), model_version=version,
-                       request_ids=member_ids)
-            for request, extraction in zip(live, results):
-                if (use_primary and self.cache is not None
-                        and request.clip_hash is not None):
-                    # Keyed by the snapshot taken with the model that
-                    # actually ran — consistent across a mid-batch
-                    # reload.  Fallback results are never cached.
-                    self.cache.put(
-                        cache_key(request.clip_hash, cache_version,
-                                  primary.codec.vocab.content_hash,
-                                  primary.threshold),
-                        extraction)
-                self._finish(request, self._make_result(
-                    request, status, result=extraction,
-                    batch_size=len(live), version=version))
-            return
+        return self._replica.health()

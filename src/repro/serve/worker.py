@@ -1,13 +1,15 @@
 """Process entrypoint for one serving-pool worker.
 
 Each worker of a :class:`~repro.serve.pool.ServicePool` is its own OS
-process running a full single-replica
-:class:`~repro.serve.service.ExtractionService` — its own model
-replica, micro-batch queue, retry/backoff machinery, circuit breaker,
-fallback model and (when caching is on) its own
-:class:`~repro.core.cache.ExtractionCache` shard.  The pool's router
-guarantees a clip only ever reaches the worker that owns its content
-hash, so the shard cache needs no cross-process coordination.
+process hosting one :class:`~repro.serve.service.Replica` — its own
+model replica, micro-batch queue, retry/backoff machinery, circuit
+breaker, fallback model and (when caching is on) its own
+:class:`~repro.core.cache.ExtractionCache` shard — and nothing above
+it: request ids, trace ids, SLO, quality and lifecycle events live in
+the parent.  The pool's router guarantees a clip only ever reaches the
+worker that owns its content hash, so the shard cache needs no
+cross-process coordination, and the parent sends the hash it routed by
+so the worker never hashes a clip again.
 
 The rank/world-size orchestration mirrors the DDP-trainer idiom (and
 the bit-identical process plan of ``generate_dataset(workers=N)``):
@@ -15,26 +17,29 @@ every per-rank input is computed up front in a plain picklable
 :class:`WorkerSpec`, and the worker's behaviour is a pure function of
 that spec plus the requests routed to it.
 
-Protocol (tuples over multiprocessing queues)
----------------------------------------------
-Parent → worker on the per-rank request queue::
+Protocol
+--------
+Parent → worker, tuples on the per-rank request queue::
 
-    ("extract", request_id, clip, timeout_s)
-    ("reload",  probe_id, model, force)
+    ("extract", request_id, clip, clip_hash, timeout_s)
+    ("reload",  probe_id, model)
     ("health",  probe_id)
     ("stop",)
 
-Worker → parent on the rank's result queue (one writer per queue, so a
-worker that dies mid-write cannot wedge its siblings)::
+Worker → parent, tuples on the rank's result channel (the write end of
+a one-way pipe that only this worker holds, so its exit — even halfway
+through a message — reads as EOF in the parent)::
 
-    ("up",         rank)                      # service started
+    ("up",         rank)                      # replica started
     ("result",     rank, request_id, ServeResult)
     ("reload_ok",  rank, probe_id, version)
     ("reload_err", rank, probe_id, message)
-    ("health",     rank, probe_id, health_doc)
+    ("health",     rank, probe_id, fields)    # model_version + replica
     ("telemetry",  rank, frame)               # repro.telemetry/v1 dict
-    ("stopped",    rank)
     ("worker_error", rank, message)           # fatal; process exits
+
+A result's ``latency_s`` is worker-local (receipt to resolution); the
+parent re-stamps it end to end.
 
 Telemetry frames (when ``spec.telemetry_interval_s`` is set) ship on a
 wall-clock cadence from the intake loop — the blocking ``get`` becomes
@@ -49,12 +54,14 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.serve.config import ServiceConfig
+from repro.serve.service import Replica, _Job, _record
 
 
 @dataclass
@@ -87,15 +94,17 @@ class WorkerSpec:
     epoch: int = 0
     #: Capacity of the in-memory event ring drained into frames.
     telemetry_events: int = 512
+    #: The pool's serving model version: a worker restarted after a
+    #: reload stamps its results with it, not with 1.
+    model_version: int = 1
 
 
-def _build_service(spec: WorkerSpec):
-    """Construct the inner single-replica service for one rank."""
+def _build_replica(spec: WorkerSpec, on_result) -> Replica:
+    """Construct the replica for one rank."""
     from repro.core.cache import ExtractionCache, shard_cache_dir
     from repro.core.pipeline import ScenarioExtractor
-    from repro.obs.events import EventLog
+    from repro.obs import events as obs_events
     from repro.serve.faults import FaultInjector
-    from repro.serve.service import ExtractionService
 
     extractor = ScenarioExtractor(
         spec.model, codec=spec.codec, threshold=spec.threshold,
@@ -116,126 +125,109 @@ def _build_service(spec: WorkerSpec):
         injector = FaultInjector.from_spec(fault_spec)
     events = None
     if spec.telemetry_interval_s is not None:
-        # Memory-mode ring: the service's start() installs it as the
-        # process-wide active log, so cache hit/miss events land here
-        # too; the shipper drains it into frames for the parent.
-        events = EventLog(None, recorder_size=spec.telemetry_events)
-    return ExtractionService(extractor, spec.config,
-                             fault_injector=injector, cache=cache,
-                             events=events)
+        # Memory-mode ring, process-wide active so cache hit/miss
+        # events land here too; the shipper drains it into frames.
+        events = obs_events.EventLog(
+            None, recorder_size=spec.telemetry_events)
+        obs_events.set_active(events)
+    return Replica(extractor, spec.config, on_result,
+                   fault_injector=injector, cache=cache, events=events,
+                   model_version=spec.model_version)
 
 
-def _error_result(request_id: int, exc: Exception):
-    """The ``"error"`` answer for a request the replica could not take."""
-    from repro.serve.service import ServeResult
+def worker_main(spec: WorkerSpec, request_q, result_conn) -> None:
+    """Run one pool worker until a ``("stop",)`` message arrives.
 
-    return ServeResult(request_id=request_id, status="error",
-                       error=f"{type(exc).__name__}: {exc}")
-
-
-def worker_main(spec: WorkerSpec, request_q, result_q) -> None:
-    """Run one pool worker until a ``("stop",)`` message arrives."""
+    ``result_conn`` is the write end of the rank's result channel;
+    results come from the replica's batch thread and replies from this
+    loop, so sends are serialised by a lock."""
     rank = spec.rank
+    send_lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with send_lock:
+            result_conn.send(message)
+
+    def post(job: _Job, result) -> None:
+        # The per-rank serve.* series the parent merges by rank.
+        _record(result, replica.breaker)
+        send(("result", rank, job.request_id, result))
+
     try:
-        service = _build_service(spec).start()
+        replica = _build_replica(spec, post)
+        replica.start()
     except Exception as exc:  # construction failed: report and die
-        result_q.put(("worker_error", rank,
-                      f"{type(exc).__name__}: {exc}"))
+        send(("worker_error", rank, f"{type(exc).__name__}: {exc}"))
         return
 
     shipper = None
     if spec.telemetry_interval_s is not None:
-        import time as _time
-
         from repro.obs.registry import get_registry
         from repro.obs.telemetry import TelemetryShipper
 
         # Baseline at construction: whatever this (possibly forked)
         # process inherited in the registry is never shipped.
-        shipper = TelemetryShipper(get_registry(), events=service.events,
+        shipper = TelemetryShipper(get_registry(), events=replica.events,
                                    rank=rank, epoch=spec.epoch)
         interval = float(spec.telemetry_interval_s)
-        next_ship = _time.monotonic() + interval
+        next_ship = time.monotonic() + interval
 
     def _ship(force: bool = False) -> None:
         frame = shipper.frame(force=force)
         if frame is not None:
-            result_q.put(("telemetry", rank, frame))
+            send(("telemetry", rank, frame))
 
-    # Futures resolve on the inner service's worker thread; a dedicated
-    # forwarder waits on them in submission order and posts results, so
-    # the intake loop below never blocks on extraction and control
-    # messages (health / reload / stop) are handled promptly.
-    pending: "queue.Queue" = queue.Queue()
-
-    def _forward() -> None:
-        while True:
-            item = pending.get()
-            if item is None:
-                return
-            request_id, future = item
-            try:
-                result = future.result()
-            except Exception as exc:  # defensive: never drop a request
-                result = _error_result(request_id, exc)
-            result_q.put(("result", rank, request_id, result))
-
-    forwarder = threading.Thread(target=_forward,
-                                 name=f"repro-pool-forward-{rank}",
-                                 daemon=True)
-    forwarder.start()
-    result_q.put(("up", rank))
-
+    send(("up", rank))
     try:
         while True:
-            if shipper is None:
-                message = request_q.get()
-            else:
-                now = _time.monotonic()
+            wait = None
+            if shipper is not None:
+                now = time.monotonic()
                 if now >= next_ship:
                     _ship()
                     next_ship = now + interval
-                try:
-                    message = request_q.get(
-                        timeout=max(next_ship - now, 1e-3))
-                except queue.Empty:
-                    continue
+                wait = max(next_ship - now, 1e-3)
+            try:
+                message = request_q.get(timeout=wait)
+            except queue.Empty:
+                continue
             kind = message[0]
             if kind == "extract":
-                _, request_id, clip, timeout_s = message
+                _, request_id, clip, clip_hash, timeout_s = message
+                now = time.monotonic()
+                job = _Job(request_id, clip, now, now + timeout_s,
+                           clip_hash)
                 try:
-                    future = service.submit(clip, timeout=timeout_s)
-                except Exception as exc:
-                    result_q.put(("result", rank, request_id,
-                                  _error_result(request_id, exc)))
-                    continue
-                pending.put((request_id, future))
+                    replica.admit(job)
+                except Exception as exc:  # never drop a request
+                    post(job, job.outcome(
+                        "error", replica.model_version,
+                        error=f"{type(exc).__name__}: {exc}"))
             elif kind == "reload":
-                _, probe_id, model, force = message
+                _, probe_id, model = message
                 try:
-                    version = service.reload(model, force=force)
-                    result_q.put(("reload_ok", rank, probe_id, version))
+                    candidate = replica.serving()[0].clone_with_model(model)
+                    version = replica.swap(candidate)
                 except Exception as exc:
-                    result_q.put(("reload_err", rank, probe_id,
-                                  f"{type(exc).__name__}: {exc}"))
+                    send(("reload_err", rank, probe_id,
+                          f"{type(exc).__name__}: {exc}"))
+                else:
+                    send(("reload_ok", rank, probe_id, version))
             elif kind == "health":
-                _, probe_id = message
-                doc = service.health()
-                doc["rank"] = rank
-                result_q.put(("health", rank, probe_id, doc))
+                send(("health", rank, message[1], {
+                    "model_version": replica.model_version,
+                    **replica.health()}))
             elif kind == "stop":
                 break
     except (KeyboardInterrupt, EOFError):  # pragma: no cover
         pass
     finally:
-        pending.put(None)
-        forwarder.join(timeout=30.0)
-        service.stop(drain=True)
+        replica.stop(drain=True)
         if shipper is not None:
             # Forced final flush *after* the drain, so the last batch's
-            # metrics and events reach the parent before "stopped".
+            # metrics and events reach the parent before the worker
+            # exits.
             _ship(force=True)
-        result_q.put(("stopped", rank))
 
 
 __all__ = ["WorkerSpec", "worker_main"]

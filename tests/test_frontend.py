@@ -1,10 +1,11 @@
 """Tests for the serving front-end shared by ``ExtractionService`` and
 ``ServicePool`` (``repro.serve.service._Frontend``).
 
-Both surfaces run one request core, so the invariants here hold on
-either: the cache objective samples every replica lookup, a gated
-reload builds its candidate extractor once, and a pool replaces dead
-workers without forking from a thread.
+Both surfaces run one request core over the same replica, so the
+invariants here hold on either: the cache objective samples every
+replica lookup, both surfaces give the same answers, a gated reload
+builds its candidate extractor once, and a pool replaces dead workers
+without forking from a thread.
 """
 
 import threading
@@ -80,6 +81,53 @@ class TestCacheObjective:
         assert objective["samples"] == lookups
         assert objective["observed"] == pytest.approx(
             health["cache"]["hits"] / lookups)
+
+
+#: case -> (fault injector kwargs, ServiceConfig knobs, repeats of one
+#: clip).  "degraded": the first request exhausts its zero retries and
+#: trips the breaker, so the second is served while it is open.
+PARITY_CASES = {
+    "miss": ({}, {}, 1),
+    "cached": ({}, {}, 2),
+    "retried": ({"failure_rate": 1.0, "max_failures": 1},
+                {"max_retries": 2}, 1),
+    "degraded": ({"failure_rate": 1.0},
+                 {"max_retries": 0, "breaker_failures": 1,
+                  "breaker_cooldown_s": 60.0}, 2),
+}
+
+
+class TestSurfaceParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_service_and_one_worker_pool_agree(self, case, extractor,
+                                               clips, tmp_path):
+        faults, knobs, repeats = PARITY_CASES[case]
+        config = ServiceConfig(max_batch=4, max_wait_s=0.0,
+                               backoff_s=0.0, **knobs)
+        outcomes = {}
+        for workers in (None, 1):
+            kwargs = dict(config=config,
+                          fault_injector=FaultInjector(**faults),
+                          cache=str(tmp_path / f"cache-{workers}"))
+            surface = (ExtractionService(extractor, **kwargs)
+                       if workers is None else
+                       ServicePool(extractor, workers=workers, **kwargs))
+            with surface:
+                results = [surface.extract(clips[0], timeout=30.0)
+                           for _ in range(repeats)]
+            outcomes[workers] = [
+                (r.status, r.cached, r.retries, r.batch_size,
+                 r.model_version,
+                 # Each replica builds its own randomly initialised
+                 # fallback, so degraded answers only agree in kind.
+                 r.result if r.status == "ok" else r.result is not None)
+                for r in results]
+        assert outcomes[None] == outcomes[1]
+        expected = {"miss": [("ok", False, 0, 1)],
+                    "cached": [("ok", False, 0, 1), ("ok", True, 0, 0)],
+                    "retried": [("ok", False, 1, 1)],
+                    "degraded": [("degraded", False, 0, 1)] * 2}[case]
+        assert [o[:4] for o in outcomes[None]] == expected
 
 
 class TestReloadCandidate:

@@ -10,6 +10,7 @@ reloads that never mix model versions.
 
 import json
 import os
+import struct
 import threading
 import time
 from collections import Counter
@@ -26,6 +27,7 @@ from repro.core.cache import (
 from repro.models import ModelConfig, build_model
 from repro.obs import metrics
 from repro.obs.events import EventLog
+from repro.obs.top import render, snapshot_from_service
 from repro.serve import (
     HEALTH_SCHEMA,
     FaultInjector,
@@ -35,6 +37,7 @@ from repro.serve import (
     ShardRouter,
     shard_of,
 )
+from repro.serve.worker import worker_main
 
 CFG = ModelConfig(frames=4, dim=16, depth=1, num_heads=2)
 
@@ -245,7 +248,7 @@ class TestHealthRollup:
         assert set(health["workers"]) == {"0", "1", "2"}
         for rank, doc in health["workers"].items():
             assert doc["schema"] == HEALTH_SCHEMA
-            assert doc["role"] == "service"
+            assert doc["role"] == "replica"
             assert doc["rank"] == int(rank)
             assert doc["status"] == "ok"
         assert health["breaker"] == "closed"
@@ -275,6 +278,27 @@ class TestHealthRollup:
         assert all(r.status == "degraded" for r in results)
         assert health["breaker"] == "open"
         assert health["status"] == "degraded"
+
+    def test_live_worker_panel_reads_replica_docs(self, extractor, clips):
+        with ServicePool(extractor, workers=2) as pool:
+            ServiceClient(pool).extract_many(list(clips[:8]),
+                                             concurrency=4)
+            snap = snapshot_from_service(pool)
+        routed = {str(rank): metrics.counter(
+            "serve.pool.routed", worker=str(rank)).value
+            for rank in range(2)}
+        panel = snap["pool"]
+        assert panel["workers"] == 2
+        assert sorted(panel["per_worker"]) == ["0", "1"]
+        for rank, stats in panel["per_worker"].items():
+            assert stats["status"] == "ok"
+            assert stats["breaker"] == "closed"
+            assert stats["model_version"] == 1
+            assert stats["queue_depth"] == 0
+            # The parent's routing counter, not a worker-local tally.
+            assert stats["requests"] == routed[rank]
+            assert f"worker {rank}  ok" in render(snap)
+        assert sum(routed.values()) >= 8
 
 
 class TestSharding:
@@ -534,6 +558,57 @@ class TestWorkerRestart:
         with pytest.raises(ValueError, match="max_worker_restarts"):
             ServicePool(extractor, workers=2, max_worker_restarts=-1)
 
+    def test_restarted_rank_serves_reloaded_version(self, extractor,
+                                                    model, clips):
+        events = EventLog()
+        victim = 0
+        clip = next(c for c in clips
+                    if shard_of(clip_content_hash(c), 2) == victim)
+        with ServicePool(extractor, workers=2, events=events) as pool:
+            assert pool.reload(model) == 2
+            pool._procs[victim].terminate()
+            assert self._wait_for(
+                lambda: any(r["event"] == "worker_restart"
+                            for r in events.read()))
+            assert self._wait_for(pool.ready)
+            result = pool.extract(clip, timeout=10.0)
+            health = pool.health()
+        assert result.status == "ok"
+        assert result.model_version == pool.model_version == 2
+        assert health["workers"][str(victim)]["model_version"] == 2
+
+    def test_torn_result_message_marks_rank_dead(self, extractor, clips,
+                                                 monkeypatch):
+        def torn_worker(spec, request_q, result_conn):
+            """Rank 0 comes up, then dies halfway through a message."""
+            if spec.rank != 0:
+                return worker_main(spec, request_q, result_conn)
+            result_conn.send(("up", 0))
+            request_q.get()
+            # A frame header promising 100,000 bytes, then 1,000.
+            os.write(result_conn.fileno(),
+                     struct.pack("!i", 100_000) + b"x" * 1000)
+            os._exit(1)
+
+        monkeypatch.setattr("repro.serve.pool.worker_main", torn_worker)
+        events = EventLog()
+        by_rank = {rank: [c for c in clips
+                          if shard_of(clip_content_hash(c), 2) == rank]
+                   for rank in (0, 1)}
+        with ServicePool(extractor, workers=2, max_worker_restarts=0,
+                         events=events) as pool:
+            torn = pool.submit(by_rank[0][0], timeout=10.0)
+            assert self._wait_for(
+                lambda: any(r["event"] == "worker_dead"
+                            for r in events.read()), timeout=10.0)
+            assert torn.result(timeout=10.0).status == "error"
+            # The collector is not wedged: the other rank keeps serving.
+            for clip in by_rank[1][:3]:
+                assert pool.extract(clip, timeout=10.0).status == "ok"
+        dead = [r for r in events.read() if r["event"] == "worker_dead"]
+        assert [r["worker"] for r in dead] == [0]
+        assert "torn" in dead[0]["error"]
+
     def test_health_reports_restarted_rank_reachable(self, extractor,
                                                      clips):
         events = EventLog()
@@ -548,6 +623,58 @@ class TestWorkerRestart:
             statuses = {rank: doc["status"]
                         for rank, doc in health["workers"].items()}
             assert statuses == {"0": "ok", "1": "ok"}
+
+
+class TestResultChannel:
+    def test_worker_sends_never_overlap(self, model, clips):
+        # A worker writes results from its replica's batch thread and
+        # telemetry frames and health replies from its intake loop, all
+        # over one pipe; overlapping sends would interleave frames.
+        # Run the worker loop in-process on a channel that records
+        # overlapping sends, under a tiny switch interval.
+        import queue
+        import sys
+
+        from repro.obs import events as obs_events
+        from repro.serve.worker import WorkerSpec
+
+        class Channel:
+            def __init__(self):
+                self.active = self.overlaps = 0
+                self.messages = []
+
+            def send(self, message):
+                self.active += 1
+                self.overlaps += self.active > 1
+                time.sleep(1e-4)
+                self.messages.append(message)
+                self.active -= 1
+
+        spec = WorkerSpec(rank=0, world_size=1, model=model,
+                          config=ServiceConfig(max_batch=2),
+                          telemetry_interval_s=0.001)
+        requests, channel = queue.Queue(), Channel()
+        switch = sys.getswitchinterval()
+        previous = obs_events.get_active()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=worker_main,
+                                      args=(spec, requests, channel))
+            worker.start()
+            for i in range(48):
+                requests.put(("extract", i, clips[i % len(clips)],
+                              None, 30.0))
+                requests.put(("health", i))
+            requests.put(("stop",))
+            worker.join(60.0)
+        finally:
+            sys.setswitchinterval(switch)
+            obs_events.set_active(previous)
+        assert not worker.is_alive()
+        kinds = Counter(message[0] for message in channel.messages)
+        assert kinds["result"] == kinds["health"] == 48
+        assert kinds["telemetry"] >= 1
+        assert channel.overlaps == 0
 
 
 class TestPoolBurstAccounting:

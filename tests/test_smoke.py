@@ -60,7 +60,7 @@ def test_pool_burst_replays_from_event_log(trained, capsys):
     assert sorted(health["workers"]) == ["0", "1", "2"]
     for doc in health["workers"].values():
         assert doc["schema"] == "repro.health/v1"
-        assert doc["role"] == "service"
+        assert doc["role"] == "replica"
         assert doc["status"] == "ok"
     # 64 requests cycle 12 distinct clips, each owned by exactly one
     # shard: at most 12 entries pool-wide, and everything after a
