@@ -23,12 +23,13 @@ the ``repro.obs`` registry.  See ``docs/caching.md``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,6 +302,35 @@ def _record_to_result(record: dict) -> ExtractionResult:
 
 
 # -- cache-backed extraction --------------------------------------------
+def _at(result: ExtractionResult,
+        frame_range: Tuple[int, int]) -> ExtractionResult:
+    """``result`` over ``frame_range``.  Keys address clip content, not
+    position, so a hit may carry the range of an earlier occurrence."""
+    if result.frame_range == frame_range:
+        return result
+    return dataclasses.replace(result, frame_range=frame_range)
+
+
+def _cached(extractor: ScenarioExtractor, clips: np.ndarray,
+            cache: ExtractionCache,
+            extract: Callable[[List[int]], List[ExtractionResult]]
+            ) -> List[ExtractionResult]:
+    """The result of every clip: hits from ``cache``, misses from one
+    ``extract(miss_indices)`` call, written back."""
+    version = extractor_version(extractor)
+    vocab_hash = extractor.codec.vocab.content_hash
+    keys = [cache_key(clip_content_hash(clip), version, vocab_hash,
+                      extractor.threshold) for clip in clips]
+    results: List[Optional[ExtractionResult]] = [cache.get(k)
+                                                 for k in keys]
+    miss_indices = [i for i, r in enumerate(results) if r is None]
+    if miss_indices:
+        for index, result in zip(miss_indices, extract(miss_indices)):
+            cache.put(keys[index], result)
+            results[index] = result
+    return results  # type: ignore[return-value]
+
+
 def cached_extract_batch(extractor: ScenarioExtractor, clips: np.ndarray,
                          cache: Optional[ExtractionCache],
                          batch_size: Optional[int] = None,
@@ -317,20 +347,10 @@ def cached_extract_batch(extractor: ScenarioExtractor, clips: np.ndarray,
         return extractor.extract_batch(clips, batch_size=batch_size)
     if clips.ndim != 5:
         raise ValueError("expected (N, T, C, H, W) clips")
-    version = extractor_version(extractor)
-    vocab_hash = extractor.codec.vocab.content_hash
-    keys = [cache_key(clip_content_hash(clip), version, vocab_hash,
-                      extractor.threshold) for clip in clips]
-    results: List[Optional[ExtractionResult]] = [cache.get(k)
-                                                 for k in keys]
-    miss_indices = [i for i, r in enumerate(results) if r is None]
-    if miss_indices:
-        fresh = extractor.extract_batch(clips[miss_indices],
-                                        batch_size=batch_size)
-        for index, result in zip(miss_indices, fresh):
-            cache.put(keys[index], result)
-            results[index] = result
-    return results  # type: ignore[return-value]
+    results = _cached(extractor, clips, cache, lambda miss: (
+        extractor.extract_batch(clips[miss], batch_size=batch_size)))
+    whole = (0, clips.shape[1])
+    return [_at(r, whole) for r in results]
 
 
 def cached_extract_sliding(extractor: ScenarioExtractor,
@@ -343,7 +363,8 @@ def cached_extract_sliding(extractor: ScenarioExtractor,
     same frame ranges) but each window clip goes through the cache, so
     overlapping re-analyses of the same footage reuse prior windows.
     Windows are materialised in bounded chunks (``batch_size`` windows
-    at a time), never all at once.
+    at a time), never all at once; the misses of a chunk run one
+    forward and come back already stamped with their frame ranges.
     """
     if cache is None:
         return extractor.extract_sliding(video, window=window,
@@ -351,17 +372,11 @@ def cached_extract_sliding(extractor: ScenarioExtractor,
     results: List[ExtractionResult] = []
     for starts, clips in ScenarioExtractor.iter_window_clips(
             video, window, stride, extractor.batch_size):
-        chunk = cached_extract_batch(extractor, clips, cache)
-        results.extend(
-            ExtractionResult(
-                description=r.description,
-                sentence=r.sentence,
-                confidences=r.confidences,
-                frame_range=(start, start + window),
-                tag_confidences=r.tag_confidences,
-            )
-            for start, r in zip(starts, chunk)
-        )
+        chunk = _cached(extractor, clips, cache, lambda miss: (
+            extractor._extract_clips(clips[miss],
+                                     [starts[i] for i in miss])))
+        results += [_at(r, (start, start + window))
+                    for start, r in zip(starts, chunk)]
     return results
 
 

@@ -6,7 +6,7 @@ import hashlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ PRECISIONS = ("fp32", "fp16", "int8")
 FRAME_MEMO_SIZE = 2048
 
 _logger = get_logger("core.pipeline")
+
+#: The model's output heads, in decode order.
+_HEADS = ("scene", "ego_action", "actors", "actor_actions")
 
 
 def _frame_hasher(video: np.ndarray) -> "hashlib._Hash":
@@ -100,6 +103,7 @@ class ScenarioExtractor:
         # Sliding-window overlap reuse: LRU of per-frame activations
         # keyed by frame content hash (see extract_sliding).
         self._frame_memo: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self._memo_version: Optional[bytes] = None
         self._reuse_hits = 0
         self._reuse_misses = 0
         metrics.gauge("extractor.precision", precision=precision).set(1.0)
@@ -151,31 +155,27 @@ class ScenarioExtractor:
         }
 
     @staticmethod
-    def _confidences(probs: Dict[str, np.ndarray],
-                     index: int) -> Dict[str, float]:
-        return {
-            "scene": float(probs["scene"][index].max()),
-            "ego_action": float(probs["ego_action"][index].max()),
-            "actors": float(probs["actors"][index].max(initial=0.0)),
-            "actor_actions": float(
-                probs["actor_actions"][index].max(initial=0.0)),
-        }
+    def _confidences(probs: Dict[str, np.ndarray]
+                     ) -> List[Dict[str, float]]:
+        """Per-head summary confidence (max probability) of every row."""
+        peaks = zip(
+            probs["scene"].max(axis=-1).tolist(),
+            probs["ego_action"].max(axis=-1).tolist(),
+            probs["actors"].max(axis=-1, initial=0.0).tolist(),
+            probs["actor_actions"].max(axis=-1, initial=0.0).tolist(),
+        )
+        return [dict(zip(_HEADS, row)) for row in peaks]
 
-    def _tag_confidences(self, probs: Dict[str, np.ndarray],
-                         index: int) -> Dict[str, Dict[str, float]]:
-        """Per-tag probabilities under every head, named by vocabulary."""
+    def _tag_confidences(self, probs: Dict[str, np.ndarray]
+                         ) -> List[Dict[str, Dict[str, float]]]:
+        """Per-tag probabilities under every head of every row, named
+        by vocabulary."""
         vocab = self.codec.vocab
-        return {
-            "scene": dict(zip(vocab.scenes,
-                              probs["scene"][index].tolist())),
-            "ego_action": dict(zip(vocab.ego_actions,
-                                   probs["ego_action"][index].tolist())),
-            "actors": dict(zip(vocab.actor_types,
-                               probs["actors"][index].tolist())),
-            "actor_actions": dict(zip(
-                vocab.actor_actions,
-                probs["actor_actions"][index].tolist())),
-        }
+        names = (vocab.scenes, vocab.ego_actions, vocab.actor_types,
+                 vocab.actor_actions)
+        columns = [[dict(zip(tags, row)) for row in probs[head].tolist()]
+                   for head, tags in zip(_HEADS, names)]
+        return [dict(zip(_HEADS, heads)) for heads in zip(*columns)]
 
     def clone_with_model(self, model: Module) -> "ScenarioExtractor":
         """A new extractor on ``model`` keeping codec/threshold/batching
@@ -221,30 +221,46 @@ class ScenarioExtractor:
         the model under ``no_grad``) in ``batch_size`` chunks —
         substantially faster per clip than repeated :meth:`extract`
         calls."""
-        start = time.perf_counter()
+        return self._extract_clips(clips, [0] * len(clips), batch_size)
+
+    def _extract_clips(self, clips: np.ndarray, starts: Sequence[int],
+                       batch_size: Optional[int] = None
+                       ) -> List[ExtractionResult]:
+        """Forward + finalize clips ``(N, T, C, H, W)`` whose row ``i``
+        covers frames ``starts[i]`` to ``starts[i] + T`` of its video."""
+        started = time.perf_counter()
         with span("pipeline/forward"):
             logits = self.logits(clips, batch_size=batch_size)
-        return self._finalize_batch(logits, clips.shape[1], start)
+        return self._finalize_batch(logits, starts, clips.shape[1],
+                                    started)
 
-    def _finalize_batch(self, logits: Dict[str, np.ndarray], frames: int,
+    def _finalize_batch(self, logits: Dict[str, np.ndarray],
+                        starts: Sequence[int], frames: int,
                         started: float) -> List[ExtractionResult]:
-        """Decode + render + account a batch of logits — shared by the
-        direct batch path and the memoized sliding path, so both decode
-        identically (row-wise ops only; chunking never changes output)."""
+        """Decode, render, stamp and account a batch of logits in one
+        vectorised pass; row ``i`` covers frames ``starts[i]`` to
+        ``starts[i] + frames``.
+
+        Every extraction path ends here, so all decode identically
+        (row-wise ops only; batching never changes output).  Each
+        distinct sentence is rendered once per batch."""
         with span("pipeline/decode"):
             descriptions = self.codec.decode_batch(logits,
                                                    threshold=self.threshold)
         with span("pipeline/render"):
             probs = self._head_probs(logits)
+            sentences = {d: d.to_sentence() for d in set(descriptions)}
             results = [
                 ExtractionResult(
                     description=desc,
-                    sentence=desc.to_sentence(),
-                    confidences=self._confidences(probs, i),
-                    frame_range=(0, frames),
-                    tag_confidences=self._tag_confidences(probs, i),
+                    sentence=sentences[desc],
+                    confidences=confidences,
+                    frame_range=(start, start + frames),
+                    tag_confidences=tags,
                 )
-                for i, desc in enumerate(descriptions)
+                for desc, confidences, tags, start in zip(
+                    descriptions, self._confidences(probs),
+                    self._tag_confidences(probs), starts)
             ]
         if is_enabled() and results:
             per_clip = (time.perf_counter() - started) / len(results)
@@ -280,7 +296,7 @@ class ScenarioExtractor:
         frames.  Fine for short videos and tests; long-video paths use
         :meth:`iter_window_clips` to keep memory bounded."""
         starts = ScenarioExtractor.window_starts(video, window, stride)
-        return starts, np.stack([video[s:s + window] for s in starts])
+        return starts, _gather_windows(video, starts, window)
 
     @staticmethod
     def iter_window_clips(video: np.ndarray, window: int, stride: int,
@@ -295,7 +311,7 @@ class ScenarioExtractor:
         starts = ScenarioExtractor.window_starts(video, window, stride)
         for i in range(0, len(starts), chunk_windows):
             chunk = starts[i:i + chunk_windows]
-            yield chunk, np.stack([video[s:s + window] for s in chunk])
+            yield chunk, _gather_windows(video, chunk, window)
 
     # -- sliding-window extraction ---------------------------------------
     def extract_sliding(self, video: np.ndarray, window: int,
@@ -305,15 +321,18 @@ class ScenarioExtractor:
         """Slide a window over a long video ``(T, C, H, W)`` and extract
         a description per window — scenario *timeline* extraction.
 
-        Windows are processed in bounded chunks (``batch_size`` windows
-        at a time), so memory stays flat however long the video is.
+        No engine call takes more input than one naive forward of
+        ``batch_size`` clips, so memory stays flat however long the
+        video is; all windows are decoded and stamped in one vectorised
+        pass (per memo block when memoized).
 
         ``reuse`` controls temporal-overlap memoization.  When engaged
         (and the stride overlaps), each frame's window-independent
-        activations are computed once and memoized by content hash: a
-        new window runs the per-frame stage only on its novel frames,
-        then the window-dependent remainder.  Bit-identical to the
-        naive path at fp32 (see ``docs/performance.md``).
+        activations are computed once and memoized by content hash: the
+        per-frame stage runs only on novel frames, then the
+        window-dependent remainder runs over whole blocks of windows.
+        Bit-identical to the naive path at fp32 (see
+        ``docs/performance.md``).
 
         - ``None`` (default): memoize where it pays — ``factorized``
           attention, whose per-frame spatial-encoder summaries are the
@@ -332,19 +351,15 @@ class ScenarioExtractor:
                      and backend.attention == "factorized")
         if reuse and backend is not None and stride < window:
             return self._extract_sliding_reuse(video, starts, window,
-                                               backend)
-        results: List[ExtractionResult] = []
-        for chunk_starts, clips in self.iter_window_clips(
-                video, window, stride, self.batch_size):
-            for start, r in zip(chunk_starts, self.extract_batch(clips)):
-                results.append(ExtractionResult(
-                    description=r.description,
-                    sentence=r.sentence,
-                    confidences=r.confidences,
-                    frame_range=(start, start + window),
-                    tag_confidences=r.tag_confidences,
-                ))
-        return results
+                                               stride, backend)
+        started = time.perf_counter()
+        pieces = []
+        for _, clips in self.iter_window_clips(video, window, stride,
+                                               self.batch_size):
+            with span("pipeline/forward"):
+                pieces.append(self.logits(clips))
+        return self._finalize_batch(_concat_logits(pieces), starts, window,
+                                    started)
 
     def _reuse_backend(self) -> Optional[InferenceEngine]:
         """The engine, if its attention mode supports frame reuse."""
@@ -353,79 +368,102 @@ class ScenarioExtractor:
             return engine
         return None
 
+    def _weights_version(self) -> bytes:
+        """Content hash of the model's parameters.  ``load_state_dict``
+        and the optimizers write weights in place, so object identity
+        cannot tell that memoized frame features went stale."""
+        digest = hashlib.sha256()
+        for param in self.model.parameters():
+            digest.update(np.ascontiguousarray(param.data))
+        return digest.digest()
+
+    def _call_rows(self, video: np.ndarray, window: int,
+                   row_size: int) -> int:
+        """Rows (frames, or windows of ``row_size`` elements) per engine
+        call on the memo path: at most ``2 × batch_size``, and no more
+        input than one naive forward of ``batch_size`` clips.  Per-row
+        cost stops falling near 32 rows while peak memory keeps rising
+        (``docs/performance.md`` §5)."""
+        naive = self.batch_size * window * video[0].size
+        return max(1, min(2 * self.batch_size, naive // row_size))
+
     def _extract_sliding_reuse(self, video: np.ndarray,
-                               starts: List[int], window: int,
+                               starts: List[int], window: int, stride: int,
                                backend: InferenceEngine
                                ) -> List[ExtractionResult]:
-        """Memoized sliding extraction: per-frame features from an LRU
-        keyed on frame content hash; only novel frames run the
-        per-frame stage."""
-        results: List[ExtractionResult] = []
-        digests: Dict[int, bytes] = {}
-        hasher = _frame_hasher(video)
+        """Memoized sliding extraction, one block at a time.
+
+        A block is the run of consecutive windows whose frames fit in
+        ``frame_memo_size``.  Every frame of the video is hashed once;
+        per block, the frames the memo lacks run the per-frame stage,
+        one per-frame feature table is gathered into all the block's
+        windows with a single fancy index, the window head runs over
+        them, and the block is decoded and stamped in one pass.  Both
+        engine stages run in calls of at most :meth:`_call_rows`
+        rows."""
+        version = self._weights_version()
+        if version != self._memo_version:
+            self._frame_memo.clear()
+            self._memo_version = version
         memo = self._frame_memo
-        chunk = self.batch_size
-        for i in range(0, len(starts), chunk):
+        hasher = _frame_hasher(video)
+        digests = [_frame_digest(hasher, frame)
+                   for frame in video[:starts[-1] + window]]
+        per_block = max(1, (self.frame_memo_size - window) // stride + 1)
+        frame_call = self._call_rows(video, window, video[0].size)
+        offsets = np.arange(window)
+        results: List[ExtractionResult] = []
+        for b in range(0, len(starts), per_block):
             started = time.perf_counter()
-            chunk_starts = starts[i:i + chunk]
-            # Unique frames this chunk needs, in first-use order.
-            needed: List[int] = []
-            seen = set()
-            for s in chunk_starts:
-                for f in range(s, s + window):
-                    if f not in seen:
-                        seen.add(f)
-                        needed.append(f)
+            block = starts[b:b + per_block]
+            first = block[0]
+            # One table row per distinct frame content in the block;
+            # memo hits are captured now, so eviction cannot drop them.
+            rows: Dict[bytes, int] = {}
+            table_of_frame: List[int] = []
+            feats: List[Optional[np.ndarray]] = []
             novel: List[int] = []
-            pending = set()
-            for f in needed:
-                digest = digests.get(f)
-                if digest is None:
-                    digest = _frame_digest(hasher, video[f])
-                    digests[f] = digest
-                if digest in memo:
-                    memo.move_to_end(digest)
-                elif digest not in pending:
-                    pending.add(digest)
-                    novel.append(f)
-            # A "hit" is any window-frame slot served without
-            # running the per-frame stage — whether the frame came
-            # from a previous chunk or is shared by several windows
-            # of this one.  hits + misses = windows × window.
-            hits = len(chunk_starts) * window - len(novel)
-            if novel:
+            for f in range(first, block[-1] + window):
+                digest = digests[f]
+                row = rows.get(digest)
+                if row is None:
+                    row = rows[digest] = len(feats)
+                    feat = memo.get(digest)
+                    if feat is None:
+                        novel.append(f)
+                    else:
+                        memo.move_to_end(digest)
+                    feats.append(feat)
+                table_of_frame.append(row)
+            # A "hit" is any window-frame slot served without running
+            # the per-frame stage — whether the frame came from an
+            # earlier block or is shared by several windows of this
+            # one.  hits + misses = windows × window.
+            hits = len(block) * window - len(novel)
+            for i in range(0, len(novel), frame_call):
+                part = novel[i:i + frame_call]
                 with span("pipeline/frame_features"):
-                    feats = backend.frame_features(video[novel])
-                for f, feat in zip(novel, feats):
-                    memo[digests[f]] = feat
+                    computed = backend.frame_features(video[part])
+                for f, feat in zip(part, computed):
+                    feats[rows[digests[f]]] = memo[digests[f]] = feat
             self._reuse_hits += hits
             self._reuse_misses += len(novel)
             metrics.counter("pipeline.reuse.frame_hits").inc(hits)
             metrics.counter("pipeline.reuse.frame_misses") \
                 .inc(len(novel))
-            sample = memo[digests[needed[0]]]
-            assembled = np.empty(
-                (len(chunk_starts), window) + sample.shape,
-                dtype=sample.dtype)
-            for wi, s in enumerate(chunk_starts):
-                for t in range(window):
-                    assembled[wi, t] = memo[digests[s + t]]
-            with span("pipeline/forward"):
-                logits = backend.head_logits_from_frame_features(
-                    assembled)
-            for start, r in zip(
-                    chunk_starts,
-                    self._finalize_batch(logits, window, started)):
-                results.append(ExtractionResult(
-                    description=r.description,
-                    sentence=r.sentence,
-                    confidences=r.confidences,
-                    frame_range=(start, start + window),
-                    tag_confidences=r.tag_confidences,
-                ))
-            # Evict only after assembly so a tiny capacity can
-            # never drop a frame the current chunk still needs.
-            floor = max(self.frame_memo_size, len(needed))
+            table = np.stack(feats)
+            window_rows = np.asarray(table_of_frame)[
+                (np.asarray(block) - first)[:, None] + offsets]
+            head_call = self._call_rows(video, window,
+                                        window * table[0].size)
+            pieces = []
+            for i in range(0, len(block), head_call):
+                with span("pipeline/forward"):
+                    pieces.append(backend.head_logits_from_frame_features(
+                        table[window_rows[i:i + head_call]]))
+            results += self._finalize_batch(_concat_logits(pieces), block,
+                                            window, started)
+            floor = max(self.frame_memo_size, len(feats))
             while len(memo) > floor:
                 memo.popitem(last=False)
         return results
@@ -456,3 +494,16 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _gather_windows(video: np.ndarray, starts: Sequence[int],
+                    window: int) -> np.ndarray:
+    """Stacked clips ``(len(starts), window, C, H, W)`` in one gather."""
+    return video[np.asarray(starts)[:, None] + np.arange(window)]
+
+
+def _concat_logits(pieces: List[Dict[str, np.ndarray]]
+                   ) -> Dict[str, np.ndarray]:
+    if len(pieces) == 1:
+        return pieces[0]
+    return {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}

@@ -97,12 +97,41 @@ class LabelCodec:
 
     def decode_batch(self, logits: Dict[str, np.ndarray],
                      threshold: float = 0.5) -> List[ScenarioDescription]:
-        batch = len(logits["scene"])
-        return [
-            self.decode({k: np.asarray(v)[i] for k, v in logits.items()},
-                        threshold=threshold)
-            for i in range(batch)
-        ]
+        """Decode a batch of logits (``(N, K)`` arrays per head).
+
+        Row for row equal to :meth:`decode`, but argmax and thresholding
+        run on whole matrices and each distinct description is built
+        once per call; rows that decode alike share one object."""
+        keys = zip(
+            np.argmax(np.asarray(logits["scene"]), axis=-1).tolist(),
+            np.argmax(np.asarray(logits["ego_action"]), axis=-1).tolist(),
+            map(tuple, (_sigmoid(np.asarray(logits["actors"]))
+                        >= threshold).tolist()),
+            map(tuple, (_sigmoid(np.asarray(logits["actor_actions"]))
+                        >= threshold).tolist()),
+        )
+        built: Dict[tuple, ScenarioDescription] = {}
+        out = []
+        for key in keys:
+            desc = built.get(key)
+            if desc is None:
+                desc = built[key] = self._description(*key)
+            out.append(desc)
+        return out
+
+    def _description(self, scene: int, ego: int,
+                     actor_flags: Sequence[bool],
+                     action_flags: Sequence[bool]) -> ScenarioDescription:
+        """The description with these head indices and tag flags."""
+        vocab = self.vocab
+        return ScenarioDescription(
+            scene=vocab.scenes[scene],
+            ego_action=vocab.ego_actions[ego],
+            actors=frozenset(a for a, on in zip(vocab.actor_types,
+                                                actor_flags) if on),
+            actor_actions=frozenset(a for a, on in zip(vocab.actor_actions,
+                                                       action_flags) if on),
+        )
 
     # -- label-space transforms -------------------------------------------
     def mirror_targets(self, targets: Dict[str, np.ndarray]

@@ -59,14 +59,14 @@ def _counting(extractor):
                                 threshold=extractor.threshold,
                                 batch_size=extractor.batch_size)
     counts = {"clips": 0, "calls": 0}
-    inner = wrapped.extract_batch
+    inner = wrapped.logits
 
     def counted(batch, batch_size=None):
         counts["clips"] += len(batch)
         counts["calls"] += 1
         return inner(batch, batch_size=batch_size)
 
-    wrapped.extract_batch = counted
+    wrapped.logits = counted
     return wrapped, counts
 
 

@@ -77,6 +77,33 @@ class TestExtractor:
         results = extractor.extract_sliding(long_video, window=4, stride=2)
         assert [r.frame_range for r in results] == [(0, 4), (2, 6), (4, 8)]
 
+    def test_batch_stamping_matches_per_row_reference(self,
+                                                      trained_extractor):
+        """Results are decoded and stamped for the whole batch at once;
+        every field must equal the per-row computation."""
+        extractor, dataset = trained_extractor
+        clips = dataset.videos[:12]
+        results = extractor.extract_batch(clips)
+        logits = extractor.logits(clips)
+        probs = extractor._head_probs(logits)
+        vocab = extractor.codec.vocab
+        names = {"scene": vocab.scenes, "ego_action": vocab.ego_actions,
+                 "actors": vocab.actor_types,
+                 "actor_actions": vocab.actor_actions}
+        for i, result in enumerate(results):
+            desc = extractor.codec.decode(
+                {k: v[i] for k, v in logits.items()},
+                threshold=extractor.threshold)
+            assert result.description == desc
+            assert result.sentence == desc.to_sentence()
+            assert result.frame_range == (0, clips.shape[1])
+            assert result.confidences == {
+                head: float(probs[head][i].max(initial=0.0))
+                for head in names}
+            assert result.tag_confidences == {
+                head: dict(zip(tags, probs[head][i].tolist()))
+                for head, tags in names.items()}
+
     def test_sliding_validates_args(self, trained_extractor):
         extractor, dataset = trained_extractor
         with pytest.raises(ValueError):

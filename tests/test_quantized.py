@@ -9,7 +9,11 @@ import pytest
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
 from repro.core import ScenarioExtractor
-from repro.core.pipeline import _frame_digest, _frame_hasher
+from repro.core.pipeline import (
+    FRAME_MEMO_SIZE,
+    _frame_digest,
+    _frame_hasher,
+)
 from repro.core.cache import extractor_version, model_fingerprint
 from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, VideoTransformer, build_model
@@ -204,6 +208,16 @@ class TestInferenceEngine:
                                           alone[head])
 
 
+def _assert_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.description.to_json() == b.description.to_json()
+        assert a.sentence == b.sentence
+        assert a.confidences == b.confidences
+        assert a.frame_range == b.frame_range
+        assert a.tag_confidences == b.tag_confidences
+
+
 class TestSlidingReuse:
     @pytest.mark.parametrize("attention", ["divided", "factorized"])
     def test_memoized_bitwise_identical_to_naive(self, attention):
@@ -267,6 +281,73 @@ class TestSlidingReuse:
         extractor.extract_sliding(video, 4, 2, reuse=True)
         assert len(extractor._frame_memo) <= 8
         assert extractor.reuse_stats()["frame_misses"] > 8  # did evict
+
+    def test_memo_follows_in_place_weight_change(self):
+        """``load_state_dict`` writes weights in place: frame features
+        memoized under the old weights must not be served after it."""
+        extractor = ScenarioExtractor(_model("factorized"))
+        rng = np.random.default_rng(11)
+        video = rng.random((20, 3, 16, 16)).astype(np.float32)
+        extractor.extract_sliding(video, 4, 1)
+        extractor.model.load_state_dict(
+            _model("factorized", seed=1).state_dict())
+        memoized = extractor.extract_sliding(video, 4, 1)
+        naive = extractor.extract_sliding(video, 4, 1, reuse=False)
+        _assert_identical(memoized, naive)
+
+    @pytest.mark.parametrize("memo", ["window", "3x", "default"])
+    @pytest.mark.parametrize("batch_size", [1, 5, 16])
+    def test_block_geometry_keeps_results_and_call_bounds(
+            self, memo, batch_size, monkeypatch):
+        """Static stretches and non-consecutive repeats, with a stride
+        that does not divide ``T - window``: however blocks and engine
+        calls are cut, the memo path equals the naive one, and no
+        engine call takes more than ``2 × batch_size`` rows or more
+        input than one naive forward of ``batch_size`` clips."""
+        window, stride = 4, 3
+        rng = np.random.default_rng(12)
+        frames = rng.random((9, 3, 16, 16)).astype(np.float32)
+        order = [0, 0, 0, 0, 1, 2, 3, 3, 3, 4, 5, 0, 6, 1, 7, 7, 7, 7,
+                 2, 8, 3, 5, 5, 6, 0, 4, 8, 8, 1]
+        video = frames[order]
+        assert (len(video) - window) % stride != 0
+        size = {"window": window, "3x": 3 * window,
+                "default": FRAME_MEMO_SIZE}[memo]
+        extractor = ScenarioExtractor(_model("factorized"),
+                                      batch_size=batch_size,
+                                      frame_memo_size=size)
+        engine = extractor._engine
+        budget = batch_size * window * video[0].size
+        calls = {"frames": [], "windows": []}
+        frame_features = engine.frame_features
+        head = engine.head_logits_from_frame_features
+
+        def counted_frames(batch):
+            calls["frames"].append(len(batch))
+            assert len(batch) <= 2 * batch_size
+            assert batch.size <= budget
+            return frame_features(batch)
+
+        def counted_head(feats):
+            calls["windows"].append(len(feats))
+            assert len(feats) <= 2 * batch_size
+            assert feats.size <= budget
+            return head(feats)
+
+        monkeypatch.setattr(engine, "frame_features", counted_frames)
+        monkeypatch.setattr(engine, "head_logits_from_frame_features",
+                            counted_head)
+        naive = extractor.extract_sliding(video, window, stride,
+                                          reuse=False)
+        memoized = extractor.extract_sliding(video, window, stride,
+                                             reuse=True)
+        _assert_identical(memoized, naive)
+        assert sum(calls["windows"]) == len(naive) == 9
+        stats = extractor.reuse_stats()
+        assert stats["frame_hits"] + stats["frame_misses"] \
+            == len(naive) * window
+        assert stats["frame_misses"] == sum(calls["frames"])
+        assert len(extractor._frame_memo) <= max(size, window)
 
     def test_quantized_sliding_matches_quantized_naive(self):
         extractor = ScenarioExtractor(_model("factorized"),

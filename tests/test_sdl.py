@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sdl import (
     ACTOR_ACTIONS,
@@ -169,6 +171,86 @@ class TestCodec:
         mirrored = self.codec.mirror_targets(batch)
         expected = self.codec.encode(d.mirrored())
         assert mirrored["ego_action"][0] == expected["ego_action"]
+
+
+def _random_logits(rng, rows, dtype=np.float32):
+    return {
+        "scene": rng.normal(size=(rows, len(SCENES))).astype(dtype),
+        "ego_action": rng.normal(size=(rows, len(EGO_ACTIONS))).astype(dtype),
+        "actors": rng.normal(size=(rows, len(ACTOR_TYPES))).astype(dtype),
+        "actor_actions": rng.normal(
+            size=(rows, len(ACTOR_ACTIONS))).astype(dtype),
+    }
+
+
+class TestDecodeBatchVectorised:
+    """``decode_batch`` decodes whole matrices at once; every row must
+    equal the per-row :meth:`LabelCodec.decode`."""
+
+    def setup_method(self):
+        self.codec = LabelCodec()
+
+    def assert_rowwise(self, logits, threshold):
+        batch = self.codec.decode_batch(logits, threshold=threshold)
+        rows = [self.codec.decode({k: v[i] for k, v in logits.items()},
+                                  threshold=threshold)
+                for i in range(len(logits["scene"]))]
+        assert batch == rows
+        return batch
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_logits(self, threshold, dtype):
+        rng = np.random.default_rng(0)
+        self.assert_rowwise(_random_logits(rng, 64, dtype), threshold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+           threshold=st.sampled_from([0.3, 0.5, 0.9]),
+           scale=st.sampled_from([0.0, 0.5, 4.0]))
+    def test_property_matches_rowwise_decode(self, seed, rows, threshold,
+                                             scale):
+        # scale 0.0 makes every logit 0: all-tie argmax rows and
+        # sigmoid exactly 0.5 on the multi-label heads.
+        logits = _random_logits(np.random.default_rng(seed), rows,
+                                np.float64)
+        self.assert_rowwise({k: v * scale for k, v in logits.items()},
+                            threshold)
+
+    def test_argmax_ties_pick_first_index(self):
+        logits = _random_logits(np.random.default_rng(1), 3)
+        logits["scene"][:] = 1.0
+        logits["ego_action"][:] = 0.0
+        logits["ego_action"][:, [2, 4]] = 3.0
+        out = self.assert_rowwise(logits, 0.5)
+        assert {d.scene for d in out} == {SCENES[0]}
+        assert {d.ego_action for d in out} == {EGO_ACTIONS[2]}
+
+    def test_zero_logit_at_half_threshold_keeps_tag(self):
+        logits = _random_logits(np.random.default_rng(2), 2)
+        logits["actors"][:] = -9.0
+        logits["actors"][:, 0] = 0.0  # sigmoid(0) == 0.5 exactly
+        logits["actor_actions"][:] = 0.0
+        out = self.assert_rowwise(logits, 0.5)
+        assert all(d.actors == {ACTOR_TYPES[0]} for d in out)
+        assert all(d.actor_actions == set(ACTOR_ACTIONS) for d in out)
+
+    def test_rows_without_tags(self):
+        logits = _random_logits(np.random.default_rng(3), 4)
+        logits["actors"][:] = -9.0
+        logits["actor_actions"][:] = -9.0
+        out = self.assert_rowwise(logits, 0.5)
+        assert all(not d.actors and not d.actor_actions for d in out)
+
+    def test_empty_batch(self):
+        assert self.assert_rowwise(
+            _random_logits(np.random.default_rng(4), 0), 0.5) == []
+
+    def test_equal_rows_share_one_description(self):
+        logits = _random_logits(np.random.default_rng(5), 1)
+        out = self.codec.decode_batch(
+            {k: np.repeat(v, 5, axis=0) for k, v in logits.items()})
+        assert all(d is out[0] for d in out)
 
 
 class TestSimilarity:
