@@ -428,6 +428,7 @@ def cmd_serve(args) -> int:
     every request produced a result (primary or degraded); 1 otherwise
     unless ``--allow-failures``.
     """
+    import threading
     import time
     from collections import Counter
 
@@ -517,22 +518,19 @@ def cmd_serve(args) -> int:
             for i, clip in enumerate(clips)
         ]
     canary_summary = None
-    prom_stop = None
-    if args.prometheus_out:
-        # Periodic atomic exposition (repro.durable): a crash
-        # mid-burst leaves the last complete scrape on disk, never a
-        # truncated file.
-        import threading
-
-        prom_stop = threading.Event()
-
-        def _prom_loop() -> None:
-            while not prom_stop.wait(1.0):
-                write_prometheus(args.prometheus_out, metrics)
-
-        threading.Thread(target=_prom_loop, name="repro-prom-writer",
-                         daemon=True).start()
+    prom_stop = threading.Event()
     with service:
+        if args.prometheus_out:
+            # Periodic atomic exposition (repro.durable): a crash
+            # mid-burst leaves the last complete scrape on disk, never
+            # a truncated file.  Started only now, so pool workers fork
+            # before any parent thread exists.
+            def _prom_loop() -> None:
+                while not prom_stop.wait(1.0):
+                    write_prometheus(args.prometheus_out, metrics)
+
+            threading.Thread(target=_prom_loop, name="repro-prom-writer",
+                             daemon=True).start()
         client = ServiceClient(service)
         start = time.perf_counter()
         results = client.extract_many(clips, concurrency=args.concurrency,

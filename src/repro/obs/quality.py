@@ -220,6 +220,8 @@ class QualityMonitor:
         self._win_statuses: Dict[str, int] = {}
         self._win_conf = {head: 0.0 for head in _HEADS}
         self._last_version = 0
+        # Version of the last reload: older results stay out of drift.
+        self._reload_version = 0
         # canary reservoir of live clips
         self._rng = np.random.default_rng(self.config.seed)
         self._canary_clips: List[np.ndarray] = []
@@ -268,7 +270,14 @@ class QualityMonitor:
         flush = None
         with self._lock:
             self._observed += 1
-            self._last_version = version
+            self._last_version = max(self._last_version, version)
+            # A batch that ran on the old model can resolve after the
+            # reload: its own scorecard counts it, the new drift
+            # reference must not.  Checked and fed under the lock, so a
+            # concurrent ``on_reload`` cannot re-pin in between.
+            fresh = version >= self._reload_version
+            if fresh:
+                self.drift.observe(extraction.description, confidences)
             card = self._scorecards.get(version)
             if card is None:
                 card = self._scorecards[version] = _Scorecard(
@@ -284,10 +293,9 @@ class QualityMonitor:
                     confidences.get(head, 0.0))
             if self._win_n >= self.config.window:
                 flush = self._flush_window_locked()
-        # Drift accounting is internally locked; alert emission happens
-        # outside the monitor lock.
-        self.drift.observe(extraction.description, confidences)
-        self._check_drift()
+        # Alert emission happens outside the monitor lock.
+        if fresh:
+            self._check_drift()
         if flush is not None:
             self._windows_counter.inc()
             self._emit("quality_window", **flush)
@@ -364,12 +372,13 @@ class QualityMonitor:
         """A model swap happened: re-pin the drift reference.
 
         The old model's output distribution is no longer the yardstick
-        for the new one, so the next ``reference_size`` observations
-        re-pin it; the drift latch re-arms."""
-        self.drift.pin_reference()
+        for the new one, so the next ``reference_size`` observations of
+        ``version`` or later re-pin it; the drift latch re-arms."""
         with self._lock:
+            self.drift.pin_reference()
             self._drift_active = False
-            self._last_version = version
+            self._reload_version = version
+            self._last_version = max(self._last_version, version)
 
     # -- canary --------------------------------------------------------
     def sample_clip(self, clip: np.ndarray) -> None:

@@ -98,7 +98,7 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
     def _worker_stats(rank) -> Dict[str, object]:
         return per_worker.setdefault(int(rank), {
             "routed": 0, "statuses": _Counter(), "shed": 0,
-            "drains": 0, "reloads": 0, "restarts": 0, "dead": False,
+            "reloads": 0, "restarts": 0, "dead": False,
             # Worker-internal activity, replayed from events the
             # telemetry plane shipped home (stamped with ``worker``).
             "cache_hits": 0, "cache_misses": 0, "flushes": 0,
@@ -158,8 +158,6 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
             _worker_stats(record["worker"])["routed"] += 1
         elif event == "shed" and record.get("worker") is not None:
             _worker_stats(record["worker"])["shed"] += 1
-        elif event == "worker_drain":
-            _worker_stats(record.get("worker", 0))["drains"] += 1
         elif event == "worker_reload":
             _worker_stats(record.get("worker", 0))["reloads"] += 1
         elif event == "worker_dead":

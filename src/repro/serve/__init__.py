@@ -6,10 +6,10 @@ A long-running, in-process service over
 - :class:`ExtractionService` — dynamic micro-batching worker with
   per-request timeouts, bounded retry, load shedding, a circuit breaker
   degrading to a cheap fallback model, and atomic checkpoint hot-reload;
-- :class:`ServicePool` — N process-based replicas behind a
-  deterministic content-hash shard router (:class:`ShardRouter`), a
-  drop-in for :class:`ExtractionService` with rolling replica-aware
-  hot-reload and a ``repro.health/v1`` pool health rollup;
+- :class:`ServicePool` — N process-based replicas behind
+  deterministic content-hash sharding (:func:`shard_of`), a drop-in
+  for :class:`ExtractionService` with the same in-place hot-reload and
+  a ``repro.health/v1`` pool health rollup;
 - :class:`ServiceClient` — the in-process caller API
   (``extract`` / ``extract_many`` / ``mine`` / ``health``);
 - :class:`FaultInjector` — configurable failure/latency injection used
@@ -32,7 +32,7 @@ from repro.serve.client import ServiceClient
 from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultInjector, InjectedFault, TransientWorkerError
 from repro.serve.pool import HEALTH_SCHEMA, ServicePool
-from repro.serve.router import ShardRouter, shard_of
+from repro.serve.router import shard_of
 from repro.serve.service import (
     BATCH_SIZE_BUCKETS,
     STATUSES,
@@ -59,7 +59,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServicePool",
-    "ShardRouter",
     "TransientWorkerError",
     "shard_of",
 ]

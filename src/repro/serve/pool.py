@@ -8,20 +8,20 @@ does, and routes each request to one of N process-based workers (see
 :mod:`repro.serve.worker`).  Each worker hosts one
 :class:`~repro.serve.service.Replica` — its own model replica,
 micro-batch queue, retry/backoff, circuit breaker, fallback model and
-cache shard — and nothing above it.  The router shards requests by
-clip content hash (:mod:`repro.serve.router`), so a given clip always
-lands on the worker whose :class:`~repro.core.cache.ExtractionCache`
-shard already holds it: cache coherence across processes with zero
-cross-process locking.
+cache shard — and nothing above it.  Requests are sharded by clip
+content hash (:func:`~repro.serve.router.shard_of`), so a given clip
+always lands on the worker whose
+:class:`~repro.core.cache.ExtractionCache` shard already holds it:
+cache coherence across processes with zero cross-process locking.
 
 What the process transport adds:
 
-- **Rolling reload.**  After the front-end's canary gate, ``reload``
-  rolls rank by rank: routing to the rank pauses (new arrivals for its
-  shard buffer in the parent), its outstanding requests drain, the
-  checkpoint swaps, and the rank is re-admitted — so no worker batch
-  ever mixes model versions, and at most one replica is out of
-  rotation at a time.
+- **In-place reload.**  After the front-end's canary gate, ``reload``
+  sends the candidate extractor to every live rank at once and each
+  worker swaps its replica exactly as the in-process service does: a
+  batch already running finishes on the old model, every later batch
+  uses the new one, and each result carries the version that served
+  it.  Routing never pauses.
 - **Health rolls up.**  :meth:`health` carries ``role: "pool"``,
   per-worker sub-documents (each its replica's, ``role: "replica"``,
   plus the rank's ``routed`` count) and the worst breaker state and
@@ -68,7 +68,7 @@ from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import TelemetryMerger
 from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultInjector
-from repro.serve.router import ShardRouter
+from repro.serve.router import shard_of
 from repro.serve.service import (
     HEALTH_SCHEMA,
     ServeResult,
@@ -83,6 +83,10 @@ _BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 
 #: How long :meth:`ServicePool.health` waits for the worker health probes.
 _HEALTH_PROBE_TIMEOUT_S = 5.0
+
+#: How long a worker may take to come up (at start or after a restart)
+#: and to answer a reload.
+_WORKER_REPLY_TIMEOUT_S = 60.0
 
 
 def _replica_doc(rank: int, status: str, **fields) -> Dict[str, object]:
@@ -118,9 +122,9 @@ class ServicePool(_Frontend):
     ----------
     extractor:
         The primary extractor (or bare model, wrapped with
-        ``precision``).  Each worker gets a replica built from the same
-        model/codec/threshold/precision; the parent keeps a reference
-        copy for canary gating and client-side codec access.
+        ``precision``).  Each worker serves a copy of it, decoding
+        settings and precision included; the parent keeps it for canary
+        gating and client-side codec access.
     config:
         Per-worker :class:`ServiceConfig` (each replica runs its own
         micro-batch queue with these knobs; ``max_queue`` bounds each
@@ -165,8 +169,6 @@ class ServicePool(_Frontend):
                  quality: Optional[Union[QualityConfig,
                                          QualityMonitor]] = None,
                  precision: str = "fp32",
-                 start_timeout_s: float = 60.0,
-                 drain_timeout_s: float = 30.0,
                  max_worker_restarts: int = 2,
                  telemetry_interval_s: Optional[float] = 0.25) -> None:
         if workers < 1:
@@ -183,7 +185,6 @@ class ServicePool(_Frontend):
         self._model_version = 1
         self._model_lock = threading.Lock()
         self.world_size = workers
-        self.router = ShardRouter(workers)
         self._fault_spec = (fault_injector.spec()
                             if fault_injector is not None else None)
         self._cache_dir: Optional[str] = None
@@ -195,8 +196,6 @@ class ServicePool(_Frontend):
                 self._cache_memory = True
         elif cache is not None:
             self._cache_dir = os.fspath(cache)
-        self._start_timeout_s = start_timeout_s
-        self._drain_timeout_s = drain_timeout_s
         self.max_worker_restarts = max_worker_restarts
         self.telemetry_interval_s = telemetry_interval_s
         self._telemetry: Optional[TelemetryMerger] = None
@@ -222,15 +221,12 @@ class ServicePool(_Frontend):
         self._collector_stop = threading.Event()
 
         # All routing state lives under one condition variable: the
-        # collector notifies it on every completion, which is what the
-        # drain wait and the start/stop handshakes block on.
+        # collector notifies it on every completion and every ``up``,
+        # which is what the start and restart handshakes block on.
         self._cond = threading.Condition()
         self._outstanding: List[int] = [0] * workers
         # request id -> (request, rank it was routed to)
         self._inflight: Dict[int, Tuple[RequestFuture, int]] = {}
-        self._draining_ranks: set = set()
-        self._pending: List[List[RequestFuture]] = [
-            [] for _ in range(workers)]
         self._dead: Dict[int, str] = {}
         self._up: set = set()
         # probe id -> [reply event, (reply kind, payload) or None]
@@ -283,14 +279,14 @@ class ServicePool(_Frontend):
             # ``up`` messages and deaths both notify.
             self._cond.wait_for(
                 lambda: len(self._up) == self.world_size or self._dead,
-                timeout=self._start_timeout_s)
+                timeout=_WORKER_REPLY_TIMEOUT_S)
             up = len(self._up)
             dead = dict(self._dead)
         if up < self.world_size:
             self.stop(drain=False, timeout=2.0)
             detail = (f"worker errors: {dead}" if dead
                       else f"only {up}/{self.world_size} workers came up "
-                           f"within {self._start_timeout_s:g}s")
+                           f"within {_WORKER_REPLY_TIMEOUT_S:g}s")
             raise RuntimeError(f"pool failed to start ({detail})")
         self._workers_gauge.set(float(self.world_size))
         with self._cond:
@@ -328,13 +324,7 @@ class ServicePool(_Frontend):
         """
         primary, version = self._serving()
         return WorkerSpec(
-            rank=rank, world_size=self.world_size,
-            model=primary.model,
-            codec=primary.codec,
-            threshold=primary.threshold,
-            batch_size=primary.batch_size,
-            precision=getattr(primary, "precision", "fp32"),
-            calibration=getattr(primary, "calibration", None),
+            rank=rank, world_size=self.world_size, extractor=primary,
             config=self.config,
             fault_spec=self._fault_spec,
             cache_dir=self._cache_dir,
@@ -356,11 +346,8 @@ class ServicePool(_Frontend):
                 return
             self._running = False
             self._pool_ready = False
-            buffered = [r for pending in self._pending for r in pending]
-            for pending in self._pending:
-                pending.clear()
             orphans = [] if drain else self._take_inflight_locked()
-        self._fail(buffered + orphans, "service stopped")
+        self._fail(orphans, "service stopped")
         for rank, request_q in enumerate(self._request_qs):
             if rank not in self._dead:
                 try:
@@ -394,11 +381,11 @@ class ServicePool(_Frontend):
 
     # -- transport hooks -----------------------------------------------
     def _admit(self, request: RequestFuture) -> None:
-        """Route to the worker that owns the clip's content hash: buffer
-        while that rank drains for a reload, fail static while it is
-        down, shed when its outstanding requests reach ``max_queue``."""
+        """Route to the worker that owns the clip's content hash: fail
+        static while it is down, shed when its outstanding requests
+        reach ``max_queue``."""
         request.clip_hash = clip_content_hash(request.clip)
-        rank = self.router.shard(request.clip_hash)
+        rank = shard_of(request.clip_hash, self.world_size)
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not running")
@@ -406,11 +393,6 @@ class ServicePool(_Frontend):
                        queue_depth=sum(self._outstanding), worker=rank)
             if rank in self._dead:
                 down = self._dead[rank]
-            elif rank in self._draining_ranks:
-                # Reload in progress on this shard: hold the request
-                # parent-side; re-admission dispatches it.
-                self._pending[rank].append(request)
-                return
             elif self._outstanding[rank] < self.config.max_queue:
                 self._dispatch_locked(request, rank)
                 return
@@ -418,13 +400,9 @@ class ServicePool(_Frontend):
                 down, depth = None, self._outstanding[rank]
         if down is not None:
             self._fail([request], f"worker {rank} is down ({down})")
-        else:
-            self._shed(request, rank, queue_depth=depth)
-
-    def _shed(self, request: RequestFuture, rank: int, **fields) -> None:
-        """Refuse ``request`` for ``rank``: ``shed`` event + result."""
+            return
         self._shed_counters[rank].inc()
-        self._emit("shed", request, worker=rank, **fields)
+        self._emit("shed", request, worker=rank, queue_depth=depth)
         self._finish(request, request.outcome(
             "shed", self.model_version,
             error=f"queue full ({self.config.max_queue})"))
@@ -457,17 +435,27 @@ class ServicePool(_Frontend):
              request.clip_hash, remaining))
 
     def _swap(self, candidate: ScenarioExtractor) -> int:
-        """Rolling reload: each live rank is drained (routing to its
-        shard pauses; new arrivals buffer), swapped and re-admitted in
-        turn, so no worker batch mixes model versions and only one
-        replica is out at a time.  ``candidate`` then becomes the
-        reference that restarted workers boot from."""
+        """Send ``candidate`` to every live rank at once; each worker
+        swaps its replica in place, so a running batch finishes on the
+        old model and every later batch uses the new one.  ``candidate``
+        then becomes the reference restarted workers boot from."""
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not running")
-        for rank in range(self.world_size):
-            if rank not in self._dead:
-                self._reload_rank(rank, candidate.model)
+            live = [rank for rank in range(self.world_size)
+                    if rank not in self._dead]
+        replies = self._ask(live, "reload", candidate,
+                            timeout=_WORKER_REPLY_TIMEOUT_S)
+        failures = []
+        for rank, reply in replies.items():
+            if reply is None:
+                failures.append(f"worker {rank} reload timed out")
+            elif reply[0] == "reload_err":
+                failures.append(f"worker {rank} reload failed: {reply[1]}")
+            else:
+                self._emit("worker_reload", worker=rank, version=reply[1])
+        if failures:
+            raise RuntimeError("; ".join(failures))
         with self._model_lock:
             self._primary = candidate
             self._model_version += 1
@@ -476,59 +464,6 @@ class ServicePool(_Frontend):
     def _serving(self) -> Tuple[ScenarioExtractor, int]:
         with self._model_lock:
             return self._primary, self._model_version
-
-    def _reload_rank(self, rank: int, model: Module) -> None:
-        """Drain one rank, swap its checkpoint, re-admit it."""
-        with self._cond:
-            self._draining_ranks.add(rank)
-            outstanding = self._outstanding[rank]
-        self._emit("worker_drain", worker=rank, outstanding=outstanding)
-        deadline = time.monotonic() + self._drain_timeout_s
-        try:
-            with self._cond:
-                while (self._outstanding[rank] > 0
-                       and rank not in self._dead):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise RuntimeError(
-                            f"worker {rank} failed to drain within "
-                            f"{self._drain_timeout_s:g}s")
-                    self._cond.wait(min(remaining, 0.2))
-            if rank in self._dead:
-                return
-            reply = self._ask([rank], "reload", model,
-                              timeout=self._drain_timeout_s)[rank]
-            if reply is None:
-                raise RuntimeError(f"worker {rank} reload timed out")
-            kind, payload = reply
-            if kind == "reload_err":
-                raise RuntimeError(
-                    f"worker {rank} reload failed: {payload}")
-            self._emit("worker_reload", worker=rank, version=payload)
-        finally:
-            self._readmit(rank)
-
-    def _readmit(self, rank: int) -> None:
-        """Resume routing to ``rank`` and flush its buffered requests."""
-        with self._cond:
-            self._draining_ranks.discard(rank)
-            buffered = self._pending[rank]
-            self._pending[rank] = []
-            now = time.monotonic()
-            sheds: List[RequestFuture] = []
-            expired: List[RequestFuture] = []
-            for request in buffered:
-                if now >= request.deadline:
-                    expired.append(request)
-                elif (rank in self._dead or self._outstanding[rank]
-                        >= self.config.max_queue):
-                    sheds.append(request)
-                else:
-                    self._dispatch_locked(request, rank)
-        for request in expired:
-            self._resolve_timeout(request)
-        for request in sheds:
-            self._shed(request, rank)
 
     def ready(self) -> bool:
         """Readiness: running, every worker alive, router not saturated."""
@@ -721,8 +656,6 @@ class ServicePool(_Frontend):
             orphans = [self._inflight.pop(rid)[0]
                        for rid, (_, r) in list(self._inflight.items())
                        if r == rank]
-            buffered = self._pending[rank]
-            self._pending[rank] = []
             self._outstanding[rank] = 0
             # Restart only once the pool has fully started (a rank that
             # dies during the start handshake keeps fail-to-start
@@ -736,7 +669,7 @@ class ServicePool(_Frontend):
                 attempt = self._restarts[rank]
             self._cond.notify_all()
         self._emit("worker_dead", worker=rank, error=message)
-        self._fail(orphans + buffered, f"worker {rank} died ({message})")
+        self._fail(orphans, f"worker {rank} died ({message})")
         if restart:
             threading.Thread(
                 target=self._restart_rank, args=(rank, attempt),
@@ -779,7 +712,7 @@ class ServicePool(_Frontend):
                 proc.terminate()
                 proc.join(1.0)
                 return
-            deadline = time.monotonic() + self._start_timeout_s
+            deadline = time.monotonic() + _WORKER_REPLY_TIMEOUT_S
             with self._cond:
                 while (self._running and rank not in self._up
                        and proc.exitcode is None):

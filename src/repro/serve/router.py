@@ -18,10 +18,6 @@ instantaneous balance; see ``docs/serving.md``.
 
 from __future__ import annotations
 
-from repro.core.cache import clip_content_hash
-
-import numpy as np
-
 
 def shard_of(clip_hash: str, world_size: int) -> int:
     """The worker rank owning ``clip_hash`` in a ``world_size`` pool.
@@ -36,26 +32,4 @@ def shard_of(clip_hash: str, world_size: int) -> int:
     return int(clip_hash, 16) % world_size
 
 
-class ShardRouter:
-    """Routes clips to worker ranks by content hash.
-
-    Stateless apart from its width; two routers of the same
-    ``world_size`` agree on every assignment (pinned by property test),
-    which is what keeps per-shard caches valid across restarts.
-    """
-
-    def __init__(self, world_size: int) -> None:
-        if world_size <= 0:
-            raise ValueError("world_size must be positive")
-        self.world_size = world_size
-
-    def shard(self, clip_hash: str) -> int:
-        """Worker rank for an already-computed content hash."""
-        return shard_of(clip_hash, self.world_size)
-
-    def shard_clip(self, clip: np.ndarray) -> int:
-        """Worker rank for a raw clip (hashes the content first)."""
-        return self.shard(clip_content_hash(clip))
-
-
-__all__ = ["ShardRouter", "shard_of"]
+__all__ = ["shard_of"]

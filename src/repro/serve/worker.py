@@ -22,7 +22,7 @@ Protocol
 Parent → worker, tuples on the per-rank request queue::
 
     ("extract", request_id, clip, clip_hash, timeout_s)
-    ("reload",  probe_id, model)
+    ("reload",  probe_id, extractor)          # the canary-gated candidate
     ("health",  probe_id)
     ("stop",)
 
@@ -58,42 +58,42 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
+from repro.core.cache import ExtractionCache, shard_cache_dir
+from repro.core.pipeline import ScenarioExtractor
+from repro.obs import events as obs_events
 from repro.serve.config import ServiceConfig
+from repro.serve.faults import FaultInjector
 from repro.serve.service import Replica, _Job, _record
+
+#: Capacity of a worker's in-memory event ring drained into frames.
+_TELEMETRY_EVENTS = 512
 
 
 @dataclass
 class WorkerSpec:
     """Everything a worker needs to build its replica — plain data.
 
-    ``model`` / ``codec`` / ``calibration`` ride through pickle (they
-    are pure numpy / pure python); thread-locked objects like a live
-    :class:`~repro.serve.faults.FaultInjector` must be passed as their
-    :meth:`~repro.serve.faults.FaultInjector.spec` dict instead.
+    ``extractor`` is the serving :class:`ScenarioExtractor` itself, with
+    its decoding settings and precision; it rides through pickle (pure
+    numpy / pure python) when the worker is spawned.  Thread-locked
+    objects like a live :class:`~repro.serve.faults.FaultInjector` must
+    be passed as their :meth:`~repro.serve.faults.FaultInjector.spec`
+    dict instead.
     """
 
     rank: int
     world_size: int
-    model: object
-    codec: object = None
-    threshold: float = 0.5
-    batch_size: int = 16
-    precision: str = "fp32"
-    calibration: Optional[np.ndarray] = None
+    extractor: ScenarioExtractor
     config: ServiceConfig = field(default_factory=ServiceConfig)
     fault_spec: Optional[dict] = None
     cache_dir: Optional[str] = None
     cache_memory: bool = False
     #: Wall-clock seconds between telemetry frames; ``None`` disables
-    #: shipping entirely (no ring, no timed get — the PR-8 behaviour).
+    #: shipping entirely (no ring, no timed get).
     telemetry_interval_s: Optional[float] = None
     #: Spawn count of this rank; restarted workers get a higher epoch
     #: so their fresh-baseline deltas can never double-count.
     epoch: int = 0
-    #: Capacity of the in-memory event ring drained into frames.
-    telemetry_events: int = 512
     #: The pool's serving model version: a worker restarted after a
     #: reload stamps its results with it, not with 1.
     model_version: int = 1
@@ -101,15 +101,6 @@ class WorkerSpec:
 
 def _build_replica(spec: WorkerSpec, on_result) -> Replica:
     """Construct the replica for one rank."""
-    from repro.core.cache import ExtractionCache, shard_cache_dir
-    from repro.core.pipeline import ScenarioExtractor
-    from repro.obs import events as obs_events
-    from repro.serve.faults import FaultInjector
-
-    extractor = ScenarioExtractor(
-        spec.model, codec=spec.codec, threshold=spec.threshold,
-        batch_size=spec.batch_size, precision=spec.precision,
-        calibration=spec.calibration)
     cache = None
     if spec.cache_dir is not None:
         cache = ExtractionCache(shard_cache_dir(
@@ -128,9 +119,9 @@ def _build_replica(spec: WorkerSpec, on_result) -> Replica:
         # Memory-mode ring, process-wide active so cache hit/miss
         # events land here too; the shipper drains it into frames.
         events = obs_events.EventLog(
-            None, recorder_size=spec.telemetry_events)
+            None, recorder_size=_TELEMETRY_EVENTS)
         obs_events.set_active(events)
-    return Replica(extractor, spec.config, on_result,
+    return Replica(spec.extractor, spec.config, on_result,
                    fault_injector=injector, cache=cache, events=events,
                    model_version=spec.model_version)
 
@@ -204,9 +195,8 @@ def worker_main(spec: WorkerSpec, request_q, result_conn) -> None:
                         "error", replica.model_version,
                         error=f"{type(exc).__name__}: {exc}"))
             elif kind == "reload":
-                _, probe_id, model = message
+                _, probe_id, candidate = message
                 try:
-                    candidate = replica.serving()[0].clone_with_model(model)
                     version = replica.swap(candidate)
                 except Exception as exc:
                     send(("reload_err", rank, probe_id,

@@ -4,8 +4,8 @@ The pool is a drop-in for :class:`ExtractionService`, so the behavioural
 assertions here mirror ``tests/test_serve.py`` — bit-identical results,
 explicit shed/timeout statuses, atomic hot reload, full accounting —
 plus the pool-only guarantees: deterministic content-hash sharding,
-shard-local cache coherence with zero cross-worker writes, and rolling
-reloads that never mix model versions.
+shard-local cache coherence with zero cross-worker writes, and in-place
+reloads that never mix model versions within a batch.
 """
 
 import json
@@ -34,7 +34,6 @@ from repro.serve import (
     ServiceClient,
     ServiceConfig,
     ServicePool,
-    ShardRouter,
     shard_of,
 )
 from repro.serve.worker import worker_main
@@ -79,12 +78,10 @@ class TestRouterProperties:
     across restarts."""
 
     def test_shard_is_pure_function_of_hash(self, clips):
-        router_a = ShardRouter(3)
-        router_b = ShardRouter(3)  # fresh instance = simulated restart
         for clip in clips:
             digest = clip_content_hash(clip)
-            ranks = {router_a.shard(digest), router_b.shard(digest),
-                     shard_of(digest, 3), router_a.shard_clip(clip),
+            # A copy hashes to the same digest, hence the same rank.
+            ranks = {shard_of(digest, 3),
                      shard_of(clip_content_hash(clip.copy()), 3)}
             assert len(ranks) == 1
 
@@ -105,14 +102,14 @@ class TestRouterProperties:
         assert len(shards) == 16
 
     def test_shards_cover_all_ranks(self, clips):
-        ranks = {ShardRouter(2).shard_clip(clip) for clip in clips}
+        ranks = {shard_of(clip_content_hash(clip), 2) for clip in clips}
         assert ranks == {0, 1}
 
     def test_world_size_validated(self):
         with pytest.raises(ValueError, match="world_size"):
             shard_of("0" * 24, 0)
         with pytest.raises(ValueError, match="world_size"):
-            ShardRouter(-1)
+            shard_of("0" * 24, -1)
 
 
 class TestShardCacheDir:
@@ -382,8 +379,8 @@ class TestSharding:
 
 class TestRollingReload:
     def test_concurrent_reload_never_mixes_versions(self, clips):
-        # The ISSUE acceptance: a request stream across a rolling
-        # drain + swap sees only whole-version results — model_version
+        # A request stream across an in-place swap sees only
+        # whole-version results — model_version
         # 1 results are bitwise the old model's, version 2 the new
         # model's, nothing in between.
         model_a = build_model("vt-divided", CFG)
@@ -425,9 +422,9 @@ class TestRollingReload:
             else:
                 assert key == keys_a[i]
 
-    def test_requests_during_drain_buffer_then_complete(self, extractor,
-                                                        clips, model):
-        # Inject latency so the drain has something to wait on, and
+    def test_requests_during_reload_complete(self, extractor, clips,
+                                             model):
+        # Inject latency so work is in flight during the swap, and
         # fire requests mid-reload: all must still resolve "ok".
         injector = FaultInjector(latency_s=0.02, latency_rate=1.0)
         config = ServiceConfig(max_batch=2, max_wait_s=0.0)
@@ -442,6 +439,59 @@ class TestRollingReload:
             results = [f.result() for f in futures + late]
         assert version == 2
         assert all(r.status == "ok" for r in results)
+
+    def test_reload_does_not_wait_for_queued_work(self, clips):
+        # The swap is in place: reload returns while requests submitted
+        # before it still sit behind the injected latency, and every
+        # result is bitwise the model its model_version names.
+        model_a = build_model("vt-divided", CFG)
+        model_b = build_model(
+            "vt-divided",
+            ModelConfig(frames=4, dim=16, depth=1, num_heads=2, seed=9),
+        )
+        keys = {1: [_result_key(r) for r in
+                    ScenarioExtractor(model_a).extract_batch(clips[:12])],
+                2: [_result_key(r) for r in
+                    ScenarioExtractor(model_b).extract_batch(clips[:12])]}
+        injector = FaultInjector(latency_s=0.2, latency_rate=1.0)
+        config = ServiceConfig(max_batch=1, max_wait_s=0.0)
+        with ServicePool(ScenarioExtractor(model_a), config, workers=2,
+                         fault_injector=injector) as pool:
+            futures = [pool.submit(clip, timeout=30.0)
+                       for clip in clips[:12]]
+            assert pool.reload(model_b) == 2
+            unresolved = sum(not future.done() for future in futures)
+            results = [future.result() for future in futures]
+        assert unresolved >= 1
+        for i, result in enumerate(results):
+            assert result.status == "ok"
+            assert _result_key(result.result) == \
+                keys[result.model_version][i]
+
+    def test_pool_keeps_extractor_settings(self, model, clips):
+        # Workers serve the extractor they were given, decoding settings
+        # and precision included, and a reload keeps them.
+        tuned = ScenarioExtractor(model, threshold=0.3, batch_size=3,
+                                  precision="fp16")
+        model_b = build_model(
+            "vt-divided",
+            ModelConfig(frames=4, dim=16, depth=1, num_heads=2, seed=9),
+        )
+        before = [_result_key(r) for r in tuned.extract_batch(clips[:6])]
+        after = [_result_key(r) for r in
+                 tuned.clone_with_model(model_b).extract_batch(clips[:6])]
+        default = [_result_key(r) for r in
+                   ScenarioExtractor(model).extract_batch(clips[:6])]
+        assert before != default  # the settings are visible in results
+        with ServicePool(tuned, workers=2) as pool:
+            client = ServiceClient(pool)
+            served_before = client.extract_many(list(clips[:6]),
+                                                timeout=10.0)
+            pool.reload(model_b)
+            served_after = client.extract_many(list(clips[:6]),
+                                               timeout=10.0)
+        assert [_result_key(r.result) for r in served_before] == before
+        assert [_result_key(r.result) for r in served_after] == after
 
     def test_reload_from_checkpoint_path(self, extractor, clips,
                                          tmp_path):
@@ -475,14 +525,8 @@ class TestRollingReload:
             pool.extract(clips[0], timeout=10.0)
             pool.reload(model)
         kinds = [r["event"] for r in events.read()]
-        assert kinds.count("worker_drain") == 2
         assert kinds.count("worker_reload") == 2
         assert "reload" in kinds
-        # Rank 1 never drains before rank 0 re-admits: rolling, not
-        # simultaneous — at most one replica out of rotation.
-        drains = [r["worker"] for r in events.read()
-                  if r["event"] == "worker_drain"]
-        assert drains == [0, 1]
 
 
 class TestWorkerRestart:
@@ -650,7 +694,8 @@ class TestResultChannel:
                 self.messages.append(message)
                 self.active -= 1
 
-        spec = WorkerSpec(rank=0, world_size=1, model=model,
+        spec = WorkerSpec(rank=0, world_size=1,
+                          extractor=ScenarioExtractor(model),
                           config=ServiceConfig(max_batch=2),
                           telemetry_interval_s=0.001)
         requests, channel = queue.Queue(), Channel()

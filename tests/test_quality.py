@@ -8,6 +8,7 @@ the ``repro top`` quality panel."""
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
 from repro.serve import (
     ExtractionService,
+    FaultInjector,
     ServeResult,
     ServiceClient,
     ServiceConfig,
@@ -366,6 +368,20 @@ class TestQualityMonitor:
         assert report["drift"]["active"] is False
         assert report["drift"]["scores"] is None  # warmup restarted
 
+    def test_results_older_than_reload_skip_drift(self):
+        log = EventLog(None)
+        monitor = self._monitor(window=4, log=log)
+        monitor.on_reload(2)
+        self._feed(monitor, 4, version=1)  # late old-model batch
+        assert monitor.drift._reference_n == 0
+        assert monitor.report()["models"]["1"]["requests"] == 4
+        windows = [r for r in log.recent()
+                   if r["event"] == "quality_window"]
+        # The monitor's current version never moves backwards.
+        assert [w["model_version"] for w in windows] == [2]
+        self._feed(monitor, 2, version=2)
+        assert monitor.drift._reference_n == 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QualityConfig(window=0)
@@ -498,6 +514,28 @@ class TestCanaryGatedReload:
             assert version == 2
             health = service.health()
         assert health["quality"]["canary"]["starts"] == 0
+
+    def test_old_model_result_stays_out_of_new_reference(self):
+        # A batch already running on the old model resolves after the
+        # reload re-pins the drift reference: its own scorecard counts
+        # it, the new reference never sees it.
+        service = ExtractionService(
+            ScenarioExtractor(make_model()),
+            ServiceConfig(max_batch=1, max_wait_s=0.0),
+            fault_injector=FaultInjector(latency_s=0.4, latency_rate=1.0),
+            quality=QualityConfig(window=8, drift=small_drift()))
+        with service:
+            future = service.submit(make_clips(1)[0], timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while (service.health()["inflight"] == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert service.reload(make_model(seed=3), force=True) == 2
+            result = future.result()
+        assert result.status == "ok" and result.model_version == 1
+        monitor = service.quality
+        assert monitor.report()["models"]["1"]["requests"] == 1
+        assert monitor.drift._reference_n == 0
 
     def test_result_events_carry_mean_confidence(self, tmp_path):
         service = self._service(tmp_path)

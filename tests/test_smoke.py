@@ -6,12 +6,14 @@ suite, so a local ``pytest`` run proves what CI proves.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.models import ModelConfig, build_model
 from repro.obs import metrics
+from repro.serve import ServicePool
 
 pytestmark = pytest.mark.smoke
 
@@ -186,6 +188,32 @@ def test_fault_burst_replays_from_event_log(trained, capsys):
     exposition = prom.read_text()
     assert "serve_requests_total" in exposition
     assert "serve_batch_size_bucket" in exposition
+
+
+def test_pool_workers_fork_before_prom_writer(trained, capsys,
+                                            monkeypatch):
+    # docs/serving.md: the initial pool workers fork before any parent
+    # thread exists, so no fork copies a lock the Prometheus writer
+    # thread holds.
+    root, data, model = trained
+    threads_at_launch = []
+    launch = ServicePool._launch
+
+    def recording_launch(self, rank, context):
+        threads_at_launch.append(
+            {thread.name for thread in threading.enumerate()})
+        return launch(self, rank, context)
+
+    monkeypatch.setattr(ServicePool, "_launch", recording_launch)
+    assert main(["serve", "--data", data, "--checkpoint", model,
+                 "--workers", "2", "--requests", "8",
+                 "--prometheus-out", str(root / "fork.prom"),
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert len(threads_at_launch) >= 2
+    assert not any("repro-prom-writer" in names
+                   for names in threads_at_launch[:2])
+    assert (root / "fork.prom").exists()
 
 
 def test_pool_worker_metrics_ship_home(trained, capsys):
