@@ -230,7 +230,9 @@ def build_corpus(clips: np.ndarray, corpus_dir: Union[str, "os.PathLike"],
                  families: Optional[Sequence[str]] = None
                  ) -> Dict[str, int]:
     """Materialise clips ``(N, T, C, H, W)`` as a sharded on-disk corpus
-    (``shard-NNNN/clip-NNNNNN.npz`` objects) for out-of-core mining.
+    (one memory-mappable ``shard-NNNN/clips.npy`` float32 array per
+    shard, plus ``families.json`` when ``families`` is given) for
+    out-of-core mining.  ``corpus_dir`` must not already hold shards.
 
     The layout :func:`mine_corpus` and ``repro mine --corpus-dir``
     consume; see ``docs/mining.md``.  Returns ``{"shards", "clips"}``.
@@ -252,8 +254,8 @@ def mine_corpus(source: ExtractorSource,
 
     Walks the corpus shard by shard (one shard's clips in memory at a
     time), persists per-shard tag stores keyed on the extractor
-    fingerprint, and answers the query through memory-mapped SDL
-    vectors — top-k results are bit-identical to :func:`mine` over the
+    fingerprint, and answers the query from the stacked SDL vectors of
+    those stores — top-k results are bit-identical to :func:`mine` over the
     same clips.  Re-running skips every already-persisted shard, so an
     interrupted run resumes with zero repeat forward passes.  Returns
     ``(hits, stats)`` where ``stats`` reports shards scanned / skipped

@@ -14,8 +14,8 @@ Commands
   (see ``docs/caching.md``).  With ``--corpus-dir`` instead of
   ``--data``, mining runs **out of core** over a sharded corpus layout:
   shards are extracted one at a time into per-shard tag stores, re-runs
-  skip every already-persisted shard, and queries go through
-  memory-mapped SDL vectors (see ``docs/mining.md``).
+  skip every already-persisted shard, and queries go through one
+  stacked SDL-vector matrix (see ``docs/mining.md``).
 - ``serve`` — run the fault-tolerant micro-batching extraction service
   against a dataset burst and report per-status accounting; with
   ``--events-dir`` every request lifecycle is recorded to a structured
@@ -246,7 +246,7 @@ def _mine_fleet(args) -> int:
     Shards are extracted one at a time into per-shard tag stores keyed
     on the extractor fingerprint; a re-run (including after an
     interruption) skips every already-persisted shard, performing zero
-    repeat forward passes.  Queries rank through memory-mapped SDL
+    repeat forward passes.  Queries rank through the stacked SDL
     vectors and are bit-identical to in-memory mining over the same
     clips (see ``docs/mining.md``).
     """
@@ -693,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--corpus-dir", default="",
                      help="instead of --out: materialise the clips as a "
                           "sharded corpus layout for out-of-core mining "
-                          "(shard-NNNN/clip-NNNNNN.npz objects)")
+                          "(one shard-NNNN/clips.npy array per shard)")
     gen.add_argument("--shard-size", type=int, default=64,
                      help="clips per shard for --corpus-dir")
     gen.set_defaults(fn=cmd_generate)

@@ -8,9 +8,13 @@ same pipeline restructured around an object-store-style corpus layout
 so none of corpus, descriptions or vectors ever needs to fit at once::
 
     corpus_dir/
-      shard-0000/clip-000000.npz   # one clip per object: array 'clip'
-      shard-0000/clip-000001.npz   #   (+ optional 'family' tag)
+      shard-0000/clips.npy         # (n, T, C, H, W) float32, mmap-able
+      shard-0000/families.json     #   (optional) JSON list of n names
       shard-0001/...
+
+That is corpus layout v2.  Layout v1 (one ``shard-NNNN/clip-*.npz``
+object per clip: array ``clip`` plus an optional ``family`` tag) is
+still read, never written; :func:`load_shard` is the one reader of both.
 
 Extraction (:func:`extract_corpus`) walks the shards in sorted order
 and, one shard at a time, runs the clips through
@@ -32,18 +36,17 @@ repeat forward passes, and results from a different model version /
 vocabulary / threshold can never be served as current (they live in a
 different directory).
 
-Queries go through :class:`FleetIndex`: per-shard SDL-vector arrays are
-**memory-mapped**, scored shard by shard with
-:func:`~repro.core.retrieval.cosine_topk`, and the per-shard candidates
-are merged with the in-memory miner's ``(-score, clip_id)`` order — the
-merged top-k is bit-identical to :meth:`ScenarioMiner.query` over the
-same clips (each shard's local ordering is a contiguous slice of the
-global ordering, so a shard's own top-k always covers its contribution
-to the global top-k).
+Queries go through :class:`FleetIndex`: on the first query the
+per-shard SDL-vector files are stacked into one float32 matrix in
+manifest order, so a row's position is its global clip id, and every
+query is one :func:`~repro.core.retrieval.cosine_topk` call over it —
+the top-k is bit-identical to :meth:`ScenarioMiner.query` over the same
+clips.
 
 Counters (``repro.obs``): ``fleet.shards_scanned`` /
 ``fleet.shards_skipped`` / ``fleet.shards_extracted`` /
-``fleet.clips_extracted`` and the ``fleet.vectors_mapped`` gauge.
+``fleet.clips_extracted`` and the ``fleet.vectors_mapped`` gauge (rows
+stacked).
 
 Long passes are no longer a black box between shards: on a wall-clock
 cadence (``heartbeat_s``) :func:`extract_corpus` emits
@@ -105,6 +108,8 @@ DEFAULT_STORE_DIR = "_fleet"
 
 _SHARD_PREFIX = "shard-"
 _CLIP_PREFIX = "clip-"
+_CLIPS_FILE = "clips.npy"
+_FAMILIES_FILE = "families.json"
 _TAGS_SUFFIX = ".tags.jsonl"
 _VECTORS_SUFFIX = ".vectors.npy"
 
@@ -117,10 +122,14 @@ def write_corpus(clips: np.ndarray, corpus_dir: str,
                  families: Optional[Sequence[str]] = None) -> Dict[str, int]:
     """Materialise clips ``(N, T, C, H, W)`` as a sharded corpus layout.
 
-    Clips land in ``shard-NNNN/clip-NNNNNN.npz`` objects in order, so
-    the global clip id of the walk (sorted shards, sorted clips) equals
-    the clip's position in ``clips`` — the property the out-of-core /
-    in-memory parity guarantees rely on.  Returns ``{"shards", "clips"}``.
+    Each shard is one ``shard-NNNN/clips.npy`` float32 array (plus
+    ``families.json`` when ``families`` is given, published first, so a
+    shard is complete once its ``clips.npy`` exists).  Shards hold the
+    clips in order, so the global clip id of the walk (sorted shards,
+    rows in order) equals the clip's position in ``clips`` — the
+    property the out-of-core / in-memory parity guarantees rely on.
+    Refuses a ``corpus_dir`` that already holds shards: mixing them
+    would break that identity.  Returns ``{"shards", "clips"}``.
     """
     clips = np.asarray(clips)
     if clips.ndim != 5:
@@ -130,18 +139,21 @@ def write_corpus(clips: np.ndarray, corpus_dir: str,
     if families is not None and len(families) != len(clips):
         raise ValueError("families must align with clips")
     corpus_dir = os.fspath(corpus_dir)
+    if os.path.isdir(corpus_dir) and corpus_shards(corpus_dir):
+        raise FileExistsError(f"corpus {corpus_dir} already holds shards")
     shards = 0
     for start in range(0, len(clips), shard_size):
+        stop = min(start + shard_size, len(clips))
         shard_dir = os.path.join(corpus_dir,
                                  f"{_SHARD_PREFIX}{shards:04d}")
-        for offset in range(start, min(start + shard_size, len(clips))):
-            payload = {"clip": np.ascontiguousarray(clips[offset])}
-            if families is not None:
-                payload["family"] = np.array(str(families[offset]))
-            with atomic_open(os.path.join(
-                    shard_dir, f"{_CLIP_PREFIX}{offset:06d}.npz"),
-                    "wb") as handle:
-                np.savez(handle, **payload)
+        if families is not None:
+            with atomic_open(os.path.join(shard_dir,
+                                          _FAMILIES_FILE)) as handle:
+                json.dump([str(f) for f in families[start:stop]], handle)
+        with atomic_open(os.path.join(shard_dir, _CLIPS_FILE),
+                         "wb") as handle:
+            np.save(handle, np.ascontiguousarray(clips[start:stop],
+                                                 dtype=np.float32))
         shards += 1
     return {"shards": shards, "clips": len(clips)}
 
@@ -158,18 +170,24 @@ def corpus_shards(corpus_dir: str) -> List[str]:
     )
 
 
-def shard_clip_paths(corpus_dir: str, shard: str) -> List[str]:
-    """Sorted clip object paths of one shard."""
-    shard_dir = os.path.join(os.fspath(corpus_dir), shard)
-    return [
-        os.path.join(shard_dir, name)
-        for name in sorted(os.listdir(shard_dir))
-        if name.startswith(_CLIP_PREFIX) and name.endswith(".npz")
-    ]
+def _clip_objects(shard_dir: str) -> List[str]:
+    """A shard's clip objects: ``[clips.npy]`` (layout v2), the sorted
+    ``clip-*.npz`` names (v1) or ``[]`` (no clips)."""
+    names = os.listdir(shard_dir)
+    objects = sorted(name for name in names
+                     if name.startswith(_CLIP_PREFIX)
+                     and name.endswith(".npz"))
+    if _CLIPS_FILE in names:
+        if objects:
+            raise ValueError(f"shard {shard_dir} holds both {_CLIPS_FILE}"
+                             f" and clip-*.npz objects")
+        return [_CLIPS_FILE]
+    return objects
 
 
 def load_clip(path: str) -> Tuple[np.ndarray, Optional[str]]:
-    """One clip object: the ``(T, C, H, W)`` array and its family tag."""
+    """One layout-v1 clip object: the ``(T, C, H, W)`` array and its
+    family tag."""
     with np.load(path, allow_pickle=False) as archive:
         clip = archive["clip"]
         family = (str(archive["family"])
@@ -177,13 +195,42 @@ def load_clip(path: str) -> Tuple[np.ndarray, Optional[str]]:
     return clip, family
 
 
+def load_shard(corpus_dir: str, shard: str,
+               ) -> Tuple[np.ndarray, List[Optional[str]]]:
+    """One shard's clips ``(n, T, C, H, W)`` and their family tags.
+
+    A layout-v2 shard comes back memory-mapped: only the ``.npy`` header
+    is read until rows are touched.  A v1 shard is loaded object by
+    object.  A shard with no clips gives an empty array; one holding
+    both layouts raises ``ValueError``.
+    """
+    shard_dir = os.path.join(os.fspath(corpus_dir), shard)
+    objects = _clip_objects(shard_dir)
+    if objects == [_CLIPS_FILE]:
+        clips = np.load(os.path.join(shard_dir, _CLIPS_FILE),
+                        mmap_mode="r")
+        try:
+            with open(os.path.join(shard_dir, _FAMILIES_FILE),
+                      encoding="utf-8") as handle:
+                families = json.load(handle)
+        except FileNotFoundError:
+            families = [None] * len(clips)
+        if len(families) != len(clips):
+            raise ValueError(f"shard {shard_dir}: {len(families)} "
+                             f"families for {len(clips)} clips")
+        return clips, families
+    loaded = [load_clip(os.path.join(shard_dir, name)) for name in objects]
+    clips = (np.stack([clip for clip, _ in loaded]) if loaded
+             else np.zeros((0,), dtype=np.float32))
+    return clips, [family for _, family in loaded]
+
+
 def corpus_clip_shape(corpus_dir: str) -> Tuple[int, ...]:
     """Shape ``(T, C, H, W)`` of the corpus' clips (from the first)."""
     for shard in corpus_shards(corpus_dir):
-        paths = shard_clip_paths(corpus_dir, shard)
-        if paths:
-            clip, _ = load_clip(paths[0])
-            return tuple(clip.shape)
+        clips, _ = load_shard(corpus_dir, shard)
+        if len(clips):
+            return tuple(clips.shape[1:])
     raise FileNotFoundError(f"corpus {corpus_dir} holds no clips")
 
 
@@ -366,10 +413,11 @@ def extract_corpus(extractor: ScenarioExtractor, corpus_dir: str,
                    ) -> FleetStats:
     """Walk the corpus shard by shard, extracting what isn't persisted.
 
-    One shard's clips are materialised in memory at a time; a shard
-    whose store files already exist under the current fingerprint is
-    skipped without touching its clip objects.  With a ``cache``, the
-    forward passes of extracted shards additionally dedupe per clip.
+    One shard's clips are mapped (layout v2) or loaded (v1) at a time;
+    a v2 shard whose store files already exist under the current
+    fingerprint is skipped with only its ``clips.npy`` header read.
+    With a ``cache``, the forward passes of extracted shards
+    additionally dedupe per clip.
     The manifest is (re)written at the end of every pass, so a pass
     that completes always leaves a queryable store.  Returns the pass
     accounting; raising mid-pass loses at most the shard in flight.
@@ -390,48 +438,45 @@ def extract_corpus(extractor: ScenarioExtractor, corpus_dir: str,
     offset = 0
     forwards = 0
     for shard in shards:
-        paths = shard_clip_paths(corpus_dir, shard)
-        if not paths:
+        clips, families = load_shard(corpus_dir, shard)
+        n = len(clips)
+        if not n:
             continue
         stats.shards += 1
-        stats.shard_clip_counts[shard] = len(paths)
+        stats.shard_clip_counts[shard] = n
         metrics.counter("fleet.shards_scanned").inc()
-        if store.has_shard(shard, len(paths)):
+        if store.has_shard(shard, n):
             stats.shards_skipped += 1
             metrics.counter("fleet.shards_skipped").inc()
         else:
-            clips, families = [], []
-            for path in paths:
-                clip, family = load_clip(path)
-                clips.append(clip)
-                families.append(family)
             misses_before = cache.misses if cache is not None else 0
-            results = cached_extract_batch(
-                extractor, np.stack(clips), cache,
-                batch_size=batch_size)
+            results = cached_extract_batch(extractor, clips, cache,
+                                           batch_size=batch_size)
             forwards += (cache.misses - misses_before
-                         if cache is not None else len(paths))
+                         if cache is not None else n)
+            objects = _clip_objects(os.path.join(corpus_dir, shard))
+            if objects == [_CLIPS_FILE]:
+                objects = [f"{_CLIPS_FILE}#{row}" for row in range(n)]
             records = []
             vectors = np.zeros(
-                (len(results), len(sdl_vector(results[0].description))),
+                (n, len(sdl_vector(results[0].description))),
                 dtype=np.float32)
-            for i, (path, result) in enumerate(zip(paths, results)):
+            for i, result in enumerate(results):
                 record = result_to_record(offset + i, result,
                                           family=families[i])
                 record["shard"] = shard
-                record["object"] = os.path.basename(path)
+                record["object"] = objects[i]
                 records.append(record)
                 vectors[i] = sdl_vector(result.description)
             store.write_shard(shard, records, vectors)
             stats.shards_extracted += 1
-            stats.clips_extracted += len(paths)
+            stats.clips_extracted += n
             metrics.counter("fleet.shards_extracted").inc()
-            metrics.counter("fleet.clips_extracted").inc(len(paths))
-            _logger.info("extracted shard %s (%d clips)", shard,
-                         len(paths))
-        shard_entries.append({"name": shard, "clips": len(paths),
+            metrics.counter("fleet.clips_extracted").inc(n)
+            _logger.info("extracted shard %s (%d clips)", shard, n)
+        shard_entries.append({"name": shard, "clips": n,
                               "offset": offset})
-        offset += len(paths)
+        offset += n
         stats.clips = offset
         heartbeat.beat(stats, len(shards), forwards)
     stats.clips = offset
@@ -446,17 +491,19 @@ def extract_corpus(extractor: ScenarioExtractor, corpus_dir: str,
     return stats
 
 
-# -- partitioned retrieval ---------------------------------------------
+# -- stacked retrieval -------------------------------------------------
 class FleetIndex:
-    """Partitioned retrieval over a fingerprint store's shard files.
+    """Retrieval over a fingerprint store's shard files.
 
-    Per-shard SDL-vector arrays are opened with ``mmap_mode="r"`` — the
-    OS pages vectors in on demand, so querying a million-clip corpus
-    never loads its matrix; a shard's row norms are computed once, when
-    it is first mapped.  Rankings are bit-identical to the in-memory
-    :class:`~repro.core.mining.ScenarioMiner` over the same clips: each
-    shard contributes its own :func:`cosine_topk` candidates, and the
-    merge re-applies the global ``(-score, clip_id)`` ordering.
+    ``open`` reads only the manifest.  The first query stacks the
+    per-shard SDL-vector files into one float32 matrix in manifest
+    order, with one row-norm vector, so a row's position is its global
+    clip id; each query is then one :func:`cosine_topk` call over it,
+    and a hit's shard is found from the manifest offsets.  The query
+    vectors sit in RAM: 19 float32 values (76 B) per clip, about 16 MB
+    for 215,090 clips.  Tag records stay on disk until a hit needs
+    them.  Rankings are bit-identical to the in-memory
+    :class:`~repro.core.mining.ScenarioMiner` over the same clips.
     """
 
     def __init__(self, store: FleetStore) -> None:
@@ -464,8 +511,9 @@ class FleetIndex:
         manifest = store.read_manifest()
         self.manifest = manifest
         self._shards: List[dict] = list(manifest["shards"])
-        self._matrices: Dict[str, np.ndarray] = {}
-        self._norms: Dict[str, np.ndarray] = {}
+        self._offsets = np.array([int(e["offset"]) for e in self._shards],
+                                 dtype=np.int64)
+        self._stacked: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._record_cache: Dict[str, List[dict]] = {}
 
     @classmethod
@@ -483,15 +531,17 @@ class FleetIndex:
         return len(self._shards)
 
     def _matrix(self, shard: str) -> np.ndarray:
-        matrix = self._matrices.get(shard)
-        if matrix is None:
-            matrix = np.load(self.store.vectors_path(shard),
-                             mmap_mode="r")
-            self._matrices[shard] = matrix
-            self._norms[shard] = np.linalg.norm(matrix, axis=1)
-            metrics.gauge("fleet.vectors_mapped").add(
-                float(matrix.shape[0]))
-        return matrix
+        """One shard's memory-mapped SDL-vector file."""
+        return np.load(self.store.vectors_path(shard), mmap_mode="r")
+
+    def _stack(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked vectors and their row norms, built on first use."""
+        if self._stacked is None:
+            matrix = np.concatenate([self._matrix(entry["name"])
+                                     for entry in self._shards])
+            self._stacked = (matrix, np.linalg.norm(matrix, axis=1))
+            metrics.gauge("fleet.vectors_mapped").add(float(len(matrix)))
+        return self._stacked
 
     def _record(self, shard: str, local_index: int) -> dict:
         records = self._record_cache.get(shard)
@@ -510,30 +560,20 @@ class FleetIndex:
                                "extract_corpus() first")
         if top_k <= 0:
             raise ValueError("top_k must be positive")
-        q = sdl_vector(query)
-        candidate_ids, candidate_scores = [], []
-        candidate_local: List[Tuple[str, int]] = []
-        for entry in self._shards:
-            shard, offset = entry["name"], int(entry["offset"])
-            matrix = self._matrix(shard)
-            positions, scores = cosine_topk(matrix, self._norms[shard], q,
-                                            top_k)
-            candidate_ids.append(offset + positions)
-            candidate_scores.append(scores)
-            candidate_local += [(shard, int(p)) for p in positions]
-        ids = np.concatenate(candidate_ids)
-        scores = np.concatenate(candidate_scores)
-        order = np.lexsort((ids, -scores))[:top_k]
+        matrix, norms = self._stack()
+        ids, scores = cosine_topk(matrix, norms, sdl_vector(query), top_k)
+        shard_of = np.searchsorted(self._offsets, ids, side="right") - 1
         hits: List[MiningHit] = []
-        for position in order:
-            score = float(scores[position])
+        for clip_id, score, shard in zip(ids.tolist(), scores.tolist(),
+                                         shard_of.tolist()):
             if score < min_score:
                 continue
-            shard, local = candidate_local[position]
-            record = self._record(shard, local)
+            entry = self._shards[shard]
+            record = self._record(entry["name"],
+                                  clip_id - int(entry["offset"]))
             desc = ScenarioDescription.from_dict(record["description"])
-            hits.append(MiningHit(clip_id=int(ids[position]),
-                                  score=score, description=desc,
+            hits.append(MiningHit(clip_id=clip_id, score=score,
+                                  description=desc,
                                   sentence=record["sentence"]))
         return hits
 
@@ -580,7 +620,7 @@ def mine_corpus(extractor: ScenarioExtractor, corpus_dir: str,
 
     The one-call fleet counterpart of :func:`repro.api.mine`: runs
     :func:`extract_corpus` (pure skip for already-persisted shards),
-    opens the partitioned index, and ranks.  Returns the hits and the
+    opens the index, and ranks.  Returns the hits and the
     extraction-pass accounting.
     """
     if query is not None and tags:
@@ -612,8 +652,8 @@ __all__ = [
     "extract_corpus",
     "extraction_fingerprint",
     "load_clip",
+    "load_shard",
     "mine_corpus",
-    "shard_clip_paths",
     "top_criticality",
     "write_corpus",
 ]

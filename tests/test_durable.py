@@ -159,10 +159,9 @@ def _workload(dirs, extractor, on_forward):
             cache=cache, heartbeat_s=60.0, ego_action="stop")
         index = fleet.FleetIndex.open(dirs["corpus"], extractor,
                                       store_dir=dirs["store"])
-        clips = np.stack([
-            fleet.load_clip(path)[0]
-            for shard in fleet.corpus_shards(dirs["corpus"])
-            for path in fleet.shard_clip_paths(dirs["corpus"], shard)])
+        clips = np.concatenate([
+            fleet.load_shard(dirs["corpus"], shard)[0]
+            for shard in fleet.corpus_shards(dirs["corpus"])])
         export_corpus(extractor, clips, dirs["export"], cache=cache)
     finally:
         obs_events.set_active(previous)
@@ -315,3 +314,80 @@ def _check_recovery(kill, dirs, extractor, clean, writes):
     assert seqs[:len(before)] == before, kill
     emitted = resumed["log"].stats()["events"] - (before or [0])[-1]
     assert len(seqs) == len(before) + emitted > len(before), kill
+
+
+# ----------------------------------------------------------------------
+# Corpus writer
+#: Source rows of the killed corpus writer: 3 shards of 2, 2 and 1 clips.
+CORPUS_SHARD_SIZE = 2
+CORPUS_FAMILIES = ["free-drive", "lead-brake", "free-drive",
+                   "pedestrian-crossing", "lead-brake"]
+
+
+def _corpus_rows():
+    rng = np.random.default_rng(5)
+    return rng.random((len(CORPUS_FAMILIES), 2, 3, 4, 4), dtype=np.float32)
+
+
+def _write_corpus(corpus_dir):
+    return fleet.write_corpus(_corpus_rows(), corpus_dir,
+                              shard_size=CORPUS_SHARD_SIZE,
+                              families=CORPUS_FAMILIES)
+
+
+def _corpus_child_main():
+    """Entry point of a corpus writer killed at one write boundary:
+    ``python -c`` with the corpus directory and the kill point as one
+    JSON argument."""
+    spec = json.loads(sys.argv[1])
+    _patch_primitives(spec["kill"])
+    _write_corpus(spec["corpus"])
+    os._exit(0)
+
+
+def test_write_corpus_crash_leaves_whole_shards(tmp_path):
+    real_os = durable.os
+    try:
+        boundaries = _patch_primitives()
+        _write_corpus(str(tmp_path / "clean"))
+    finally:
+        durable.os = real_os
+    # Per shard, families.json is published before clips.npy.
+    published = [os.path.relpath(dst, tmp_path / "clean")
+                 for kind, dst in boundaries if kind == "replace"]
+    assert published == [
+        os.path.join(f"shard-{i:04d}", name) for i in range(3)
+        for name in ("families.json", "clips.npy")]
+    points = [["replace", i, when] for i in range(len(published))
+              for when in ("before", "after")]
+
+    rows = _corpus_rows()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), ROOT]))
+    for start in range(0, len(points), 2):
+        runs = []
+        for n, kill in enumerate(points[start:start + 2], start=start):
+            corpus = str(tmp_path / f"run{n:02d}")
+            runs.append((kill, corpus, subprocess.Popen(
+                [sys.executable, "-c",
+                 "from tests.test_durable import _corpus_child_main; "
+                 "_corpus_child_main()",
+                 json.dumps({"corpus": corpus, "kill": kill})],
+                cwd=ROOT, env=env)))
+        for kill, corpus, child in runs:
+            assert child.wait(timeout=120) == KILLED, kill
+            # A shard is whole once its clips.npy is published.
+            published_clips = (kill[1] + (kill[2] == "after")) // 2
+            whole = 0
+            for shard in fleet.corpus_shards(corpus):
+                clips, families = fleet.load_shard(corpus, shard)
+                if "clips.npy" not in os.listdir(
+                        os.path.join(corpus, shard)):
+                    assert len(clips) == 0 and families == [], kill
+                    continue
+                first = int(shard[len("shard-"):]) * CORPUS_SHARD_SIZE
+                want = slice(first, first + CORPUS_SHARD_SIZE)
+                assert np.array_equal(np.array(clips), rows[want]), kill
+                assert families == CORPUS_FAMILIES[want], kill
+                whole += 1
+            assert whole == published_clips, kill

@@ -68,17 +68,14 @@ class TestCorpusLayout:
         shards = fleet.corpus_shards(corpus)
         assert shards == ["shard-0000", "shard-0001", "shard-0002",
                           "shard-0003"]
-        sizes = [len(fleet.shard_clip_paths(corpus, s)) for s in shards]
-        assert sizes == [4, 4, 4, 2]
+        loaded = [fleet.load_shard(corpus, s) for s in shards]
+        assert [len(clips) for clips, _ in loaded] == [4, 4, 4, 2]
         # Global walk order equals the clips' original order.
-        offset = 0
-        for shard in shards:
-            for path in fleet.shard_clip_paths(corpus, shard):
-                clip, family = fleet.load_clip(path)
-                assert np.array_equal(clip, dataset.videos[offset])
-                assert family == dataset.families[offset]
-                offset += 1
-        assert offset == 14
+        clips = np.concatenate([clips for clips, _ in loaded])
+        families = [f for _, shard_families in loaded
+                    for f in shard_families]
+        assert np.array_equal(clips, dataset.videos)
+        assert families == list(dataset.families)
         assert fleet.corpus_clip_shape(corpus) == (4, 3, 16, 16)
 
     def test_write_corpus_validates_input(self, dataset, tmp_path):
@@ -94,6 +91,142 @@ class TestCorpusLayout:
     def test_missing_corpus_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             fleet.corpus_shards(str(tmp_path / "nowhere"))
+
+    def test_shard_is_one_mapped_array(self, dataset, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        fleet.write_corpus(dataset.videos, corpus, shard_size=8)
+        assert sorted(os.listdir(os.path.join(corpus, "shard-0000"))) \
+            == ["clips.npy"]
+        clips, families = fleet.load_shard(corpus, "shard-0001")
+        assert isinstance(clips, np.memmap)
+        assert clips.dtype == np.float32
+        assert np.array_equal(clips, dataset.videos[8:])
+        assert families == [None] * 6
+
+    def test_rewrite_over_existing_corpus_rejected(self, dataset,
+                                                   tmp_path):
+        corpus = str(tmp_path / "corpus")
+        fleet.write_corpus(dataset.videos, corpus, shard_size=4)
+        with pytest.raises(FileExistsError):
+            fleet.write_corpus(dataset.videos[:8], corpus, shard_size=8)
+        # The first corpus is untouched: no stale shard mixes in.
+        shards = fleet.corpus_shards(corpus)
+        clips = np.concatenate([fleet.load_shard(corpus, s)[0]
+                                for s in shards])
+        assert np.array_equal(clips, dataset.videos)
+
+    def test_shard_without_clips_is_empty(self, dataset, extractor,
+                                          tmp_path):
+        corpus = str(tmp_path / "corpus")
+        fleet.write_corpus(dataset.videos[:4], corpus, shard_size=4)
+        os.makedirs(os.path.join(corpus, "shard-0001"))
+        with open(os.path.join(corpus, "shard-0001", "families.json"),
+                  "w") as handle:
+            json.dump(["free-drive"] * 4, handle)
+        clips, families = fleet.load_shard(corpus, "shard-0001")
+        assert len(clips) == 0 and families == []
+        stats = fleet.extract_corpus(extractor, corpus)
+        assert (stats.shards, stats.clips) == (1, 4)
+
+
+def _write_v1_corpus(clips, corpus_dir, shard_size, families):
+    """The layout-v1 writer: one ``clip-NNNNNN.npz`` object per clip."""
+    for start in range(0, len(clips), shard_size):
+        shard_dir = os.path.join(corpus_dir,
+                                 f"shard-{start // shard_size:04d}")
+        os.makedirs(shard_dir)
+        for i in range(start, min(start + shard_size, len(clips))):
+            np.savez(os.path.join(shard_dir, f"clip-{i:06d}.npz"),
+                     clip=clips[i], family=np.array(families[i]))
+
+
+class TestLegacyLayout:
+    """Layout-v1 corpora are still read, with the same results."""
+
+    @pytest.fixture(scope="class")
+    def mined(self, dataset, extractor, tmp_path_factory):
+        root = tmp_path_factory.mktemp("layouts")
+        runs = {}
+        for layout in ("v1", "v2"):
+            corpus = str(root / layout)
+            if layout == "v1":
+                _write_v1_corpus(dataset.videos, corpus, 4,
+                                 dataset.families)
+            else:
+                fleet.write_corpus(dataset.videos, corpus, shard_size=4,
+                                   families=dataset.families)
+            stats = fleet.extract_corpus(extractor, corpus)
+            runs[layout] = (corpus, stats,
+                            fleet.FleetIndex.open(corpus, extractor))
+        return runs
+
+    def test_load_shard_reads_v1(self, mined, dataset):
+        corpus = mined["v1"][0]
+        clips, families = fleet.load_shard(corpus, "shard-0003")
+        assert not isinstance(clips, np.memmap)
+        assert np.array_equal(clips, dataset.videos[12:])
+        assert families == list(dataset.families[12:])
+        assert fleet.corpus_clip_shape(corpus) == (4, 3, 16, 16)
+
+    def test_vector_stores_byte_identical(self, mined):
+        stores = {layout: run[2].store for layout, run in mined.items()}
+        for shard in fleet.corpus_shards(mined["v1"][0]):
+            with open(stores["v1"].vectors_path(shard), "rb") as v1, \
+                    open(stores["v2"].vectors_path(shard), "rb") as v2:
+                assert v1.read() == v2.read()
+
+    def test_records_equal_but_object(self, mined):
+        v1 = list(mined["v1"][2].iter_records())
+        v2 = list(mined["v2"][2].iter_records())
+        assert [r.pop("object") for r in v1] \
+            == [f"clip-{i:06d}.npz" for i in range(14)]
+        assert [r.pop("object") for r in v2] \
+            == [f"clips.npy#{i % 4}" for i in range(14)]
+        assert v1 == v2
+
+    def test_queries_equal(self, mined, dataset):
+        for query in [QUERY] + list(dataset.descriptions[:5]):
+            for top_k in (1, 5, 14):
+                hits = {layout: [(h.clip_id, h.score, h.sentence)
+                                 for h in run[2].query(query, top_k=top_k)]
+                        for layout, run in mined.items()}
+                assert hits["v1"] == hits["v2"]
+
+    def test_mixed_shard_rejected(self, dataset, extractor, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        fleet.write_corpus(dataset.videos[:4], corpus, shard_size=4)
+        np.savez(os.path.join(corpus, "shard-0000", "clip-000000.npz"),
+                 clip=dataset.videos[0])
+        with pytest.raises(ValueError, match="both"):
+            fleet.load_shard(corpus, "shard-0000")
+        with pytest.raises(ValueError, match="both"):
+            fleet.extract_corpus(extractor, corpus)
+
+    def test_v2_rerun_reads_no_clip_bytes(self, dataset, extractor,
+                                          tmp_path, monkeypatch):
+        corpus = str(tmp_path / "corpus")
+        fleet.write_corpus(dataset.videos, corpus, shard_size=4)
+        fleet.extract_corpus(extractor, corpus)
+        loaded = []
+        real_load_shard = fleet.load_shard
+
+        def recording(corpus_dir, shard):
+            clips, families = real_load_shard(corpus_dir, shard)
+            loaded.append(clips)
+            return clips, families
+
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("a skipped shard reached extraction")
+
+        monkeypatch.setattr(fleet, "load_shard", recording)
+        monkeypatch.setattr(fleet, "cached_extract_batch", no_extraction)
+        rerun = fleet.extract_corpus(extractor, corpus)
+        assert rerun.shards_skipped == 4
+        assert rerun.clips_extracted == 0
+        # Each shard came back as a map; the only reader of its rows
+        # (extraction) never ran.
+        assert len(loaded) == 4
+        assert all(isinstance(clips, np.memmap) for clips in loaded)
 
 
 class TestOutOfCoreParity:
