@@ -39,6 +39,7 @@ from repro.core.pipeline import ExtractionResult, ScenarioExtractor
 from repro.core.retrieval import RetrievalIndex, retrieval_metrics
 from repro.nn.module import Module
 from repro.obs import context as _obs_context
+from repro.obs import events as _obs_events
 from repro.obs.drift import DriftConfig
 from repro.obs.events import EventLog
 from repro.obs.quality import (
@@ -51,6 +52,7 @@ from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
 from repro.serve.client import ServiceClient
 from repro.serve.config import ServiceConfig
+from repro.serve.faults import FaultInjector
 from repro.serve.pool import ServicePool
 from repro.serve.service import ExtractionService
 
@@ -249,6 +251,7 @@ def mine_corpus(source: ExtractorSource,
                 cache: CacheLike = None,
                 heartbeat_s: float = 5.0,
                 on_progress=None,
+                events: EventsLike = None,
                 **tags) -> Tuple[List[MiningHit], FleetStats]:
     """Out-of-core :func:`mine` over a sharded corpus directory.
 
@@ -261,15 +264,24 @@ def mine_corpus(source: ExtractorSource,
     ``(hits, stats)`` where ``stats`` reports shards scanned / skipped
     / extracted.  ``fleet_progress`` heartbeats (event log, the
     store's telemetry ring, ``on_progress``) fire every
-    ``heartbeat_s`` seconds (see ``docs/mining.md``).
+    ``heartbeat_s`` seconds (see ``docs/mining.md``); ``events`` (an
+    :class:`~repro.obs.events.EventLog` or a directory path) is the
+    active event log for the duration of the call.
     """
     extractor = _as_extractor(source)
-    return _fleet_mine_corpus(extractor, os.fspath(corpus_dir),
-                              query=query, top_k=top_k,
-                              min_score=min_score, store_dir=store_dir,
-                              cache=_as_cache(cache, None),
-                              heartbeat_s=heartbeat_s,
-                              on_progress=on_progress, **tags)
+    events = _as_events(events, None)
+    previous = (_obs_events.set_active(events) if events is not None
+                else None)
+    try:
+        return _fleet_mine_corpus(extractor, os.fspath(corpus_dir),
+                                  query=query, top_k=top_k,
+                                  min_score=min_score, store_dir=store_dir,
+                                  cache=_as_cache(cache, None),
+                                  heartbeat_s=heartbeat_s,
+                                  on_progress=on_progress, **tags)
+    finally:
+        if events is not None:
+            _obs_events.set_active(previous)
 
 
 def retrieve(source: ExtractorSource, clips: np.ndarray,
@@ -298,6 +310,8 @@ def serve(source: ExtractorSource,
           slo: Optional[Union[SLOConfig, SLOTracker]] = None,
           quality: Optional[Union[QualityConfig, QualityMonitor]] = None,
           precision: Optional[str] = None,
+          fault_injector: Optional[FaultInjector] = None,
+          telemetry_interval_s: Optional[float] = 0.25,
           **config_kwargs) -> Union[ExtractionService, ServicePool]:
     """A started extraction service over ``source``.
 
@@ -323,7 +337,12 @@ def serve(source: ExtractorSource,
     and the canary gate on ``reload()`` (refusals raise
     :class:`~repro.obs.quality.CanaryRefusedError`).  The old
     ``cache_dir=`` / ``events_dir=`` spellings still work with a
-    ``DeprecationWarning``.
+    ``DeprecationWarning``.  ``fault_injector`` (a
+    :class:`~repro.serve.faults.FaultInjector`) fails or delays primary
+    batch attempts; a pool ships its spec to every worker with a
+    per-rank seed offset.  ``telemetry_interval_s`` is the pool's
+    worker telemetry cadence (``None`` disables it); a single
+    in-process service has no workers and ignores it.
 
     ``precision`` selects the inference path of the served model and
     only applies when the service builds the extractor (model or
@@ -353,9 +372,10 @@ def serve(source: ExtractorSource,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     common = dict(cache=resolved_cache, events=events, slo=slo,
-                  quality=quality)
+                  quality=quality, fault_injector=fault_injector)
     if workers > 1:
         return ServicePool(extractor, config, workers=workers,
+                           telemetry_interval_s=telemetry_interval_s,
                            **common).start()
     return ExtractionService(extractor, config, **common).start()
 

@@ -1,108 +1,76 @@
-"""Command-line interface: ``python -m repro.cli <command>``.
+"""Command-line interface: ``repro <command>`` (or ``python -m repro.cli``).
 
-Commands
---------
-- ``generate`` — build a SynthDrive dataset and save it to ``.npz``, or
-  (``--corpus-dir``) materialise it as a sharded on-disk corpus layout
-  for out-of-core mining (see ``docs/mining.md``).
-- ``train`` — train a model on a dataset file and save a checkpoint.
-- ``extract`` — run a trained model over a dataset and print sentences.
-- ``evaluate`` — full SDL metric suite of a checkpoint on a dataset.
-- ``mine`` — cache-backed corpus mining: JSONL export ranked by
-  criticality plus optional tag queries; ``--cache-dir`` persists the
-  extraction cache so re-runs skip the model entirely
-  (see ``docs/caching.md``).  With ``--corpus-dir`` instead of
-  ``--data``, mining runs **out of core** over a sharded corpus layout:
-  shards are extracted one at a time into per-shard tag stores, re-runs
-  skip every already-persisted shard, and queries go through one
-  stacked SDL-vector matrix (see ``docs/mining.md``).
-- ``serve`` — run the fault-tolerant micro-batching extraction service
-  against a dataset burst and report per-status accounting; with
-  ``--events-dir`` every request lifecycle is recorded to a structured
-  event log (see ``docs/serving.md``); ``--quality`` adds streaming
-  quality scorecards + drift alerts, and ``--canary-checkpoint``
-  attempts a canary-gated hot reload after the burst.
-- ``top`` — dashboard over a recorded (or live, ``--follow``) event
-  log: throughput, queue depth, batching, breaker state, cache hit
-  rate, firing SLO alerts and the quality panel (windows, drift
-  alerts, canary verdicts); ``--json`` prints one ``repro.top/v1``
-  snapshot for CI (see ``docs/observability.md``).
+Each command that loads a model is a thin shell over :mod:`repro.api`:
+it parses its flags, calls the facade (``load_extractor``, ``mine``,
+``mine_corpus``, ``build_corpus``, ``serve``) and formats the result, so
+the CLI assembles extractors, services and fleet indexes exactly the
+way library callers do.  ``repro <command> --help`` lists the flags;
+``docs/`` covers mining, caching, serving and observability.
 
-Checkpoints are self-describing (``repro.checkpoint/v1``): ``extract``,
-``evaluate``, ``mine`` and ``serve`` rebuild the model from checkpoint
-metadata alone.  The ``--model/--dim/--depth/--heads`` flags remain as
-deprecated overrides for those commands — validated against the
-metadata when both are present — and still define the architecture for
-legacy weights-only checkpoints.
+Checkpoints are self-describing (``repro.checkpoint/v1``).  The
+``--model/--dim/--depth/--heads`` flags remain as deprecated overrides
+for checkpoint consumers — validated against the metadata when both are
+present — and still define the architecture for legacy weights-only
+checkpoints.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import threading
+import time
 import warnings
+from collections import Counter
 
-from repro.core import ScenarioExtractor
+import numpy as np
+
+from repro import api
+from repro.core import fleet
+from repro.core.export import export_corpus
+from repro.core.pipeline import PRECISIONS, ScenarioExtractor
 from repro.data import SynthDriveConfig, SynthDriveDataset, generate_dataset
 from repro.models import MODEL_REGISTRY, ModelConfig, build_model
+from repro.nn.module import read_checkpoint_meta
+from repro.obs import metrics, write_prometheus
+from repro.serve import BATCH_SIZE_BUCKETS, FaultInjector
 from repro.train import TrainConfig, Trainer
 
 #: Historical architecture defaults, applied only to legacy checkpoints
 #: saved before checkpoint metadata existed.
-_LEGACY_DEFAULTS = {"model": "vt-divided", "dim": 48, "depth": 2,
-                    "heads": 4}
+_LEGACY_DEFAULTS = {"model": "vt-divided", "dim": 48, "depth": 2, "heads": 4}
 
 
-def _add_precision_arg(parser: argparse.ArgumentParser) -> None:
-    """``--precision`` for extraction commands (docs/performance.md):
-    video transformers run the fused inference engine at every
-    precision — fp32 bit-identical to the autograd forward, fp16/int8
-    as smaller weight memory formats."""
-    from repro.core.pipeline import PRECISIONS
-
-    parser.add_argument("--precision", choices=PRECISIONS,
-                        default="fp32",
-                        help="no-grad inference precision; int8 "
-                             "calibrates activation scales on synthetic "
-                             "clips at load time")
-
-
-def _add_model_args(parser: argparse.ArgumentParser,
-                    for_training: bool = False) -> None:
-    """Model-shape flags.
-
-    For ``train`` they define the architecture (with defaults).  For
-    checkpoint-consuming commands they default to ``None``: the
-    checkpoint's own metadata wins, and explicit values are deprecated,
-    validated overrides.
-    """
-    if for_training:
-        parser.add_argument("--model", default=_LEGACY_DEFAULTS["model"],
-                            choices=sorted(MODEL_REGISTRY))
-        parser.add_argument("--dim", type=int,
-                            default=_LEGACY_DEFAULTS["dim"])
-        parser.add_argument("--depth", type=int,
-                            default=_LEGACY_DEFAULTS["depth"])
-        parser.add_argument("--heads", type=int,
-                            default=_LEGACY_DEFAULTS["heads"])
-        return
+def _add_checkpoint_args(parser: argparse.ArgumentParser,
+                         precision: bool = True) -> None:
+    """``--precision`` (docs/performance.md) and the model-shape flags,
+    which default to ``None``: the checkpoint's own metadata wins, and
+    explicit values are deprecated, validated overrides."""
+    if precision:
+        parser.add_argument("--precision", choices=PRECISIONS,
+                            default="fp32",
+                            help="no-grad inference precision; int8 "
+                                 "calibrates activation scales on "
+                                 "synthetic clips at load time")
     help_suffix = ("(deprecated: self-describing checkpoints make this "
                    "unnecessary; validated against metadata if given)")
     parser.add_argument("--model", default=None,
                         choices=sorted(MODEL_REGISTRY),
                         help=f"model family {help_suffix}")
-    parser.add_argument("--dim", type=int, default=None,
-                        help=f"embedding dim {help_suffix}")
-    parser.add_argument("--depth", type=int, default=None,
-                        help=f"encoder depth {help_suffix}")
-    parser.add_argument("--heads", type=int, default=None,
-                        help=f"attention heads {help_suffix}")
+    for flag, what in (("dim", "embedding dim"), ("depth", "encoder depth"),
+                       ("heads", "attention heads")):
+        parser.add_argument(f"--{flag}", type=int, default=None,
+                            help=f"{what} {help_suffix}")
 
 
-def _model_config(args, frames: int) -> ModelConfig:
-    return ModelConfig(frames=frames, dim=args.dim, depth=args.depth,
-                       num_heads=args.heads, seed=args.seed)
+def _build_model(settings: dict, frames: int, seed: int):
+    """A fresh model from ``model``/``dim``/``depth``/``heads``."""
+    return build_model(settings["model"], ModelConfig(
+        frames=frames, dim=settings["dim"], depth=settings["depth"],
+        num_heads=settings["heads"], seed=seed))
 
 
 def cmd_generate(args) -> int:
@@ -118,11 +86,9 @@ def cmd_generate(args) -> int:
                               ambient_traffic=args.ambient)
     dataset = generate_dataset(config, workers=args.workers)
     if args.corpus_dir:
-        from repro.core.fleet import write_corpus
-
-        info = write_corpus(dataset.videos, args.corpus_dir,
-                            shard_size=args.shard_size,
-                            families=dataset.families)
+        info = api.build_corpus(dataset.videos, args.corpus_dir,
+                                shard_size=args.shard_size,
+                                families=dataset.families)
         print(f"wrote {info['clips']} clips "
               f"({dataset.videos.shape[1:]} each) to {info['shards']} "
               f"shards under {args.corpus_dir}")
@@ -137,76 +103,68 @@ def cmd_train(args) -> int:
     """``train``: fit a model on a dataset file, save a checkpoint."""
     dataset = SynthDriveDataset.load(args.data)
     train_set, val_set, _ = dataset.split(seed=args.seed)
-    frames = dataset.videos.shape[1]
-    model = build_model(args.model, _model_config(args, frames))
+    model = _build_model(vars(args), dataset.videos.shape[1], args.seed)
     trainer = Trainer(model, TrainConfig(epochs=args.epochs,
                                          batch_size=args.batch_size,
                                          lr=args.lr, seed=args.seed,
                                          verbose=True))
     trainer.fit(train_set, val_set=val_set if len(val_set) else None)
     model.save(args.out)
-    metrics = trainer.evaluate(val_set) if len(val_set) else {}
+    scores = trainer.evaluate(val_set) if len(val_set) else {}
     print(f"checkpoint written to {args.out}")
-    if metrics:
+    if scores:
         print("val metrics:",
-              json.dumps({k: round(v, 4) for k, v in metrics.items()}))
+              json.dumps({k: round(v, 4) for k, v in scores.items()}))
     return 0
 
 
-def _load_model(args, frames: int):
-    """Rebuild the checkpointed model, preferring checkpoint metadata.
+def _load_extractor(args, frames: int) -> ScenarioExtractor:
+    """The checkpoint's extractor at the command's ``--threshold`` and
+    ``--precision``, built by :func:`repro.api.load_extractor`.
 
     Self-describing checkpoints need no flags; explicit flags are
     deprecation-warned and must agree with the metadata.  Legacy
     weights-only checkpoints fall back to the flags (or their historical
     defaults)."""
-    from repro.models.factory import load_model
-    from repro.nn.module import read_checkpoint_meta
-
     meta = read_checkpoint_meta(args.checkpoint)
     overrides = {name: value for name, value in
                  (("model", args.model), ("dim", args.dim),
                   ("depth", args.depth), ("heads", args.heads))
                  if value is not None}
-    if meta is not None and "model" in meta:
-        if overrides:
-            warnings.warn(
-                "--model/--dim/--depth/--heads are deprecated for "
-                "self-describing checkpoints; the checkpoint metadata "
-                "defines the architecture",
-                DeprecationWarning, stacklevel=2,
-            )
-            config = meta.get("config", {})
-            expected = {"model": meta["model"], "dim": config.get("dim"),
-                        "depth": config.get("depth"),
-                        "heads": config.get("num_heads")}
-            conflicts = [
-                f"--{name}={value} but checkpoint has {expected[name]}"
-                for name, value in overrides.items()
-                if expected.get(name) is not None
-                and value != expected[name]
-            ]
-            if conflicts:
-                print("error: model flags conflict with checkpoint "
-                      "metadata: " + "; ".join(conflicts),
-                      file=sys.stderr)
-                raise SystemExit(2)
-        return load_model(args.checkpoint)
-    settings = dict(_LEGACY_DEFAULTS, **overrides)
-    config = ModelConfig(frames=frames, dim=settings["dim"],
-                         depth=settings["depth"],
-                         num_heads=settings["heads"], seed=args.seed)
-    model = build_model(settings["model"], config)
-    model.load(args.checkpoint)
-    return model
+    source = args.checkpoint
+    if meta is None or "model" not in meta:
+        source = _build_model(dict(_LEGACY_DEFAULTS, **overrides),
+                              frames, args.seed)
+        source.load(args.checkpoint)
+    elif overrides:
+        warnings.warn(
+            "--model/--dim/--depth/--heads are deprecated for "
+            "self-describing checkpoints; the checkpoint metadata "
+            "defines the architecture",
+            DeprecationWarning, stacklevel=2,
+        )
+        config = meta.get("config", {})
+        expected = {"model": meta["model"], "dim": config.get("dim"),
+                    "depth": config.get("depth"),
+                    "heads": config.get("num_heads")}
+        conflicts = [
+            f"--{name}={value} but checkpoint has {expected[name]}"
+            for name, value in overrides.items()
+            if expected.get(name) is not None and value != expected[name]
+        ]
+        if conflicts:
+            print("error: model flags conflict with checkpoint "
+                  "metadata: " + "; ".join(conflicts), file=sys.stderr)
+            raise SystemExit(2)
+    return api.load_extractor(source,
+                              threshold=getattr(args, "threshold", 0.5),
+                              precision=getattr(args, "precision", "fp32"))
 
 
 def cmd_extract(args) -> int:
     """``extract``: print descriptions for clips in a dataset."""
     dataset = SynthDriveDataset.load(args.data)
-    model = _load_model(args, dataset.videos.shape[1])
-    extractor = ScenarioExtractor(model, threshold=args.threshold,
-                                  precision=args.precision)
+    extractor = _load_extractor(args, dataset.videos.shape[1])
     clips = dataset.videos[:args.limit] if args.limit else dataset.videos
     for i, result in enumerate(extractor.extract_batch(clips)):
         print(f"clip {i}: {result.sentence}")
@@ -218,79 +176,62 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     """``evaluate``: full SDL metric suite of a checkpoint."""
     dataset = SynthDriveDataset.load(args.data)
-    model = _load_model(args, dataset.videos.shape[1])
-    trainer = Trainer(model)
-    metrics = trainer.evaluate(dataset)
-    print(json.dumps({k: round(v, 4) for k, v in metrics.items()},
+    model = _load_extractor(args, dataset.videos.shape[1]).model
+    scores = Trainer(model).evaluate(dataset)
+    print(json.dumps({k: round(v, 4) for k, v in scores.items()},
                      indent=2))
     return 0
 
 
-def _mine_tags(args) -> dict:
-    """Tag query assembled from the ``mine`` flags (empty = no query)."""
-    tags = {}
-    if args.scene:
-        tags["scene"] = args.scene
-    if args.ego_action:
-        tags["ego_action"] = args.ego_action
-    if args.actor:
-        tags["actors"] = set(args.actor)
-    if args.actor_action:
-        tags["actor_actions"] = set(args.actor_action)
-    return tags
+def _mine_data(args, cache, tags: dict):
+    """``mine --data``: export every record, then query through
+    :func:`repro.api.mine`, which only hits the cache by then."""
+    dataset = SynthDriveDataset.load(args.data)
+    extractor = _load_extractor(args, dataset.videos.shape[1])
+    records = export_corpus(extractor, dataset.videos, args.out,
+                            families=dataset.families, cache=cache)
+    hits = (api.mine(extractor, dataset.videos, top_k=args.top_k,
+                     min_score=args.min_score, cache=cache, **tags)
+            if tags else [])
+    ranked = sorted(records, key=lambda r: -r["criticality"])
+    return hits, {
+        "clips": len(records),
+        "records_path": args.out,
+        "cache": cache.stats(),
+        "extracted_clips": cache.misses,
+        "top_criticality": [
+            {key: r[key] for key in ("clip_id", "criticality", "sentence")}
+            for r in ranked[:args.top]
+        ],
+    }
 
 
-def _mine_fleet(args) -> int:
-    """``mine --corpus-dir``: out-of-core mining over a sharded corpus.
+def _print_fleet_progress(progress: dict) -> None:
+    eta = progress["eta_s"]
+    line = (f"fleet {progress['shards_done']}/"
+            f"{progress['shards_total']} shards  "
+            f"{progress['clips_done']} clips  "
+            f"{progress['clips_per_s']:.1f} clips/s"
+            + (f"  eta {eta:.0f}s" if eta is not None else ""))
+    end = "\n" if progress["final"] else "\r"
+    print("\r" + line + (" [done]" if progress["final"] else ""),
+          end=end, file=sys.stderr, flush=True)
 
-    Shards are extracted one at a time into per-shard tag stores keyed
-    on the extractor fingerprint; a re-run (including after an
-    interruption) skips every already-persisted shard, performing zero
-    repeat forward passes.  Queries rank through the stacked SDL
-    vectors and are bit-identical to in-memory mining over the same
-    clips (see ``docs/mining.md``).
-    """
-    import os
 
-    from repro.core import fleet
-    from repro.core.cache import ExtractionCache
-    from repro.obs import events as obs_events
-    from repro.obs.events import EventLog
-
-    shape = fleet.corpus_clip_shape(args.corpus_dir)
-    model = _load_model(args, shape[0])
-    extractor = ScenarioExtractor(model, precision=args.precision)
-    cache = ExtractionCache(args.cache_dir or None)
-    events = None
-    previous_events = None
-    if getattr(args, "events_dir", ""):
-        events = EventLog(args.events_dir)
-        previous_events = obs_events.set_active(events)
-
-    def _progress(progress: dict) -> None:
-        eta = progress["eta_s"]
-        line = (f"fleet {progress['shards_done']}/"
-                f"{progress['shards_total']} shards  "
-                f"{progress['clips_done']} clips  "
-                f"{progress['clips_per_s']:.1f} clips/s"
-                + (f"  eta {eta:.0f}s" if eta is not None else ""))
-        end = "\n" if progress["final"] else "\r"
-        print("\r" + line + (" [done]" if progress["final"] else ""),
-              end=end, file=sys.stderr, flush=True)
-
-    try:
-        stats = fleet.extract_corpus(
-            extractor, args.corpus_dir, cache=cache,
-            heartbeat_s=args.heartbeat_interval, on_progress=_progress)
-    finally:
-        if events is not None:
-            obs_events.set_active(previous_events)
+def _mine_fleet(args, cache, tags: dict):
+    """``mine --corpus-dir``: out-of-core mining through
+    :func:`repro.api.mine_corpus` (resumable: a re-run skips every
+    already-persisted shard; see ``docs/mining.md``)."""
+    extractor = _load_extractor(
+        args, fleet.corpus_clip_shape(args.corpus_dir)[0])
+    hits, stats = api.mine_corpus(
+        extractor, args.corpus_dir, top_k=args.top_k,
+        min_score=args.min_score, cache=cache,
+        heartbeat_s=args.heartbeat_interval,
+        on_progress=_print_fleet_progress,
+        events=args.events_dir or None, **tags)
     index = fleet.FleetIndex.open(args.corpus_dir, extractor)
-    tags = _mine_tags(args)
-    hits = (index.query_tags(top_k=args.top_k, min_score=args.min_score,
-                             **tags) if tags else [])
-    summary = {
-        "schema": "repro.mine/v1",
+    return hits, {
         "clips": len(index),
         "records_path": None,
         "fleet": stats.to_dict(),
@@ -300,87 +241,60 @@ def _mine_fleet(args) -> int:
         "cache": cache.stats(),
         "extracted_clips": stats.clips_extracted,
         "top_criticality": fleet.top_criticality(index, args.top),
-        "query": {k: sorted(v) if isinstance(v, set) else v
-                  for k, v in tags.items()} or None,
-        "hits": [
-            {"clip_id": h.clip_id, "score": round(h.score, 4),
-             "sentence": h.sentence}
-            for h in hits
-        ],
     }
-    if args.json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    print(f"corpus {args.corpus_dir}: {stats.shards} shards / "
-          f"{stats.clips} clips (extracted {stats.shards_extracted}, "
-          f"skipped {stats.shards_skipped} already persisted)")
-    print(f"tag store: {stats.store_root}")
+
+
+def _print_mine(args, summary: dict, hits: list) -> None:
+    """Text report of either mining path."""
+    stats = summary.get("fleet")
+    if stats is not None:
+        print(f"corpus {args.corpus_dir}: {stats['shards']} shards / "
+              f"{stats['clips']} clips (extracted "
+              f"{stats['shards_extracted']}, skipped "
+              f"{stats['shards_skipped']} already persisted)")
+        print(f"tag store: {stats['store_root']}")
+    else:
+        print(f"wrote {summary['clips']} records to {args.out}")
     print(f"top {args.top} by criticality:")
     for record in summary["top_criticality"]:
         print(f"  clip {record['clip_id']:3d} "
               f"crit={record['criticality']:.3f} {record['sentence']}")
-    if tags:
+    if summary["query"]:
         print(f"query {summary['query']} -> {len(hits)} hits:")
         for hit in hits:
             print(f"  clip {hit.clip_id:3d} score={hit.score:.3f} "
                   f"{hit.sentence}")
-    return 0
+    if stats is None:
+        cache = summary["cache"]
+        print(f"cache: {cache['hits']} hits / {cache['misses']} misses "
+              f"(hit rate {cache['hit_rate']:.0%}, "
+              f"{cache['entries']} entries"
+              + (f", dir {args.cache_dir})" if args.cache_dir
+                 else ", in-memory)"))
 
 
 def cmd_mine(args) -> int:
-    """``mine``: cache-backed corpus mining.
-
-    Extracts the corpus through an :class:`ExtractionCache` (persistent
-    under ``--cache-dir``, in-memory otherwise, so each clip runs at
-    most one forward pass per invocation either way), exports the JSONL
-    records ranked by criticality, optionally answers a tag query
-    (``--ego-action`` / ``--actor`` ...), and reports a cache-stats
-    summary.  Re-running over an already-cached corpus performs zero
-    extractor forward passes and returns bit-identical records/hits.
-    ``--corpus-dir`` switches to the out-of-core path
-    (:func:`_mine_fleet`).
-    """
-    from repro.core.cache import ExtractionCache
-    from repro.core.export import export_corpus
-    from repro.core.mining import ScenarioMiner
-
+    """``mine``: rank a corpus by criticality and answer a tag query
+    through one :class:`ExtractionCache` (on disk under ``--cache-dir``),
+    so each clip runs at most one forward pass per invocation and a
+    re-run over a cached corpus runs none."""
     if bool(args.data) == bool(args.corpus_dir):
         print("error: pass exactly one of --data or --corpus-dir",
               file=sys.stderr)
         return 2
-    if args.corpus_dir:
-        return _mine_fleet(args)
-    if not args.out:
+    if args.data and not args.out:
         print("error: --out is required with --data", file=sys.stderr)
         return 2
-    dataset = SynthDriveDataset.load(args.data)
-    model = _load_model(args, dataset.videos.shape[1])
-    extractor = ScenarioExtractor(model, precision=args.precision)
-    cache = ExtractionCache(args.cache_dir or None)
-    records = export_corpus(extractor, dataset.videos, args.out,
-                            families=dataset.families, cache=cache)
-    ranked = sorted(records, key=lambda r: -r["criticality"])
-
-    tags = _mine_tags(args)
-    hits = []
-    if tags:
-        miner = ScenarioMiner(extractor, cache=cache)
-        miner.add_clips(dataset.videos)  # pure cache hits by now
-        hits = miner.query_tags(top_k=args.top_k,
-                                min_score=args.min_score, **tags)
-
-    stats = cache.stats()
+    tags = {"scene": args.scene, "ego_action": args.ego_action,
+            "actors": set(args.actor),
+            "actor_actions": set(args.actor_action)}
+    tags = {name: value for name, value in tags.items() if value}
+    cache = api.ExtractionCache(args.cache_dir or None)
+    hits, fields = (_mine_fleet if args.corpus_dir
+                    else _mine_data)(args, cache, tags)
     summary = {
         "schema": "repro.mine/v1",
-        "clips": len(records),
-        "records_path": args.out,
-        "cache": stats,
-        "extracted_clips": stats["misses"],
-        "top_criticality": [
-            {"clip_id": r["clip_id"], "criticality": r["criticality"],
-             "sentence": r["sentence"]}
-            for r in ranked[:args.top]
-        ],
+        **fields,
         "query": {k: sorted(v) if isinstance(v, set) else v
                   for k, v in tags.items()} or None,
         "hits": [
@@ -391,75 +305,53 @@ def cmd_mine(args) -> int:
     }
     if args.json:
         print(json.dumps(summary, indent=2))
-        return 0
-    print(f"wrote {len(records)} records to {args.out}")
-    print(f"top {args.top} by criticality:")
-    for record in ranked[:args.top]:
-        print(f"  clip {record['clip_id']:3d} "
-              f"crit={record['criticality']:.3f} {record['sentence']}")
-    if tags:
-        print(f"query {summary['query']} -> {len(hits)} hits:")
-        for hit in hits:
-            print(f"  clip {hit.clip_id:3d} score={hit.score:.3f} "
-                  f"{hit.sentence}")
-    print(f"cache: {stats['hits']} hits / {stats['misses']} misses "
-          f"(hit rate {stats['hit_rate']:.0%}, "
-          f"{stats['entries']} entries"
-          + (f", dir {args.cache_dir})" if args.cache_dir
-             else ", in-memory)"))
+    else:
+        _print_mine(args, summary, hits)
     return 0
 
 
+def _slo_config(args):
+    """The SLO objectives ``--slo-latency-ms`` / ``--confidence-floor``
+    turn on; ``None`` (availability only) when neither is set."""
+    if args.slo_latency_ms <= 0 and args.confidence_floor <= 0:
+        return None
+    return api.SLOConfig(
+        latency_threshold_s=(args.slo_latency_ms / 1000.0
+                             if args.slo_latency_ms > 0 else None),
+        confidence_floor=(args.confidence_floor
+                          if args.confidence_floor > 0 else None),
+    )
+
+
+@contextlib.contextmanager
+def _prometheus_writer(path: str):
+    """Rewrite the Prometheus exposition at ``path`` every second while
+    the block runs; the writer thread stops however the block exits.
+    Writes are atomic, so a crash leaves the last complete scrape."""
+    stop = threading.Event()
+
+    def _loop() -> None:
+        while not stop.wait(1.0):
+            write_prometheus(path, metrics)
+
+    thread = threading.Thread(target=_loop, name="repro-prom-writer",
+                              daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
 def cmd_serve(args) -> int:
-    """``serve``: run the extraction service against a request burst.
-
-    Loads a checkpoint, starts the micro-batching service —
-    ``--workers N`` (N > 1) scales it out to an N-process sharded
-    :class:`~repro.serve.pool.ServicePool` — drives ``--requests``
-    concurrent extractions from the dataset through a
-    :class:`~repro.serve.client.ServiceClient`, and prints the
-    per-status accounting plus batching/latency metrics.  Optional
-    ``--inject-*`` flags exercise the retry / shedding / degradation
-    paths; ``--quality`` turns on the streaming quality monitor
-    (scorecards + drift alerts), ``--shift-after N`` inverts clip
-    pixels from the N-th request on (an injected distribution shift),
-    and ``--canary-checkpoint PATH`` attempts a canary-gated hot
-    reload after the burst, reporting the verdict.  Exit code 0 when
-    every request produced a result (primary or degraded); 1 otherwise
-    unless ``--allow-failures``.
-    """
-    import threading
-    import time
-    from collections import Counter
-
-    import numpy as np
-
-    from repro.obs import metrics, write_prometheus
-    from repro.obs.drift import DriftConfig
-    from repro.obs.events import EventLog
-    from repro.obs.slo import SLOConfig
-    from repro.serve import (
-        BATCH_SIZE_BUCKETS,
-        CanaryRefusedError,
-        ExtractionService,
-        FaultInjector,
-        QualityConfig,
-        ServiceClient,
-        ServiceConfig,
-        ServicePool,
-    )
-
+    """``serve``: drive a concurrent request burst through
+    :func:`repro.api.serve` (a pool when ``--workers`` > 1), optionally
+    followed by a canary-gated reload, and print the per-status
+    accounting.  Exit code 0 when every request produced a result
+    (primary or degraded); 1 otherwise unless ``--allow-failures``."""
     dataset = SynthDriveDataset.load(args.data)
-    model = _load_model(args, dataset.videos.shape[1])
-    extractor = ScenarioExtractor(model, threshold=args.threshold,
-                                  precision=args.precision)
-    config = ServiceConfig(
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1000.0,
-        max_queue=args.max_queue,
-        default_timeout_s=args.timeout,
-        max_retries=args.max_retries,
-    )
+    extractor = _load_extractor(args, dataset.videos.shape[1])
     injector = None
     if (args.inject_failure_rate > 0
             or (args.inject_latency_ms > 0 and args.inject_latency_rate > 0)):
@@ -469,20 +361,11 @@ def cmd_serve(args) -> int:
             latency_rate=args.inject_latency_rate,
             seed=args.seed,
         )
-    events = EventLog(args.events_dir) if args.events_dir else None
-    slo = None
-    if args.slo_latency_ms > 0 or args.confidence_floor > 0:
-        slo = SLOConfig(
-            latency_threshold_s=(args.slo_latency_ms / 1000.0
-                                 if args.slo_latency_ms > 0 else None),
-            confidence_floor=(args.confidence_floor
-                              if args.confidence_floor > 0 else None),
-        )
     quality = None
     if args.quality or args.canary_checkpoint:
-        quality = QualityConfig(
+        quality = api.QualityConfig(
             window=args.quality_window,
-            drift=DriftConfig(
+            drift=api.DriftConfig(
                 reference_size=args.drift_reference,
                 window_size=args.drift_window,
                 min_samples=args.drift_min_samples,
@@ -493,19 +376,6 @@ def cmd_serve(args) -> int:
             canary_min_agreement=args.canary_floor,
             seed=args.seed,
         )
-    common = dict(fault_injector=injector, cache=(args.cache_dir or None),
-                  events=events, slo=slo, quality=quality)
-    if args.workers > 1:
-        # Sharded process pool: each worker rebuilds the injector from
-        # its picklable spec with a per-rank seed offset.
-        service = ServicePool(extractor, config, workers=args.workers,
-                              telemetry_interval_s=(
-                                  args.telemetry_interval
-                                  if args.telemetry_interval > 0
-                                  else None),
-                              **common)
-    else:
-        service = ExtractionService(extractor, config, **common)
     clips = [dataset.videos[i % len(dataset.videos)]
              for i in range(args.requests)]
     if args.shift_after > 0:
@@ -518,20 +388,21 @@ def cmd_serve(args) -> int:
             for i, clip in enumerate(clips)
         ]
     canary_summary = None
-    prom_stop = threading.Event()
-    with service:
-        if args.prometheus_out:
-            # Periodic atomic exposition (repro.durable): a crash
-            # mid-burst leaves the last complete scrape on disk, never
-            # a truncated file.  Started only now, so pool workers fork
-            # before any parent thread exists.
-            def _prom_loop() -> None:
-                while not prom_stop.wait(1.0):
-                    write_prometheus(args.prometheus_out, metrics)
-
-            threading.Thread(target=_prom_loop, name="repro-prom-writer",
-                             daemon=True).start()
-        client = ServiceClient(service)
+    # ``--workers`` 0 or 1 both mean the in-process service.
+    service = api.serve(
+        extractor, workers=max(args.workers, 1), fault_injector=injector,
+        cache=args.cache_dir or None, events=args.events_dir or None,
+        slo=_slo_config(args), quality=quality,
+        telemetry_interval_s=(args.telemetry_interval
+                              if args.telemetry_interval > 0 else None),
+        max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1000.0,
+        max_queue=args.max_queue, default_timeout_s=args.timeout,
+        max_retries=args.max_retries)
+    # api.serve returns with the pool workers forked, so the writer
+    # thread starts after them and no fork copies a lock it holds.
+    with service, (_prometheus_writer(args.prometheus_out)
+                   if args.prometheus_out else contextlib.nullcontext()):
+        client = api.ServiceClient(service)
         start = time.perf_counter()
         results = client.extract_many(clips, concurrency=args.concurrency,
                                       timeout=args.timeout)
@@ -539,21 +410,17 @@ def cmd_serve(args) -> int:
         if args.canary_checkpoint:
             version_before = service.model_version
             try:
-                version_after = service.reload(args.canary_checkpoint)
-                canary_summary = {
-                    "attempted": True,
-                    "accepted": True,
-                    "model_version_before": version_before,
-                    "model_version_after": version_after,
-                }
-            except CanaryRefusedError as exc:
-                canary_summary = {
-                    "attempted": True,
-                    "accepted": False,
-                    "model_version_before": version_before,
-                    "model_version_after": service.model_version,
-                    "verdict": exc.verdict,
-                }
+                service.reload(args.canary_checkpoint)
+                verdict = None
+            except api.CanaryRefusedError as exc:
+                verdict = {"verdict": exc.verdict}
+            canary_summary = {
+                "attempted": True,
+                "accepted": verdict is None,
+                "model_version_before": version_before,
+                "model_version_after": service.model_version,
+                **(verdict or {}),
+            }
         health = service.health()
 
     counts = Counter(r.status for r in results)
@@ -605,8 +472,8 @@ def cmd_serve(args) -> int:
                   f"(mean size {batch_hist.mean:.1f}, "
                   f"max {summary['batches']['max_size']:.0f})")
         else:
-            workers_up = health.get("workers_up", args.workers)
-            print(f"  pool: {workers_up}/{args.workers} workers up")
+            print(f"  pool: {health.get('workers_up', args.workers)}/"
+                  f"{args.workers} workers up")
         print(f"  breaker: {health['breaker']}, "
               f"model v{health['model_version']}")
         if quality_report is not None:
@@ -624,42 +491,25 @@ def cmd_serve(args) -> int:
         print(f"wrote {n} metric series to {args.metrics_out}",
               file=sys.stderr)
     if args.prometheus_out:
-        prom_stop.set()
         write_prometheus(args.prometheus_out, metrics)
         print(f"wrote Prometheus exposition to {args.prometheus_out}",
               file=sys.stderr)
-    if events is not None:
-        print(f"wrote {events.stats()['events']} events to "
+    if service.events is not None:
+        print(f"wrote {service.events.stats()['events']} events to "
               f"{args.events_dir}", file=sys.stderr)
-    accounted = summary["silent_failures"] == 0
-    all_served = served == args.requests
-    if not accounted:
+    if summary["silent_failures"]:
         return 1
-    return 0 if all_served or args.allow_failures else 1
+    return 0 if served == args.requests or args.allow_failures else 1
 
 
 def cmd_top(args) -> int:
-    """``top``: dashboard over a recorded or live event log.
-
-    Computes a ``repro.top/v1`` snapshot purely from ``repro.events/v1``
-    records — the same numbers a live tracker would have reported —
-    including the lifecycle join check CI relies on (every request id
-    enqueued exactly once and resolved exactly once).
-    """
-    from repro.obs.slo import SLOConfig
+    """``top``: a ``repro.top/v1`` dashboard replayed from (or
+    following) a ``repro.events/v1`` log; see ``docs/observability.md``."""
     from repro.obs.top import run_top
 
-    slo = None
-    if args.slo_latency_ms > 0 or args.confidence_floor > 0:
-        slo = SLOConfig(
-            latency_threshold_s=(args.slo_latency_ms / 1000.0
-                                 if args.slo_latency_ms > 0 else None),
-            confidence_floor=(args.confidence_floor
-                              if args.confidence_floor > 0 else None),
-        )
     return run_top(args.from_events, json_mode=args.json,
                    follow=args.follow, interval_s=args.interval,
-                   iterations=args.iterations, slo_config=slo)
+                   iterations=args.iterations, slo_config=_slo_config(args))
 
 
 def cmd_stats(args) -> int:
@@ -704,7 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=20)
     train.add_argument("--batch-size", type=int, default=16)
     train.add_argument("--lr", type=float, default=3e-3)
-    _add_model_args(train, for_training=True)
+    train.add_argument("--model", default=_LEGACY_DEFAULTS["model"],
+                       choices=sorted(MODEL_REGISTRY))
+    for flag in ("dim", "depth", "heads"):
+        train.add_argument(f"--{flag}", type=int,
+                           default=_LEGACY_DEFAULTS[flag])
     train.set_defaults(fn=cmd_train)
 
     extract = sub.add_parser("extract", help="extract descriptions")
@@ -713,14 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--threshold", type=float, default=0.5)
     extract.add_argument("--limit", type=int, default=0)
     extract.add_argument("--json", action="store_true")
-    _add_precision_arg(extract)
-    _add_model_args(extract)
+    _add_checkpoint_args(extract)
     extract.set_defaults(fn=cmd_extract)
 
     evaluate = sub.add_parser("evaluate", help="evaluate a checkpoint")
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--checkpoint", required=True)
-    _add_model_args(evaluate)
+    _add_checkpoint_args(evaluate, precision=False)
     evaluate.set_defaults(fn=cmd_evaluate)
 
     stats = sub.add_parser("stats", help="dataset label statistics")
@@ -814,8 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--allow-failures", action="store_true",
                        help="exit 0 as long as every request is "
                             "accounted for (e.g. under fault injection)")
-    _add_precision_arg(serve)
-    _add_model_args(serve)
+    _add_checkpoint_args(serve)
     serve.set_defaults(fn=cmd_serve)
 
     top = sub.add_parser(
@@ -883,8 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--json", action="store_true",
                       help="print a repro.mine/v1 JSON summary "
                            "(includes cache stats)")
-    _add_precision_arg(mine)
-    _add_model_args(mine)
+    _add_checkpoint_args(mine)
     mine.set_defaults(fn=cmd_mine)
     return parser
 

@@ -72,7 +72,6 @@ from repro.serve.router import shard_of
 from repro.serve.service import (
     HEALTH_SCHEMA,
     ServeResult,
-    _as_extractor,
     RequestFuture,
     _Frontend,
 )
@@ -121,10 +120,10 @@ class ServicePool(_Frontend):
     Parameters
     ----------
     extractor:
-        The primary extractor (or bare model, wrapped with
-        ``precision``).  Each worker serves a copy of it, decoding
-        settings and precision included; the parent keeps it for canary
-        gating and client-side codec access.
+        The primary extractor, or a bare model served at fp32.  Each
+        worker serves a copy of it, decoding settings and precision
+        included; the parent keeps it for canary gating and client-side
+        codec access.
     config:
         Per-worker :class:`ServiceConfig` (each replica runs its own
         micro-batch queue with these knobs; ``max_queue`` bounds each
@@ -168,7 +167,6 @@ class ServicePool(_Frontend):
                  slo: Optional[Union[SLOConfig, SLOTracker]] = None,
                  quality: Optional[Union[QualityConfig,
                                          QualityMonitor]] = None,
-                 precision: str = "fp32",
                  max_worker_restarts: int = 2,
                  telemetry_interval_s: Optional[float] = 0.25) -> None:
         if workers < 1:
@@ -177,7 +175,8 @@ class ServicePool(_Frontend):
             raise ValueError("max_worker_restarts must be >= 0")
         if telemetry_interval_s is not None and telemetry_interval_s <= 0:
             raise ValueError("telemetry_interval_s must be positive")
-        extractor = _as_extractor(extractor, precision)
+        if isinstance(extractor, Module):
+            extractor = ScenarioExtractor(extractor)
         super().__init__(extractor, config, events, slo, quality)
         # The reference extractor restarted workers boot from and the
         # canary gate compares against; both change under the lock.

@@ -319,15 +319,6 @@ class CircuitBreaker:
 HEALTH_SCHEMA = "repro.health/v1"
 
 
-def _as_extractor(extractor: Union[ScenarioExtractor, Module],
-                  precision: str) -> ScenarioExtractor:
-    """Wrap a bare model with ``precision``; a prebuilt extractor keeps
-    its own."""
-    if isinstance(extractor, Module):
-        return ScenarioExtractor(extractor, precision=precision)
-    return extractor
-
-
 def _record(result: ServeResult,
             breaker: Optional[CircuitBreaker]) -> None:
     """The metrics and breaker latency of one resolution, recorded once
@@ -955,8 +946,9 @@ class ExtractionService(_Frontend):
     Parameters
     ----------
     extractor:
-        The primary extractor (or bare model, which gets wrapped with
-        ``precision``).
+        The primary extractor, or a bare model served at fp32.  A
+        precision is applied when the extractor is built
+        (:func:`repro.api.load_extractor`), not here.
     config:
         Batching/robustness knobs; see :class:`ServiceConfig`.
     fallback / fault_injector / cache:
@@ -994,9 +986,10 @@ class ExtractionService(_Frontend):
                  events: Optional[EventLog] = None,
                  slo: Optional[Union[SLOConfig, SLOTracker]] = None,
                  quality: Optional[Union[QualityConfig,
-                                         QualityMonitor]] = None,
-                 precision: str = "fp32") -> None:
-        extractor = _as_extractor(extractor, precision)
+                                         QualityMonitor]] = None
+                 ) -> None:
+        if isinstance(extractor, Module):
+            extractor = ScenarioExtractor(extractor)
         super().__init__(extractor, config, events, slo, quality)
         self._replica = Replica(extractor, self.config,
                                 self._from_replica, fallback=fallback,

@@ -308,6 +308,13 @@ class TestServeRedesign:
         with pytest.raises(ValueError, match="precision"):
             api.serve(extractor, precision="fp16")
 
+    def test_precision_conflict_with_prebuilt_extractor_pool(self,
+                                                             extractor):
+        # The pool path refuses the conflict too, before any worker
+        # starts.
+        with pytest.raises(ValueError, match="precision"):
+            api.serve(extractor, precision="fp16", workers=2)
+
     def test_matching_precision_accepted(self, extractor, clips):
         service = api.serve(extractor, precision="fp32")
         try:

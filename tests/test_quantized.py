@@ -475,8 +475,8 @@ class TestPrecisionPlumbing:
     def test_service_health_reports_precision_and_reuse(self):
         from repro.serve.service import ExtractionService
 
-        service = ExtractionService(_model("factorized"),
-                                    precision="int8")
+        service = ExtractionService(
+            ScenarioExtractor(_model("factorized"), precision="int8"))
         health = service.health()
         assert health["precision"] == "int8"
         assert health["reuse"]["supported"]
