@@ -30,16 +30,6 @@ def _recording(*tensors: Tensor) -> bool:
     return is_grad_enabled() and any(t.requires_grad for t in tensors)
 
 
-#: Fused ops patched by ``repro.obs.instrument`` while telemetry is
-#: enabled (module-attribute access only — ``F.softmax(...)`` style,
-#: which is how every hot path in this repo calls them).
-PROFILED_FUNCTIONS = (
-    "relu", "gelu", "sigmoid", "softmax", "log_softmax", "layer_norm",
-    "concat", "stack", "dropout", "embedding", "cross_entropy",
-    "binary_cross_entropy_with_logits",
-)
-
-
 # ----------------------------------------------------------------------
 # Activations
 # ----------------------------------------------------------------------

@@ -15,10 +15,6 @@ backward) in a *single* graph node:
 - :func:`mask_bias` — the boolean-mask → additive-bias conversion,
   cached per mask object so repeated forwards (every layer, every step)
   reuse one materialised bias.
-
-``repro.obs.instrument`` patches timed wrappers over the kernels named
-by :data:`PROFILED_KERNELS` while telemetry is enabled, so the per-op
-timers keep seeing the hot path after fusion.
 """
 
 from __future__ import annotations
@@ -31,13 +27,6 @@ import numpy as np
 from repro.autograd.tensor import Tensor, _unbroadcast, is_grad_enabled
 
 NEG_INF = -1e9
-
-#: Kernels patched by ``repro.obs.instrument``: attribute name → op label
-#: (module-attribute access only — ``fused.<kernel>(...)`` style).
-PROFILED_KERNELS = {
-    "scaled_dot_product_attention": "sdpa",
-    "linear_gelu": "linear_gelu",
-}
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_C = 0.044715

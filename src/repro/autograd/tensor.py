@@ -22,18 +22,6 @@ TensorLike = Union["Tensor", np.ndarray, Number, Sequence]
 
 _GRAD_ENABLED = True
 
-#: Hot dispatch surface of :class:`Tensor`.  ``repro.obs.instrument``
-#: patches timed wrappers over exactly these methods while telemetry is
-#: enabled and restores the originals on disable, so the disabled-mode
-#: dispatch path carries no instrumentation overhead at all.
-PROFILED_OPS = (
-    "__add__", "__radd__", "__mul__", "__rmul__", "__sub__",
-    "__truediv__", "__neg__", "__pow__", "__matmul__", "__getitem__",
-    "sum", "mean", "max", "abs", "reshape", "transpose", "exp", "log",
-    "sqrt", "tanh", "clip", "backward",
-)
-
-
 def is_grad_enabled() -> bool:
     """Return ``True`` when operations record the autodiff graph."""
     return _GRAD_ENABLED

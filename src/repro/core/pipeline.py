@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -228,15 +227,13 @@ class ScenarioExtractor:
                        ) -> List[ExtractionResult]:
         """Forward + finalize clips ``(N, T, C, H, W)`` whose row ``i``
         covers frames ``starts[i]`` to ``starts[i] + T`` of its video."""
-        started = time.perf_counter()
         with span("pipeline/forward"):
             logits = self.logits(clips, batch_size=batch_size)
-        return self._finalize_batch(logits, starts, clips.shape[1],
-                                    started)
+        return self._finalize_batch(logits, starts, clips.shape[1])
 
     def _finalize_batch(self, logits: Dict[str, np.ndarray],
-                        starts: Sequence[int], frames: int,
-                        started: float) -> List[ExtractionResult]:
+                        starts: Sequence[int], frames: int
+                        ) -> List[ExtractionResult]:
         """Decode, render, stamp and account a batch of logits in one
         vectorised pass; row ``i`` covers frames ``starts[i]`` to
         ``starts[i] + frames``.
@@ -263,10 +260,6 @@ class ScenarioExtractor:
                     self._tag_confidences(probs), starts)
             ]
         if is_enabled() and results:
-            per_clip = (time.perf_counter() - started) / len(results)
-            latency = metrics.histogram("pipeline.clip_seconds")
-            for _ in results:
-                latency.observe(per_clip)
             metrics.counter("pipeline.clips").inc(len(results))
         return results
 
@@ -352,14 +345,12 @@ class ScenarioExtractor:
         if reuse and backend is not None and stride < window:
             return self._extract_sliding_reuse(video, starts, window,
                                                stride, backend)
-        started = time.perf_counter()
         pieces = []
         for _, clips in self.iter_window_clips(video, window, stride,
                                                self.batch_size):
             with span("pipeline/forward"):
                 pieces.append(self.logits(clips))
-        return self._finalize_batch(_concat_logits(pieces), starts, window,
-                                    started)
+        return self._finalize_batch(_concat_logits(pieces), starts, window)
 
     def _reuse_backend(self) -> Optional[InferenceEngine]:
         """The engine, if its attention mode supports frame reuse."""
@@ -414,7 +405,6 @@ class ScenarioExtractor:
         offsets = np.arange(window)
         results: List[ExtractionResult] = []
         for b in range(0, len(starts), per_block):
-            started = time.perf_counter()
             block = starts[b:b + per_block]
             first = block[0]
             # One table row per distinct frame content in the block;
@@ -462,7 +452,7 @@ class ScenarioExtractor:
                     pieces.append(backend.head_logits_from_frame_features(
                         table[window_rows[i:i + head_call]]))
             results += self._finalize_batch(_concat_logits(pieces), block,
-                                            window, started)
+                                            window)
             floor = max(self.frame_memo_size, len(feats))
             while len(memo) > floor:
                 memo.popitem(last=False)

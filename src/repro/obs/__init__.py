@@ -1,15 +1,15 @@
 """repro.obs — telemetry and request-scoped observability.
 
-The subsystem has six pieces (see ``docs/observability.md``):
+The subsystem has seven pieces (see ``docs/observability.md``):
 
 - a process-global :class:`~repro.obs.registry.MetricsRegistry` of
   counters / gauges / histograms with labels (``metrics``), renderable
   in Prometheus text format (:mod:`repro.obs.exposition`);
-- hierarchical tracing :func:`~repro.obs.tracing.span`\\ s that build an
-  aggregated per-thread trace tree;
-- patch-on-enable instrumentation of the autograd op-dispatch surface
-  (:mod:`repro.obs.instrument`) plus always-present spans on the
-  train / data / pipeline hot paths;
+- named stage :func:`~repro.obs.tracing.span`\\ s on the train / data /
+  pipeline / attention / serve hot paths: the one in-process stage
+  timer, observed into the ``span.seconds{name=...}`` histogram (so it
+  reaches Prometheus, the pool telemetry plane and, for request-bound
+  spans, the event log);
 - a contextvar-propagated request **correlation context**
   (:mod:`repro.obs.context`): request/trace ids minted at intake and
   stamped onto logs, events and request-scoped spans;
@@ -28,8 +28,7 @@ The subsystem has six pieces (see ``docs/observability.md``):
   merges into its registry under ``worker=<rank>`` labels, so one
   exposition covers every replica.
 
-Everything is **off by default**: :func:`span` is a no-op and the
-autograd ops are the pristine unpatched originals until
+Everything is **off by default**: :func:`span` is a no-op until
 :func:`enable` is called; events are recorded only when an
 :class:`~repro.obs.events.EventLog` is attached.  Speed is measured by
 the ``bench/`` harness (``bench/README.md``), not by this package.
@@ -41,7 +40,6 @@ from repro.obs import (
     context,
     events,
     exposition,
-    instrument,
     slo,
     telemetry,
     top,
@@ -71,41 +69,25 @@ from repro.obs.slo import (
     SLOTracker,
     quantile,
 )
-from repro.obs.tracing import (
-    SpanNode,
-    _set_enabled,
-    flatten_trace,
-    format_trace,
-    get_trace,
-    is_enabled,
-    reset_trace,
-    span,
-    trace_dict,
-    traced,
-)
+from repro.obs.tracing import _set_enabled, is_enabled, span
 
 #: The process-global default registry; hot paths cache series handles.
 metrics: MetricsRegistry = get_registry()
 
 
-def enable(autograd: bool = True) -> None:
-    """Turn telemetry on: activate spans + metric recording and (by
-    default) patch the autograd per-op timers in."""
+def enable() -> None:
+    """Turn telemetry on: activate spans and hot-path metric recording."""
     _set_enabled(True)
-    if autograd:
-        instrument.install(metrics)
 
 
 def disable() -> None:
-    """Turn telemetry off and restore the unpatched autograd ops."""
+    """Turn telemetry off: spans become no-ops again."""
     _set_enabled(False)
-    instrument.uninstall()
 
 
 def reset() -> None:
-    """Zero all metric series and drop the current trace tree."""
+    """Zero all metric series of the default registry in place."""
     metrics.reset()
-    reset_trace()
 
 
 __all__ = [
@@ -121,7 +103,6 @@ __all__ = [
     "SLOConfig",
     "SLOTracker",
     "SnapshotRing",
-    "SpanNode",
     "TELEMETRY_FORMAT",
     "TelemetryHandler",
     "TelemetryMerger",
@@ -131,12 +112,8 @@ __all__ = [
     "enable",
     "events",
     "exposition",
-    "flatten_trace",
-    "format_trace",
     "get_logger",
     "get_registry",
-    "get_trace",
-    "instrument",
     "is_enabled",
     "kl_divergence",
     "metrics",
@@ -146,13 +123,10 @@ __all__ = [
     "render_prometheus",
     "request_timeline",
     "reset",
-    "reset_trace",
     "set_console",
     "slo",
     "span",
     "telemetry",
     "top",
-    "trace_dict",
-    "traced",
     "write_prometheus",
 ]

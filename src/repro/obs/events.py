@@ -283,8 +283,8 @@ def _span_hook(name: str, seconds: float) -> None:
 
     Installed only while a log is active, and records only spans that
     ran under a bound request context — anonymous hot-path spans
-    (per-op autograd timers, per-batch attention stages) stay in the
-    aggregated trace tree and never flood the log.
+    (per-batch attention stages, training steps) stay in the
+    ``span.seconds`` histograms and never flood the log.
     """
     ctx = context.current()
     if ctx is None:

@@ -4,7 +4,7 @@ A metric *series* is identified by ``(name, labels)`` — the same name
 with different label values yields independent series, Prometheus-style::
 
     metrics = get_registry()
-    metrics.counter("autograd.op.calls", op="matmul").inc()
+    metrics.counter("serve.requests", status="ok").inc()
     metrics.histogram("span.seconds", name="train/forward").observe(dt)
 
 Series are created lazily on first access and cached, so hot paths can

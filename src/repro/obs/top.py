@@ -319,10 +319,16 @@ def snapshot_from_service(service,
     renders from an unversioned payload.  A health document with
     ``workers`` (a pool's) additionally populates the per-worker panel
     from those replica sub-documents; a worker's ``requests`` is its
-    ``routed`` count, the number the event replay shows.
+    ``routed`` count, the number the event replay shows.  Batch, retry
+    and breaker-trip figures sum every label set of their series, so a
+    pool's merged worker series count the same as a single replica's.
     """
     from repro.obs import metrics
-    from repro.serve.service import BATCH_SIZE_BUCKETS
+
+    def all_series(name: str) -> list:
+        # Every label set: a pool's replicas record in the workers and
+        # the telemetry plane merges their series under worker=<rank>.
+        return [m for m in metrics.series() if m.name == name]
 
     health = service.health()
     schema = health.get("schema")
@@ -371,8 +377,8 @@ def snapshot_from_service(service,
         }
     else:
         quality = None
-    batch_hist = metrics.histogram("serve.batch_size",
-                                   bounds=BATCH_SIZE_BUCKETS)
+    batch_hists = all_series("serve.batch_size")
+    batch_count = sum(h.count for h in batch_hists)
     total = sum(counts.values())
     uptime = float(health.get("uptime_s") or 0.0)
     cache = health.get("cache") or {}
@@ -385,14 +391,17 @@ def snapshot_from_service(service,
             "total": total,
             "statuses": {k: v for k, v in sorted(counts.items()) if v},
             "served": counts.get("ok", 0) + counts.get("degraded", 0),
-            "retried": int(metrics.counter("serve.retries").value),
+            "retried": int(sum(c.value
+                               for c in all_series("serve.retries"))),
         },
         "throughput_rps": total / uptime if uptime > 0 else 0.0,
         "queue_depth": health["queue_depth"],
         "batches": {
-            "count": batch_hist.count,
-            "mean_size": batch_hist.mean,
-            "max_size": batch_hist.max if batch_hist.count else 0.0,
+            "count": batch_count,
+            "mean_size": (sum(h.sum for h in batch_hists) / batch_count
+                          if batch_count else 0.0),
+            "max_size": max((h.max for h in batch_hists if h.count),
+                            default=0.0),
             "p95_size": 0.0,
         },
         "model_forwards": {},
@@ -403,7 +412,8 @@ def snapshot_from_service(service,
         },
         "breaker": {
             "state": health["breaker"],
-            "trips": int(metrics.counter("serve.breaker_trips").value),
+            "trips": int(sum(c.value
+                             for c in all_series("serve.breaker_trips"))),
         },
         "reloads": int(metrics.counter("serve.reloads").value),
         "flight_dumps": 0,

@@ -1,32 +1,28 @@
-"""Hierarchical tracing spans with near-zero disabled overhead.
+"""Named stage spans: the one in-process stage timer.
 
 Usage::
 
-    from repro.obs import span, traced
+    from repro.obs import span
 
     with span("train/epoch"):
         with span("train/forward"):
             ...
 
-    @traced("pipeline/decode")
-    def decode(...): ...
-
 When telemetry is *disabled* (the default), :func:`span` returns a
 shared no-op context manager — the cost is one module-global check per
-call and nothing is recorded.  When *enabled*, spans build an
-aggregated trace tree per thread: re-entering a span name under the
-same parent accumulates into one node (count, total/min/max seconds),
-so per-batch spans across thousands of steps stay O(distinct names)
-in memory.  Every span exit also feeds the ``span.seconds`` histogram
-of the default metrics registry, labelled by span name.
+call and nothing is recorded.  When *enabled*, every span exit observes
+the ``span.seconds{name=...}`` histogram of the default metrics registry
+and calls the event-log span hook, if one is installed.  Nothing else
+is kept.  The registry is process-global, so a span that closes on a
+replica thread lands in the same series as the caller's, and the pool
+telemetry plane carries worker series to the parent under
+``worker=<rank>``.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 from repro.obs.registry import get_registry
 
@@ -42,42 +38,6 @@ def _set_enabled(flag: bool) -> None:
     global _ENABLED
     _ENABLED = bool(flag)
 
-
-class SpanNode:
-    """One aggregated node of the trace tree."""
-
-    __slots__ = ("name", "count", "total_seconds", "min_seconds",
-                 "max_seconds", "children")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total_seconds = 0.0
-        self.min_seconds = float("inf")
-        self.max_seconds = 0.0
-        self.children: Dict[str, "SpanNode"] = {}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "min_seconds": self.min_seconds if self.count else 0.0,
-            "max_seconds": self.max_seconds,
-            "children": [c.to_dict() for c in self.children.values()],
-        }
-
-
-class _TraceState(threading.local):
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.root = SpanNode("<root>")
-        self.stack: List[SpanNode] = [self.root]
-
-
-_STATE = _TraceState()
 
 #: Optional span-exit callback ``(name, seconds)`` — installed by
 #: :func:`repro.obs.events.set_active` to persist request-correlated
@@ -105,31 +65,17 @@ _NOOP = _NoopSpan()
 
 
 class _Span:
-    __slots__ = ("name", "node", "start")
+    __slots__ = ("name", "start")
 
     def __init__(self, name: str) -> None:
         self.name = name
 
     def __enter__(self) -> "_Span":
-        parent = _STATE.stack[-1]
-        node = parent.children.get(self.name)
-        if node is None:
-            node = parent.children[self.name] = SpanNode(self.name)
-        _STATE.stack.append(node)
-        self.node = node
         self.start = perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         elapsed = perf_counter() - self.start
-        node = self.node
-        node.count += 1
-        node.total_seconds += elapsed
-        if elapsed < node.min_seconds:
-            node.min_seconds = elapsed
-        if elapsed > node.max_seconds:
-            node.max_seconds = elapsed
-        _STATE.stack.pop()
         get_registry().histogram("span.seconds", name=self.name) \
             .observe(elapsed)
         if _SPAN_HOOK is not None:
@@ -138,7 +84,7 @@ class _Span:
 
 
 def span(name: str):
-    """Context manager timing a named region of the trace tree.
+    """Context manager timing a named stage into ``span.seconds``.
 
     No-op (shared singleton, nothing recorded) while telemetry is
     disabled.
@@ -146,78 +92,3 @@ def span(name: str):
     if not _ENABLED:
         return _NOOP
     return _Span(name)
-
-
-def traced(name_or_fn=None) -> Callable:
-    """Decorator form of :func:`span`; defaults to the qualified name."""
-
-    def decorate(fn: Callable, label: Optional[str] = None) -> Callable:
-        span_name = label or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _ENABLED:
-                return fn(*args, **kwargs)
-            with span(span_name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    if callable(name_or_fn):  # used as bare @traced
-        return decorate(name_or_fn)
-    return lambda fn: decorate(fn, name_or_fn)
-
-
-# ----------------------------------------------------------------------
-# Trace access
-# ----------------------------------------------------------------------
-def get_trace() -> SpanNode:
-    """The current thread's trace root (children are top-level spans)."""
-    return _STATE.root
-
-
-def trace_dict() -> List[Dict[str, object]]:
-    """Top-level spans of the current thread as plain dicts."""
-    return [c.to_dict() for c in _STATE.root.children.values()]
-
-
-def reset_trace() -> None:
-    """Drop the current thread's trace tree (open spans detach)."""
-    _STATE.reset()
-
-
-def flatten_trace(root: Optional[SpanNode] = None
-                  ) -> Dict[str, Dict[str, float]]:
-    """Aggregate the tree by span name regardless of position:
-    ``{name: {"count", "total_seconds"}}``."""
-    root = root or _STATE.root
-    out: Dict[str, Dict[str, float]] = {}
-    stack = list(root.children.values())
-    while stack:
-        node = stack.pop()
-        entry = out.setdefault(node.name,
-                               {"count": 0, "total_seconds": 0.0})
-        entry["count"] += node.count
-        entry["total_seconds"] += node.total_seconds
-        stack.extend(node.children.values())
-    return out
-
-
-def format_trace(root: Optional[SpanNode] = None) -> str:
-    """Indented human-readable rendering of the trace tree."""
-    root = root or _STATE.root
-    lines = ["span".ljust(44) + "calls".rjust(8) + "total ms".rjust(12)
-             + "mean ms".rjust(12)]
-
-    def walk(node: SpanNode, depth: int) -> None:
-        mean_ms = node.total_seconds / node.count * 1e3 if node.count else 0.0
-        label = "  " * depth + node.name
-        lines.append(label.ljust(44) + f"{node.count}".rjust(8)
-                     + f"{node.total_seconds * 1e3:.2f}".rjust(12)
-                     + f"{mean_ms:.3f}".rjust(12))
-        for child in node.children.values():
-            walk(child, depth + 1)
-
-    for child in root.children.values():
-        walk(child, 0)
-    return "\n".join(lines)

@@ -48,12 +48,10 @@ def clean_telemetry():
     """Telemetry off/zeroed and no active event log around every test."""
     obs.disable()
     obs.metrics.clear()
-    obs.reset_trace()
     obs_events.set_active(None)
     yield
     obs.disable()
     obs.metrics.clear()
-    obs.reset_trace()
     obs_events.set_active(None)
 
 
@@ -258,7 +256,7 @@ class TestEventLog:
     def test_span_events_only_under_bound_context(self, tmp_path):
         log = EventLog(str(tmp_path))
         obs_events.set_active(log)
-        obs.enable(autograd=False)
+        obs.enable()
         with obs.span("anonymous/hot"):
             pass
         with obs_context.bind(11):
@@ -521,63 +519,6 @@ class TestExposition:
         reg = MetricsRegistry()
         reg.gauge("depth").set(1.0)
         assert "repro_depth 1" in render_prometheus(reg, prefix="repro_")
-
-
-# ----------------------------------------------------------------------
-# Exclusive self-time (S1)
-# ----------------------------------------------------------------------
-class TestSelfTime:
-    def test_nested_op_time_excluded_from_parent_self(self):
-        from repro.autograd.tensor import Tensor
-
-        obs.enable()
-        try:
-            t = Tensor(np.random.default_rng(0).random((64, 64)))
-            for _ in range(3):
-                t.mean()  # mean -> sum, __mul__ nested underneath
-        finally:
-            obs.disable()
-        incl = obs.metrics.histogram("autograd.op.seconds", op="mean")
-        excl = obs.metrics.histogram("autograd.op.self_seconds",
-                                     op="mean")
-        child_incl = (
-            obs.metrics.histogram("autograd.op.seconds", op="sum").sum
-            + obs.metrics.histogram("autograd.op.seconds", op="mul").sum
-        )
-        assert excl.count == incl.count == 3
-        assert excl.sum <= incl.sum
-        # self = inclusive - direct children, measured with the same
-        # clock readings, so the identity is exact
-        assert excl.sum == pytest.approx(incl.sum - child_incl)
-
-    def test_leaf_op_self_equals_inclusive(self):
-        from repro.autograd.tensor import Tensor
-
-        obs.enable()
-        try:
-            a = Tensor(np.ones((8, 8)))
-            b = Tensor(np.ones((8, 8)))
-            a @ b
-        finally:
-            obs.disable()
-        incl = obs.metrics.histogram("autograd.op.seconds", op="matmul")
-        excl = obs.metrics.histogram("autograd.op.self_seconds",
-                                     op="matmul")
-        assert excl.sum == pytest.approx(incl.sum)
-
-    def test_op_totals_include_self_seconds(self):
-        from repro.obs.instrument import op_totals
-
-        obs.enable()
-        try:
-            from repro.autograd.tensor import Tensor
-
-            Tensor(np.ones(4)).sum()
-        finally:
-            obs.disable()
-        totals = op_totals(obs.metrics)
-        assert "self_seconds" in totals["sum"]
-        assert totals["sum"]["self_seconds"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -930,6 +871,44 @@ class TestFlightDumps:
 
 
 # ----------------------------------------------------------------------
+# Stage spans: one timer, read from span.seconds
+# ----------------------------------------------------------------------
+class TestStageSpans:
+    """With spans on, every stage the pipeline and the in-process
+    service time lands in ``span.seconds``, whichever thread closes
+    the span (the service batches on its replica thread)."""
+
+    @staticmethod
+    def count(stage):
+        return obs.metrics.histogram("span.seconds", name=stage).count
+
+    def test_service_batches_time_every_pipeline_stage(self):
+        from repro.core import ScenarioExtractor
+        from repro.serve import ServiceClient
+
+        obs.enable()
+        with ExtractionService(ScenarioExtractor(make_model())) as service:
+            ServiceClient(service).extract_many(list(make_clips(8)),
+                                                concurrency=8)
+        for stage in ("serve/batch", "pipeline/forward", "pipeline/decode",
+                      "pipeline/render"):
+            assert self.count(stage) > 0, stage
+        assert obs.metrics.counter("pipeline.clips").value == 8
+
+    def test_memoized_timeline_times_frame_features(self):
+        from repro.core import ScenarioExtractor
+
+        obs.enable()
+        extractor = ScenarioExtractor(build_model("vt-factorized", CFG))
+        video = make_clips(1)[0].repeat(3, axis=0)
+        results = extractor.extract_sliding(video, window=CFG.frames,
+                                            stride=1, reuse=True)
+        assert self.count("pipeline/frame_features") > 0
+        assert self.count("pipeline/forward") > 0
+        assert obs.metrics.counter("pipeline.clips").value == len(results)
+
+
+# ----------------------------------------------------------------------
 # api facade correlation
 # ----------------------------------------------------------------------
 class TestApiCorrelation:
@@ -938,7 +917,7 @@ class TestApiCorrelation:
 
         log = EventLog(str(tmp_path))
         obs_events.set_active(log)
-        obs.enable(autograd=False)
+        obs.enable()
         try:
             api.extract_clip(make_model(), make_clips(1)[0])
         finally:

@@ -277,10 +277,22 @@ class TestHealthRollup:
         assert health["status"] == "degraded"
 
     def test_live_worker_panel_reads_replica_docs(self, extractor, clips):
+        metrics.reset()  # the batch panel must hold this burst alone
         with ServicePool(extractor, workers=2) as pool:
             ServiceClient(pool).extract_many(list(clips[:8]),
                                              concurrency=4)
             snap = snapshot_from_service(pool)
+        # After stop every worker's last frame has merged: the batch
+        # panel sums the worker=<rank> series the replicas recorded.
+        merged = snapshot_from_service(pool)["batches"]
+        worker_hists = [m for m in metrics.series()
+                        if m.name == "serve.batch_size"
+                        and "worker" in m.labels]
+        worker_batches = sum(h.count for h in worker_hists)
+        assert worker_batches > 0
+        assert merged["count"] == worker_batches
+        assert merged["mean_size"] == pytest.approx(
+            sum(h.sum for h in worker_hists) / worker_batches)
         routed = {str(rank): metrics.counter(
             "serve.pool.routed", worker=str(rank)).value
             for rank in range(2)}

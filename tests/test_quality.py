@@ -60,12 +60,10 @@ def clean_telemetry():
     """Telemetry off/zeroed and no active event log around every test."""
     obs.disable()
     obs.metrics.clear()
-    obs.reset_trace()
     obs_events.set_active(None)
     yield
     obs.disable()
     obs.metrics.clear()
-    obs.reset_trace()
     obs_events.set_active(None)
 
 

@@ -595,6 +595,30 @@ class TestPoolTelemetryIntegration:
                    for stats in per_worker.values()) > 0
         assert snapshot["lifecycles"]["fully_joined"]
 
+    def test_worker_spans_reach_parent_registry(self, model, clips):
+        """Spans on when the pool starts: each replica times its batches
+        into span.seconds, and the telemetry plane carries that series
+        home under worker=<rank> -- the one stage timer crosses the
+        process boundary."""
+        from repro import obs
+
+        obs.enable()
+        try:
+            with ServicePool(model, workers=2,
+                             telemetry_interval_s=0.05) as pool:
+                ServiceClient(pool).extract_many(
+                    list(clips[:12]), concurrency=12)
+                routed = [self._value("serve.pool.routed", r)
+                          for r in range(2)]
+        finally:
+            obs.disable()
+        assert all(routed), routed
+        for rank in range(2):
+            batches = metrics.histogram("span.seconds", name="serve/batch",
+                                        worker=str(rank))
+            assert batches.count > 0, rank
+            assert batches.sum > 0.0, rank
+
     def test_telemetry_disabled_ships_nothing(self, model, clips):
         before = metrics.snapshot()
         frames_before = {
