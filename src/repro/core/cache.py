@@ -14,11 +14,12 @@ determines it:
 - the decode **threshold**.
 
 The store is a JSONL file under ``cache_dir`` (one record per line,
-appended with a single atomic ``write``), loaded lazily and tolerant of
-corruption: a torn or garbled line is skipped and logged, never fatal.
-With ``cache_dir=None`` the cache is memory-only.  ``cache.hit`` /
-``cache.miss`` / ``cache.evict`` / ``cache.corrupt`` counters go through
-the ``repro.obs`` registry.  See ``docs/caching.md``.
+appended with a single ``write`` on a held descriptor), loaded lazily
+and tolerant of corruption: a torn or garbled line is skipped and
+logged, never fatal.  With ``cache_dir=None`` the cache is memory-only.
+``cache.hit`` / ``cache.miss`` / ``cache.evict`` / ``cache.corrupt``
+counters go through the ``repro.obs`` registry.  See
+``docs/caching.md``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.pipeline import ExtractionResult, ScenarioExtractor
-from repro.durable import append_record, atomic_open, read_records, torn_tail
+from repro.durable import Appender, atomic_open, read_records, torn_tail
 from repro.nn.module import Module
 from repro.obs import events as obs_events
 from repro.obs import get_logger, metrics
@@ -146,7 +147,9 @@ class ExtractionCache:
         self.evictions = 0
         self.corrupt = 0
         self._sep = ""
+        self._appender: Optional[Appender] = None
         if self.cache_dir is not None:
+            self._appender = Appender(self.path)
             self._load()
 
     # -- persistence ---------------------------------------------------
@@ -176,13 +179,12 @@ class ExtractionCache:
             self._compact()
 
     def _append(self, key: str, result: ExtractionResult) -> None:
-        path = self.path
-        if path is None:
+        if self._appender is None:
             return
         # One append write per record: concurrent writers interleave
         # whole lines, a crash can only tear the final line (which _load
         # skips), and the first record after a torn tail starts afresh.
-        append_record(path, self._sep + json.dumps(
+        self._appender.write(self._sep + json.dumps(
             _result_to_record(key, result), sort_keys=True) + "\n")
         self._sep = ""
 
@@ -194,6 +196,8 @@ class ExtractionCache:
             for key, result in self._entries.items():
                 handle.write(json.dumps(_result_to_record(key, result),
                                         sort_keys=True) + "\n")
+        # The publish moved a new inode into the path: reopen.
+        self._appender.close()
         self._sep = ""
 
     # -- store API -----------------------------------------------------

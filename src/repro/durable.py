@@ -2,9 +2,10 @@
 
 An atomic publish (:func:`atomic_open`) shows readers and crash
 survivors the old file or the new one, never a mix, even with racing
-publishers.  A record append is one ``O_APPEND`` write, so a crash can
-only tear the last line, which :func:`read_records` can skip.  Process
-crashes only: no ``fsync``.  See ``docs/architecture.md``, Durability.
+publishers.  A record append (:class:`Appender`) is one ``O_APPEND``
+write on a held descriptor, so a crash can only tear the last line,
+which :func:`read_records` can skip.  Process crashes only: no
+``fsync``.  See ``docs/architecture.md``, Durability.
 """
 
 from __future__ import annotations
@@ -41,15 +42,43 @@ def atomic_write(path: str, data: Union[str, bytes]) -> None:
         fh.write(data)
 
 
-def append_record(path: str, line: Union[str, bytes]) -> None:
-    """Append ``line`` (newline included) in one ``O_APPEND`` write."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line.encode("utf-8") if isinstance(line, str)
-                 else line)
-    finally:
-        os.close(fd)
+class Appender:
+    """Record appends to ``path`` through one held ``O_APPEND``
+    descriptor: one ``os.write`` per record, write-through, so a crash
+    tears at most the record in flight and readers see every record at
+    once.
+
+    The path (and its directory) is opened on the first write.  An
+    owner that moves another inode into ``path`` (an atomic publish
+    over it, a rotation away from it) calls :meth:`close` right after;
+    the next write reopens the path.  Not thread-safe: owners serialise
+    writes under their own lock.
+    """
+
+    _FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_APPEND
+              | getattr(os, "O_CLOEXEC", 0))  # POSIX-only flag
+
+    def __init__(self, path: str) -> None:
+        self.path = os.fspath(path)
+        self._fd: Optional[int] = None
+
+    def write(self, record: Union[str, bytes]) -> None:
+        """Append ``record`` (newline included) in one write."""
+        if self._fd is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._fd = os.open(self.path, self._FLAGS, 0o644)
+        os.write(self._fd, record.encode("utf-8")
+                 if isinstance(record, str) else record)
+
+    def close(self) -> None:
+        """Release the descriptor; the next write reopens ``path``."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def __del__(self) -> None:
+        with contextlib.suppress(Exception):
+            self.close()
 
 
 def torn_tail(path: str) -> bool:

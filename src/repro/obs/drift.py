@@ -29,6 +29,7 @@ See ``docs/observability.md`` ("Quality monitoring & canary reloads").
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -44,9 +45,9 @@ __all__ = [
     "psi",
 ]
 
-#: Heads whose decoded tags feed the tag-distribution windows.
-_CATEGORICAL_HEADS = ("scene", "ego_action")
-_MULTILABEL_HEADS = ("actors", "actor_actions")
+#: ``np.sum`` of a 1-D array without the Python-level wrapper: the same
+#: pairwise reduction, so the same bits.
+_sum = np.add.reduce
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +116,7 @@ def confidence_bin(confidence: float, n_bins: int) -> int:
     confidence = min(max(float(confidence), 0.0), 1.0)
     if confidence <= 0.0:
         return 0
-    index = int(np.ceil(confidence * n_bins)) - 1
-    return min(index, n_bins - 1)
+    return min(math.ceil(confidence * n_bins) - 1, n_bins - 1)
 
 
 # ----------------------------------------------------------------------
@@ -156,17 +156,6 @@ class DriftConfig:
             raise ValueError("epsilon must be positive")
 
 
-class _Observation:
-    """Compact per-result record kept in the rolling window."""
-
-    __slots__ = ("tag_indices", "confidence_bins")
-
-    def __init__(self, tag_indices: Dict[str, List[int]],
-                 confidence_bins: List[int]) -> None:
-        self.tag_indices = tag_indices
-        self.confidence_bins = confidence_bins
-
-
 class DriftDetector:
     """Streaming tag- and confidence-distribution drift scoring.
 
@@ -181,50 +170,64 @@ class DriftDetector:
     Feed one decoded result at a time via :meth:`observe`; read
     :meth:`scores` (``None`` while a guard is active) and
     :meth:`check` (threshold verdict).  Thread-safe.
+
+    Both windows are one stacked count vector each: the four tag heads
+    in vocabulary order, then the confidence bins.  Scoring runs every
+    element-wise step of :func:`psi` / :func:`kl_divergence` once over
+    the whole vector and sums each head's slice, so every score is
+    bitwise what those functions return for the head alone.  The
+    reference distribution is computed once per pinned reference.
     """
 
     def __init__(self, vocab, config: Optional[DriftConfig] = None) -> None:
         self.config = config or DriftConfig()
         self.vocab = vocab
         self._lock = threading.Lock()
-        self._head_tags: Dict[str, Tuple[str, ...]] = {
+        head_tags: Dict[str, Tuple[str, ...]] = {
             "scene": tuple(vocab.scenes),
             "ego_action": tuple(vocab.ego_actions),
             "actors": tuple(vocab.actor_types),
             "actor_actions": tuple(vocab.actor_actions),
         }
-        self._tag_index = {
-            head: {tag: i for i, tag in enumerate(tags)}
-            for head, tags in self._head_tags.items()
-        }
+        # Stacked index of every tag, and each head's slice.
+        self._tag_index: Dict[str, Dict[str, int]] = {}
+        self._slices: Dict[str, slice] = {}
+        start = 0
+        for head, tags in head_tags.items():
+            self._tag_index[head] = {tag: start + i
+                                     for i, tag in enumerate(tags)}
+            self._slices[head] = slice(start, start + len(tags))
+            start += len(tags)
+        self._conf = slice(start, start + self.config.confidence_bins)
+        self._segments = list(self._slices.values()) + [self._conf]
+        self._starts = [s.start for s in self._segments]
+        # Segment number of every stacked entry (broadcasts a
+        # per-segment value over its entries).
+        self._segment_of = np.repeat(
+            np.arange(len(self._segments)),
+            [s.stop - s.start for s in self._segments])
         self._reference_n = 0
-        self._ref_tags = {head: np.zeros(len(tags), dtype=np.float64)
-                          for head, tags in self._head_tags.items()}
-        self._ref_conf = np.zeros(self.config.confidence_bins,
-                                  dtype=np.float64)
-        self._window: Deque[_Observation] = deque()
-        self._win_tags = {head: np.zeros(len(tags), dtype=np.float64)
-                          for head, tags in self._head_tags.items()}
-        self._win_conf = np.zeros(self.config.confidence_bins,
-                                  dtype=np.float64)
+        self._ref = np.zeros(self._conf.stop, dtype=np.float64)
+        # (distribution, per-segment mass) of the pinned reference.
+        self._ref_dist: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._window: Deque[List[int]] = deque()
+        self._win = np.zeros(self._conf.stop, dtype=np.float64)
         self._observed = 0
 
     # -- intake --------------------------------------------------------
     def _encode(self, description,
-                confidences: Dict[str, float]) -> _Observation:
-        tag_indices: Dict[str, List[int]] = {}
-        tag_indices["scene"] = [self._tag_index["scene"][description.scene]]
-        tag_indices["ego_action"] = [
-            self._tag_index["ego_action"][description.ego_action]]
-        tag_indices["actors"] = sorted(
-            self._tag_index["actors"][a] for a in description.actors)
-        tag_indices["actor_actions"] = sorted(
-            self._tag_index["actor_actions"][a]
-            for a in description.actor_actions)
-        bins = [confidence_bin(confidences[head],
-                               self.config.confidence_bins)
-                for head in sorted(confidences)]
-        return _Observation(tag_indices, bins)
+                confidences: Dict[str, float]) -> List[int]:
+        """The stacked indices one result counts into."""
+        index = self._tag_index
+        indices = [index["scene"][description.scene],
+                   index["ego_action"][description.ego_action]]
+        indices += [index["actors"][a] for a in description.actors]
+        indices += [index["actor_actions"][a]
+                    for a in description.actor_actions]
+        bins, start = self.config.confidence_bins, self._conf.start
+        indices += [start + confidence_bin(value, bins)
+                    for value in confidences.values()]
+        return indices
 
     def observe(self, description, confidences: Dict[str, float]) -> None:
         """Account one decoded result.
@@ -236,27 +239,21 @@ class DriftDetector:
         ``reference_size`` observations pin the reference; later ones
         roll through the current window.
         """
-        obs = self._encode(description, confidences)
+        indices = self._encode(description, confidences)
         with self._lock:
             self._observed += 1
             if self._reference_n < self.config.reference_size:
                 self._reference_n += 1
-                self._accumulate(obs, self._ref_tags, self._ref_conf, +1.0)
+                for index in indices:
+                    self._ref[index] += 1.0
                 return
-            self._window.append(obs)
-            self._accumulate(obs, self._win_tags, self._win_conf, +1.0)
-            if len(self._window) > self.config.window_size:
-                evicted = self._window.popleft()
-                self._accumulate(evicted, self._win_tags, self._win_conf,
-                                 -1.0)
-
-    def _accumulate(self, obs: _Observation, tags, conf,
-                    sign: float) -> None:
-        for head, indices in obs.tag_indices.items():
+            self._window.append(indices)
+            win = self._win
             for index in indices:
-                tags[head][index] += sign
-        for bin_index in obs.confidence_bins:
-            conf[bin_index] += sign
+                win[index] += 1.0
+            if len(self._window) > self.config.window_size:
+                for index in self._window.popleft():
+                    win[index] -= 1.0
 
     def pin_reference(self) -> None:
         """Restart reference collection from the next observation.
@@ -266,12 +263,29 @@ class DriftDetector:
         """
         with self._lock:
             self._reference_n = 0
-            for head in self._ref_tags:
-                self._ref_tags[head][:] = 0.0
-                self._win_tags[head][:] = 0.0
-            self._ref_conf[:] = 0.0
-            self._win_conf[:] = 0.0
+            self._ref[:] = 0.0
+            self._ref_dist = None
+            self._win[:] = 0.0
             self._window.clear()
+
+    def _distribution(self, counts: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`_as_distribution` of every segment of ``counts`` at
+        once, with each segment's mass (a massless segment's entries
+        are meaningless)."""
+        if counts.min() < 0:
+            raise ValueError("counts must be non-negative")
+        # Whole counts: any summation order gives the exact mass.
+        mass = np.add.reduceat(counts, self._starts)
+        if mass[-1] <= 0:
+            raise ValueError("distribution has no mass")
+        segment_of = self._segment_of
+        probs = np.maximum(
+            counts / np.where(mass > 0, mass, 1.0)[segment_of],
+            self.config.epsilon)
+        # A sum per slice: the pairwise order _as_distribution uses.
+        sums = np.array([_sum(probs[s]) for s in self._segments])
+        return probs / sums[segment_of], mass
 
     # -- scoring -------------------------------------------------------
     @property
@@ -291,20 +305,23 @@ class DriftDetector:
                 return None
             if len(self._window) < self.config.min_samples:
                 return None
-            epsilon = self.config.epsilon
+            if self._ref_dist is None:
+                self._ref_dist = self._distribution(self._ref)
+            ref, ref_mass = self._ref_dist
+            cur, cur_mass = self._distribution(self._win)
+            log_ratio = np.log(cur / ref)
+            terms = (cur - ref) * log_ratio
             tag_psi = {}
-            for head in self._head_tags:
-                ref = self._ref_tags[head]
-                cur = self._win_tags[head]
+            for i, (head, part) in enumerate(self._slices.items()):
                 # A multilabel head where no tag fired in a window has
                 # no mass to compare — report 0 (no evidence of drift).
-                if ref.sum() <= 0 or cur.sum() <= 0:
+                if ref_mass[i] <= 0 or cur_mass[i] <= 0:
                     tag_psi[head] = 0.0
                 else:
-                    tag_psi[head] = psi(ref, cur, epsilon)
-            conf_psi = psi(self._ref_conf, self._win_conf, epsilon)
-            conf_kl = kl_divergence(self._win_conf, self._ref_conf,
-                                    epsilon)
+                    tag_psi[head] = float(_sum(terms[part]))
+            conf = self._conf
+            conf_psi = float(_sum(terms[conf]))
+            conf_kl = float(_sum(cur[conf] * log_ratio[conf]))
             return {
                 "tag_psi": tag_psi,
                 "tag_psi_max": max(tag_psi.values()),

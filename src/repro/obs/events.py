@@ -1,9 +1,9 @@
 """Structured, append-only request event log (``repro.events/v1``).
 
 The event log is the persisted record of request lifecycles through the
-serving stack: one JSON object per line, appended as one record write
-(:func:`repro.durable.append_record`, the extraction cache's
-crash-tolerance argument), rotated by size, and read back
+serving stack: one JSON object per line, appended as one write on a
+held descriptor (:class:`repro.durable.Appender`, the extraction
+cache's crash-tolerance argument), rotated by size, and read back
 corruption-tolerantly — a torn or garbled line is skipped and counted,
 never fatal.
 
@@ -41,7 +41,7 @@ import time
 from collections import deque
 from typing import Dict, Iterator, List, Optional
 
-from repro.durable import append_record, atomic_write, read_records, torn_tail
+from repro.durable import Appender, atomic_write, read_records, torn_tail
 from repro.obs import context
 from repro.obs.registry import get_registry
 
@@ -60,6 +60,10 @@ DEFAULT_ROTATE_BYTES = 8 * 1024 * 1024
 
 #: Default flight-recorder ring capacity (events).
 DEFAULT_RECORDER_SIZE = 256
+
+#: ``json.dumps(record, sort_keys=True)`` without building an encoder
+#: per record.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class EventLog:
@@ -88,13 +92,16 @@ class EventLog:
         self.rotate_bytes = rotate_bytes
         self._lock = threading.Lock()
         self._seq = 0
+        self._emitted = 0
         self._bytes = 0
         self._rotations = 0
         self._dumps = 0
         self._ring: "deque[dict]" = deque(maxlen=recorder_size)
         self._counter = get_registry().counter("events.emitted")
         self._sep = b""  # b"\n" while the active segment ends mid-line
+        self._appender: Optional[Appender] = None
         if self.log_dir is not None:
+            self._appender = Appender(self.path)
             segments = self._rotated_paths()
             self._rotations = len(segments)
             if os.path.exists(self.path):
@@ -156,17 +163,17 @@ class EventLog:
         record.update(fields)
         with self._lock:
             self._seq += 1
+            self._emitted += 1
             record["seq"] = self._seq
             self._ring.append(record)
-            if self.log_dir is not None:
-                line = (json.dumps(record, sort_keys=True) + "\n") \
-                    .encode("utf-8")
+            if self._appender is not None:
+                line = (_encode(record) + "\n").encode("utf-8")
                 if (self._bytes and
                         self._bytes + len(line) > self.rotate_bytes):
                     self._rotate_locked()
                 # After a torn tail the first record starts a new line.
                 line, self._sep = self._sep + line, b""
-                append_record(self.path, line)
+                self._appender.write(line)
                 self._bytes += len(line)
         self._counter.inc()
         return record
@@ -176,6 +183,8 @@ class EventLog:
         rotated = os.path.join(
             self.log_dir, f"{ROTATED_PREFIX}{self._rotations:06d}.jsonl")
         os.replace(self.path, rotated)
+        # The held descriptor follows the renamed segment: reopen.
+        self._appender.close()
         self._bytes = 0
         self._sep = b""
 
@@ -224,9 +233,11 @@ class EventLog:
 
     # -- introspection -------------------------------------------------
     def stats(self) -> Dict[str, object]:
+        """``events`` counts this instance's emits, not the records
+        earlier runs left in the same directory (``seq`` does)."""
         with self._lock:
             return {
-                "events": self._seq,
+                "events": self._emitted,
                 "segment_bytes": self._bytes,
                 "rotations": self._rotations,
                 "flight_dumps": self._dumps,

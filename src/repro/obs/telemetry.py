@@ -59,10 +59,12 @@ TELEMETRY_FORMAT = "repro.telemetry/v1"
 #: lifecycle events (``enqueue`` / ``result`` / ``shed``) belong to the
 #: parent, which records each request's once; a second copy from a
 #: worker would break the lifecycle join that
-#: ``repro top --from-events`` verifies.
+#: ``repro top --from-events`` verifies.  Shard-cache verdicts stay
+#: home too: the parent's ``result`` event carries ``cached`` and
+#: ``worker``.
 WORKER_EVENT_WHITELIST = frozenset({
-    "flush", "retry", "cache_hit", "cache_miss", "breaker_open",
-    "breaker_close", "model_forward", "degrade",
+    "flush", "retry", "breaker_open", "breaker_close", "model_forward",
+    "degrade",
 })
 
 #: Request-correlation fields stripped from shipped events: the

@@ -5,14 +5,14 @@ distribution, circuit-breaker state, cache hit rate, firing SLO
 alerts and — when quality monitoring is on — a quality panel
 (``quality_window`` cadence, drift alerts, canary verdicts).  Pool
 runs (``repro serve --workers N``) add a per-worker panel: routed /
-shed / per-status counts replayed from the ``worker``-stamped events —
-plus each worker's *internal* cache / flush / forward / breaker
-activity, shipped home by the telemetry plane
-(:mod:`repro.obs.telemetry`) — or the live ``repro.health/v1`` pool
-rollup's worker sub-documents (:func:`snapshot_from_service` consumes
-only that versioned schema).  ``fleet_progress`` heartbeats from
-``extract_corpus`` render as a fleet progress panel (shards / clips /
-throughput / ETA).
+shed / per-status counts and shard-cache verdicts replayed from the
+parent's ``worker``-stamped ``enqueue`` / ``shed`` / ``result`` events —
+plus each worker's *internal* flush / forward / breaker activity,
+shipped home by the telemetry plane (:mod:`repro.obs.telemetry`) — or
+the live ``repro.health/v1`` pool rollup's worker sub-documents
+(:func:`snapshot_from_service` consumes only that versioned schema).
+``fleet_progress`` heartbeats from ``extract_corpus`` render as a
+fleet progress panel (shards / clips / throughput / ETA).
 Two sources:
 
 - **a recorded event log** (``--from-events DIR``): the snapshot is
@@ -70,6 +70,7 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
     statuses: "_Counter[str]" = _Counter()
     per_worker: Dict[int, Dict[str, object]] = {}
     pool_workers: Optional[int] = None
+    pool_cache = False  # each worker ``result`` is a cache verdict
     batch_sizes: List[float] = []
     retried_ids = set()
     cache_hits = cache_misses = 0
@@ -109,6 +110,15 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
         if record.get("worker") is not None:
             _worker_stats(record["worker"])[key] += 1
 
+    def _cache_verdict(record, hit: bool, mono) -> None:
+        nonlocal cache_hits, cache_misses
+        if hit:
+            cache_hits += 1
+        else:
+            cache_misses += 1
+        tracker.record_cache(hit, now=mono)
+        _internal(record, "cache_hits" if hit else "cache_misses")
+
     for record in records:
         mono = record.get("mono")
         if isinstance(mono, (int, float)):
@@ -123,19 +133,16 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
         if event == "enqueue":
             enqueued.add(rid)
             queue_depth = int(record.get("queue_depth", queue_depth))
+            # A pool stamps ``outstanding`` only on a routed request.
+            if "outstanding" in record:
+                _worker_stats(record["worker"])["routed"] += 1
         elif event == "flush":
             batch_sizes.append(float(record.get("batch_size", 0)))
             for member in record.get("request_ids", ()):
                 seen_ids.add(member)
             _internal(record, "flushes")
-        elif event == "cache_hit":
-            cache_hits += 1
-            tracker.record_cache(True, now=mono)
-            _internal(record, "cache_hits")
-        elif event == "cache_miss":
-            cache_misses += 1
-            tracker.record_cache(False, now=mono)
-            _internal(record, "cache_misses")
+        elif event in ("cache_hit", "cache_miss"):  # in-process lookups
+            _cache_verdict(record, event == "cache_hit", mono)
         elif event == "retry":
             for member in record.get("request_ids", ()):
                 retried_ids.add(member)
@@ -154,8 +161,6 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
             reloads += 1
         elif event == "flight_dump":
             flight_dumps += 1
-        elif event == "route" and record.get("worker") is not None:
-            _worker_stats(record["worker"])["routed"] += 1
         elif event == "shed" and record.get("worker") is not None:
             _worker_stats(record["worker"])["shed"] += 1
         elif event == "worker_reload":
@@ -168,6 +173,7 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
             stats["dead"] = False
         elif event == "pool_start":
             pool_workers = record.get("workers")
+            pool_cache = bool(record.get("cache"))
         elif event == "fleet_progress":
             fleet_beats += 1
             clips_done = record.get("clips_done", 0)
@@ -212,6 +218,9 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
             statuses[status] += 1
             if record.get("worker") is not None:
                 _worker_stats(record["worker"])["statuses"][status] += 1
+                if pool_cache:
+                    _cache_verdict(record, bool(record.get("cached")),
+                                   mono)
             terminals[rid] += 1
             tracker.record_request(
                 status in _SERVED,

@@ -290,7 +290,10 @@ class ServicePool(_Frontend):
         self._workers_gauge.set(float(self.world_size))
         with self._cond:
             self._pool_ready = True
-        self._emit("pool_start", workers=self.world_size)
+        # ``cache`` tells a replay that each worker-stamped ``result``
+        # is one shard-cache verdict (its ``cached`` field).
+        self._emit("pool_start", workers=self.world_size,
+                   cache=self._cache_dir is not None or self._cache_memory)
         return self
 
     def _launch(self, rank: int, context) -> tuple:
@@ -382,21 +385,24 @@ class ServicePool(_Frontend):
     def _admit(self, request: RequestFuture) -> None:
         """Route to the worker that owns the clip's content hash: fail
         static while it is down, shed when its outstanding requests
-        reach ``max_queue``."""
+        reach ``max_queue``.  The ``enqueue`` event carries the rank,
+        and its ``outstanding`` count only when the request was routed
+        there."""
         request.clip_hash = clip_content_hash(request.clip)
         rank = shard_of(request.clip_hash, self.world_size)
         with self._cond:
             if not self._running:
                 raise RuntimeError("service is not running")
-            self._emit("enqueue", request,
-                       queue_depth=sum(self._outstanding), worker=rank)
+            queue_depth = sum(self._outstanding)
             if rank in self._dead:
                 down = self._dead[rank]
             elif self._outstanding[rank] < self.config.max_queue:
-                self._dispatch_locked(request, rank)
+                self._dispatch_locked(request, rank, queue_depth)
                 return
             else:
                 down, depth = None, self._outstanding[rank]
+            self._emit("enqueue", request, queue_depth=queue_depth,
+                       worker=rank)
         if down is not None:
             self._fail([request], f"worker {rank} is down ({down})")
             return
@@ -420,14 +426,15 @@ class ServicePool(_Frontend):
         self._outstanding = [0] * self.world_size
         return orphans
 
-    def _dispatch_locked(self, request: RequestFuture, rank: int) -> None:
+    def _dispatch_locked(self, request: RequestFuture, rank: int,
+                         queue_depth: int) -> None:
         """Hand ``request`` to its worker; caller holds ``_cond``."""
         self._outstanding[rank] += 1
         self._inflight[request.request_id] = (request, rank)
         self._outstanding_gauge.set(float(sum(self._outstanding)))
         self._routed_counters[rank].inc()
-        self._emit("route", request, worker=rank,
-                   outstanding=self._outstanding[rank])
+        self._emit("enqueue", request, queue_depth=queue_depth,
+                   worker=rank, outstanding=self._outstanding[rank])
         remaining = max(0.0, request.deadline - time.monotonic())
         self._request_qs[rank].put(
             ("extract", request.request_id, request.clip,

@@ -116,11 +116,12 @@ def _build_replica(spec: WorkerSpec, on_result) -> Replica:
         injector = FaultInjector.from_spec(fault_spec)
     events = None
     if spec.telemetry_interval_s is not None:
-        # Memory-mode ring, process-wide active so cache hit/miss
-        # events land here too; the shipper drains it into frames.
+        # Memory-mode ring of the replica's batch and breaker events;
+        # the shipper drains it into frames.  Not process-wide active:
+        # the shard cache's hit/miss events would only fill the ring,
+        # the parent's ``result`` carries the verdict.
         events = obs_events.EventLog(
             None, recorder_size=_TELEMETRY_EVENTS)
-        obs_events.set_active(events)
     return Replica(spec.extractor, spec.config, on_result,
                    fault_injector=injector, cache=cache, events=events,
                    model_version=spec.model_version)

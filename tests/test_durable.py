@@ -11,6 +11,7 @@ same directories, and checks the recovery invariants of
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import types
@@ -22,11 +23,13 @@ from repro import durable
 from repro.core import ExtractionCache, ScenarioExtractor, fleet
 from repro.core.export import export_corpus
 from repro.data import SynthDriveConfig, generate_dataset
-from repro.durable import append_record, atomic_open, read_records, torn_tail
+from repro.core.pipeline import ExtractionResult
+from repro.durable import Appender, atomic_open, read_records, torn_tail
 from repro.models import ModelConfig, build_model
 from repro.obs import events as obs_events
 from repro.obs import metrics
-from repro.obs.events import EventLog, read_event_log
+from repro.obs.events import EventLog, read_event_log, read_events
+from repro.sdl import ScenarioDescription
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,13 +69,17 @@ class TestPrimitives:
         assert path.read_bytes() == b"old"
         assert sorted(os.listdir(tmp_path)) == ["artifact.bin"]
 
-    def test_append_record_and_torn_tail(self, tmp_path):
+    def test_appender_and_torn_tail(self, tmp_path):
         path = str(tmp_path / "sub" / "log.jsonl")
-        append_record(path, '{"n": 1}\n')
-        append_record(path, b'{"n": 2}\n')
+        appender = Appender(path)
+        appender.write('{"n": 1}\n')
+        appender.write(b'{"n": 2}\n')
+        # Write-through: a reader sees each record at once.
+        assert list(read_records(path)) == [{"n": 1}, {"n": 2}]
         assert not torn_tail(path)
-        append_record(path, '{"n": 3')
+        appender.write('{"n": 3')
         assert torn_tail(path)
+        appender.close()
         open(str(tmp_path / "empty"), "w").close()
         assert not torn_tail(str(tmp_path / "empty"))
 
@@ -312,7 +319,7 @@ def _check_recovery(kill, dirs, extractor, clean, writes):
     seqs = [e["seq"] for e in events]
     assert seqs == sorted(set(seqs)), kill
     assert seqs[:len(before)] == before, kill
-    emitted = resumed["log"].stats()["events"] - (before or [0])[-1]
+    emitted = resumed["log"].stats()["events"]
     assert len(seqs) == len(before) + emitted > len(before), kill
 
 
@@ -391,3 +398,93 @@ def test_write_corpus_crash_leaves_whole_shards(tmp_path):
                 assert families == CORPUS_FAMILIES[want], kill
                 whole += 1
             assert whole == published_clips, kill
+
+
+# ----------------------------------------------------------------------
+# Held descriptors
+#: A child that emits ``argv[2]`` events into ``argv[1]``, reports, and
+#: waits to be killed.
+_EMITTER = """
+import sys
+from repro.obs.events import EventLog
+log = EventLog(sys.argv[1])
+for i in range(int(sys.argv[2])):
+    log.emit("tick", request_id=i)
+print("ready", flush=True)
+sys.stdin.read()
+"""
+
+
+def _result(ego):
+    description = ScenarioDescription("straight-road", ego, frozenset(),
+                                      frozenset())
+    return ExtractionResult(description=description,
+                            sentence=description.to_sentence(),
+                            confidences={"scene": 0.9}, frame_range=(0, 4))
+
+
+class TestHeldDescriptors:
+    def test_sigkill_between_appends_keeps_every_record(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _EMITTER, str(tmp_path), "40"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+            text=True)
+        try:
+            assert child.stdout.readline() == "ready\n"
+            os.kill(child.pid, signal.SIGKILL)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            if child.poll() is None:
+                child.kill()
+            child.stdin.close()
+            child.stdout.close()
+        corrupt = metrics.counter("events.corrupt")
+        start = corrupt.value
+        lines = (tmp_path / "events.jsonl").read_text().split("\n")
+        assert lines[-1] == ""  # no torn tail
+        assert [json.loads(line)["seq"] for line in lines[:-1]] \
+            == list(range(1, 41))
+        reopened = EventLog(str(tmp_path))
+        assert reopened.emit("tick")["seq"] == 41
+        assert [e["seq"] for e in read_event_log(str(tmp_path))] \
+            == list(range(1, 42))
+        assert corrupt.value == start
+
+    def test_emit_after_rotation_lands_in_new_segment(self, tmp_path):
+        log = EventLog(str(tmp_path), rotate_bytes=1024)
+        while log.stats()["rotations"] == 0:
+            log.emit("tick")
+        log.emit("marker")
+        # The record that crossed the threshold opened the new segment.
+        assert [e["event"] for e in read_events(log.path)] \
+            == ["tick", "marker"]
+        rotated = list(read_events(str(tmp_path / "events-000001.jsonl")))
+        assert {e["event"] for e in rotated} == {"tick"}
+        assert [e["seq"] for e in read_event_log(str(tmp_path))] \
+            == list(range(1, len(rotated) + 3))
+
+    def test_cache_put_after_eviction_and_clear_persists(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        unbounded = ExtractionCache(cache_dir)
+        for key, ego in (("a", "stop"), ("b", "decelerate"),
+                         ("c", "accelerate")):
+            unbounded.put(key, _result(ego))
+        # Eviction at load compacts the file, then a put appends.
+        cache = ExtractionCache(cache_dir, max_entries=2)
+        assert cache.evictions == 1
+        cache.put("d", _result("turn-left"))
+        fresh = ExtractionCache(cache_dir)
+        assert (len(fresh), fresh.corrupt) == (2, 0)
+        assert "c" in fresh and fresh.get("d") == _result("turn-left")
+        # Eviction on put compacts too.
+        cache.put("e", _result("turn-right"))
+        cache.put("f", _result("stop"))
+        fresh = ExtractionCache(cache_dir)
+        assert (len(fresh), fresh.corrupt) == (2, 0)
+        assert "e" in fresh and "f" in fresh
+        cache.clear()
+        cache.put("g", _result("decelerate"))
+        fresh = ExtractionCache(cache_dir)
+        assert (len(fresh), fresh.corrupt) == (1, 0)
+        assert fresh.get("g") == _result("decelerate")

@@ -170,6 +170,17 @@ class TestEventLog:
         record = log2.emit("b")
         assert record["seq"] == 2
 
+    def test_stats_count_this_instances_emits(self, tmp_path):
+        # ``seq`` continues across runs in one directory; the emit
+        # count (what ``repro serve`` prints) does not.
+        first = EventLog(str(tmp_path))
+        for _ in range(5):
+            first.emit("tick")
+        reopened = EventLog(str(tmp_path))
+        assert reopened.emit("tick")["seq"] == 6
+        assert reopened.stats()["events"] == 1
+        assert first.stats()["events"] == 5
+
     def test_event_after_torn_tail_survives(self, tmp_path):
         # The first emit after reopening a log whose last line was torn
         # starts a fresh line, so only the torn record is lost.

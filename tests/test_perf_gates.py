@@ -16,6 +16,8 @@ import pytest
 from repro.core import ScenarioExtractor
 from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, build_model
+from repro.obs.events import EventLog
+from repro.obs.quality import QualityConfig
 from repro.serve import ServiceClient, ServiceConfig
 from repro.serve.pool import ServicePool
 from repro.train import TrainConfig, Trainer
@@ -30,8 +32,10 @@ def _random_clips(cfg, n, seed):
     ).astype(np.float32)
 
 
-def _pool_burst_seconds(model, clips, workers, telemetry_interval_s=0.25):
-    """Wall time of one burst of distinct ``clips`` through a pool.
+def _pool_burst_seconds(model, clips, workers, telemetry_interval_s=0.25,
+                        **observability):
+    """Wall time of one burst of distinct ``clips`` through a pool
+    (``observability``: its ``events`` / ``quality``).
 
     Distinct content hashes spread evenly over the shards.  A warm-up
     burst pays each process's one-time numpy initialisation and is not
@@ -41,7 +45,8 @@ def _pool_burst_seconds(model, clips, workers, telemetry_interval_s=0.25):
                            max_queue=len(clips))
     concurrency = min(len(clips), 32)
     with ServicePool(model, config, workers=workers,
-                     telemetry_interval_s=telemetry_interval_s) as pool:
+                     telemetry_interval_s=telemetry_interval_s,
+                     **observability) as pool:
         client = ServiceClient(pool)
         client.extract_many(list(clips[:4 * workers]),
                             concurrency=concurrency)
@@ -79,6 +84,27 @@ def test_telemetry_shipping_costs_under_five_percent():
     print("telemetry overhead ratios:", [round(r, 3) for r in ratios])
     assert min(ratios) < 1.05, \
         f"telemetry shipping overhead {min(ratios):.3f} >= 1.05"
+
+
+def test_events_and_quality_cost_under_five_percent(tmp_path):
+    """One default-config vt-divided 2-worker burst with the event log
+    (on disk) and the quality monitor on vs both off; best of four
+    seeds.
+    128 clips take the drift detector past its warm-up, so the burst
+    pays the per-result drift check too."""
+    model = build_model("vt-divided", ModelConfig())
+    ratios = []
+    for seed in range(4):
+        clips = _random_clips(model.config, 128, seed=seed)
+        off = _pool_burst_seconds(model, clips, 2)
+        on = _pool_burst_seconds(
+            model, clips, 2, events=EventLog(str(tmp_path / str(seed))),
+            quality=QualityConfig())
+        ratios.append(on / off)
+    print("events + quality overhead ratios:",
+          [round(r, 3) for r in ratios])
+    assert min(ratios) < 1.05, \
+        f"events + quality overhead {min(ratios):.3f} >= 1.05"
 
 
 def test_sliding_reuse_pays_and_stays_bit_identical():

@@ -320,7 +320,9 @@ class TestSharding:
             assert all(f.result().status == "ok" for f in futures)
         routed = {}
         for record in events.read():
-            if record["event"] == "route":
+            # A routed request's ``enqueue`` names its worker.
+            if record["event"] == "enqueue":
+                assert record["outstanding"] >= 1
                 routed[record["request_id"]] = record["worker"]
         assert len(routed) == 12
         # Every routed worker is exactly the hash's shard.

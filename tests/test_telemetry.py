@@ -322,23 +322,25 @@ class TestShipper:
     def test_events_whitelisted_and_stripped(self):
         events = EventLog(None, recorder_size=32)
         shipper = TelemetryShipper(MetricsRegistry(), events=events)
-        events.emit("cache_hit", request_id=7, key="k1")
+        events.emit("breaker_open", request_id=7, reason="failures")
         events.emit("enqueue", request_id=7)  # lifecycle: never ships
+        # The parent's ``result`` carries the verdict: never ships.
+        events.emit("cache_hit", request_id=7, key="k1")
         events.emit("flush", request_ids=[7], batch_size=1)
         frame = shipper.frame()
         shipped = frame["events"]
         assert [record["event"] for record in shipped] \
-            == ["cache_hit", "flush"]
+            == ["breaker_open", "flush"]
         for record in shipped:
             assert "request_id" not in record
             assert "request_ids" not in record
             assert "mono" not in record
             assert "schema" not in record
             assert record["event"] in WORKER_EVENT_WHITELIST
-        assert shipped[0]["key"] == "k1"
+        assert shipped[0]["reason"] == "failures"
         assert shipped[1]["batch_size"] == 1
         # worker-side seq survives (the merger republishes it).
-        assert [record["seq"] for record in shipped] == [1, 3]
+        assert [record["seq"] for record in shipped] == [1, 4]
 
     def test_each_event_ships_exactly_once(self):
         events = EventLog(None, recorder_size=32)
