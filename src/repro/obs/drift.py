@@ -21,6 +21,9 @@ hosts the math and the streaming detector:
   explicit warmup and min-sample guards (no score, and therefore no
   alert, until both windows are populated).
 
+:meth:`DriftDetector.encode` is the one encoding of a served result,
+which the quality monitor's scorecards and windows count in too.
+
 The detector is pure accounting — it never emits events or metrics
 itself; :class:`repro.obs.quality.QualityMonitor` owns one and turns
 threshold crossings into ``drift_alert`` events, gauges and alerts.
@@ -38,6 +41,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "HEADS",
     "DriftConfig",
     "DriftDetector",
     "confidence_bin",
@@ -48,6 +52,9 @@ __all__ = [
 #: ``np.sum`` of a 1-D array without the Python-level wrapper: the same
 #: pairwise reduction, so the same bits.
 _sum = np.add.reduce
+
+#: The four decode heads, in layout and report order.
+HEADS = ("scene", "ego_action", "actors", "actor_actions")
 
 
 # ----------------------------------------------------------------------
@@ -110,13 +117,15 @@ def confidence_bin(confidence: float, n_bins: int) -> int:
     Matches the ``(low, high]`` binning of
     :func:`repro.eval.calibration.reliability_bins` (0.0 lands in the
     first bin), so drift histograms and calibration bins line up.
+    Out-of-range values clamp; NaN (a model fed non-finite input) lands
+    in the first bin, so no model output makes the caller raise.
     """
     if n_bins <= 0:
         raise ValueError("n_bins must be positive")
-    confidence = min(max(float(confidence), 0.0), 1.0)
-    if confidence <= 0.0:
+    confidence = float(confidence)
+    if not confidence > 0.0:
         return 0
-    return min(math.ceil(confidence * n_bins) - 1, n_bins - 1)
+    return min(math.ceil(min(confidence, 1.0) * n_bins) - 1, n_bins - 1)
 
 
 # ----------------------------------------------------------------------
@@ -167,14 +176,16 @@ class DriftDetector:
     config:
         :class:`DriftConfig` windows and thresholds.
 
-    Feed one decoded result at a time via :meth:`observe`; read
-    :meth:`scores` (``None`` while a guard is active) and
-    :meth:`check` (threshold verdict).  Thread-safe.
+    Feed one decoded result at a time via :meth:`observe` (or
+    :meth:`add` its :meth:`encode` indices); read :meth:`scores`
+    (``None`` while a guard is active) and :meth:`check`.  Thread-safe.
 
-    Both windows are one stacked count vector each: the four tag heads
-    in vocabulary order, then the confidence bins.  Scoring runs every
-    element-wise step of :func:`psi` / :func:`kl_divergence` once over
-    the whole vector and sums each head's slice, so every score is
+    An encoded result indexes the four tag heads in vocabulary order
+    (``tag_slices``), then each head's confidence bins
+    (``confidence_slices``).  Both windows are one count vector each
+    with the heads' bins pooled (exact on whole counts).  Scoring runs
+    every element-wise step of :func:`psi` / :func:`kl_divergence` once
+    over the whole vector and sums each head's slice, so every score is
     bitwise what those functions return for the head alone.  The
     reference distribution is computed once per pinned reference.
     """
@@ -183,7 +194,7 @@ class DriftDetector:
         self.config = config or DriftConfig()
         self.vocab = vocab
         self._lock = threading.Lock()
-        head_tags: Dict[str, Tuple[str, ...]] = {
+        self.head_tags: Dict[str, Tuple[str, ...]] = {
             "scene": tuple(vocab.scenes),
             "ego_action": tuple(vocab.ego_actions),
             "actors": tuple(vocab.actor_types),
@@ -191,15 +202,24 @@ class DriftDetector:
         }
         # Stacked index of every tag, and each head's slice.
         self._tag_index: Dict[str, Dict[str, int]] = {}
-        self._slices: Dict[str, slice] = {}
+        self.tag_slices: Dict[str, slice] = {}
         start = 0
-        for head, tags in head_tags.items():
+        for head, tags in self.head_tags.items():
             self._tag_index[head] = {tag: start + i
                                      for i, tag in enumerate(tags)}
-            self._slices[head] = slice(start, start + len(tags))
+            self.tag_slices[head] = slice(start, start + len(tags))
             start += len(tags)
-        self._conf = slice(start, start + self.config.confidence_bins)
-        self._segments = list(self._slices.values()) + [self._conf]
+        bins = self.config.confidence_bins
+        self.confidence_slices = {
+            head: slice(start + i * bins, start + (i + 1) * bins)
+            for i, head in enumerate(HEADS)}
+        #: Length of an encoded count vector.
+        self.size = start + len(HEADS) * bins
+        # Window layout: the tags, then the pooled confidence bins.
+        self._conf = slice(start, start + bins)
+        self._pooled = np.concatenate((
+            np.arange(start), start + np.tile(np.arange(bins), len(HEADS))))
+        self._segments = list(self.tag_slices.values()) + [self._conf]
         self._starts = [s.start for s in self._segments]
         # Segment number of every stacked entry (broadcasts a
         # per-segment value over its entries).
@@ -215,19 +235,27 @@ class DriftDetector:
         self._observed = 0
 
     # -- intake --------------------------------------------------------
-    def _encode(self, description,
-                confidences: Dict[str, float]) -> List[int]:
-        """The stacked indices one result counts into."""
+    def encode(self, description, confidences: Dict[str, float]
+               ) -> Tuple[np.ndarray, List[float]]:
+        """``(indices, values)`` of one decoded result.
+
+        ``indices`` are the stacked count-vector entries it counts
+        into, each at most once (tags are sets, every head has its own
+        bins); ``values`` its confidences in :data:`HEADS` order (a
+        missing head reads 0.0).
+        """
         index = self._tag_index
+        values = [float(confidences.get(head, 0.0)) for head in HEADS]
+        bins = self.config.confidence_bins
         indices = [index["scene"][description.scene],
                    index["ego_action"][description.ego_action]]
         indices += [index["actors"][a] for a in description.actors]
         indices += [index["actor_actions"][a]
                     for a in description.actor_actions]
-        bins, start = self.config.confidence_bins, self._conf.start
-        indices += [start + confidence_bin(value, bins)
-                    for value in confidences.values()]
-        return indices
+        indices += [part.start + confidence_bin(value, bins)
+                    for part, value in zip(
+                        self.confidence_slices.values(), values)]
+        return np.array(indices, dtype=np.intp), values
 
     def observe(self, description, confidences: Dict[str, float]) -> None:
         """Account one decoded result.
@@ -235,21 +263,29 @@ class DriftDetector:
         ``description`` is the decoded
         :class:`~repro.sdl.description.ScenarioDescription`;
         ``confidences`` the per-head decode confidences (the
-        ``ExtractionResult.confidences`` dict).  The first
-        ``reference_size`` observations pin the reference; later ones
-        roll through the current window.
+        ``ExtractionResult.confidences`` dict).
         """
-        indices = self._encode(description, confidences)
+        self.add(self.encode(description, confidences)[0])
+
+    def add(self, indices: np.ndarray) -> None:
+        """Account one result's :meth:`encode` indices.  The first
+        ``reference_size`` results pin the reference; later ones roll
+        through the current window."""
+        # Two heads may share a pooled bin, so fancy ``+=`` would drop a
+        # count; ``np.add.at`` releases the GIL and stalls the serving
+        # thread that calls this.  A loop over a few ints does neither.
+        pooled = self._pooled[indices].tolist()
         with self._lock:
             self._observed += 1
             if self._reference_n < self.config.reference_size:
                 self._reference_n += 1
-                for index in indices:
-                    self._ref[index] += 1.0
+                counts = self._ref
+                for index in pooled:
+                    counts[index] += 1.0
                 return
-            self._window.append(indices)
+            self._window.append(pooled)
             win = self._win
-            for index in indices:
+            for index in pooled:
                 win[index] += 1.0
             if len(self._window) > self.config.window_size:
                 for index in self._window.popleft():
@@ -312,7 +348,7 @@ class DriftDetector:
             log_ratio = np.log(cur / ref)
             terms = (cur - ref) * log_ratio
             tag_psi = {}
-            for i, (head, part) in enumerate(self._slices.items()):
+            for i, (head, part) in enumerate(self.tag_slices.items()):
                 # A multilabel head where no tag fired in a window has
                 # no mass to compare — report 0 (no evidence of drift).
                 if ref_mass[i] <= 0 or cur_mass[i] <= 0:

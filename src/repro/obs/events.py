@@ -245,13 +245,13 @@ class EventLog:
             }
 
     def read(self) -> Iterator[dict]:
-        """Every persisted event in order (rotated segments first)."""
+        """Every persisted event in order (rotated segments first), as
+        :func:`read_event_log` reads the directory; the ring in memory
+        mode."""
         if self.log_dir is None:
             yield from self.recent()
-            return
-        for path in self._rotated_paths() + [self.path]:
-            if os.path.exists(path):
-                yield from read_events(path)
+        elif os.path.isdir(self.log_dir):
+            yield from read_event_log(self.log_dir)
 
 
 # ----------------------------------------------------------------------

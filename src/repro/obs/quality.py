@@ -1,17 +1,14 @@
 """Model-quality observability: scorecards, drift alerts, canary gate.
 
-PR 5 made the serving tier observable in *request* terms; this module
-watches whether the deployed model keeps extracting the right SDL tags
-— the paper's core claim (Table 1) — without waiting for the next
-offline eval run.  One :class:`QualityMonitor` per
+The SLO tracker watches requests; this module watches whether the
+deployed model keeps extracting the right SDL tags — the paper's core
+claim (Table 1) — without waiting for the next offline eval run.  One
+:class:`QualityMonitor` per
 :class:`~repro.serve.service.ExtractionService`:
 
 - **scorecards** — per-model-version accounting of every served
-  result: per-tag positive rates, per-head decode-confidence
-  histograms and means, and a streaming expected-calibration-error
-  (:class:`~repro.eval.calibration.StreamingCalibration`, identical
-  binning to the offline eval) fed by labeled probes and canary
-  agreement;
+  result: statuses, per-tag positive rates, per-head decode-confidence
+  histograms and means;
 - **drift detection** — a :class:`~repro.obs.drift.DriftDetector`
   compares the rolling SDL tag distribution and decode-confidence
   distribution against a pinned reference window (PSI + KL, warmup
@@ -23,6 +20,10 @@ offline eval run.  One :class:`QualityMonitor` per
   scored, and :meth:`canary` returns an accept/refuse verdict the
   service uses to gate ``reload()`` (refusals raise
   :class:`CanaryRefusedError` and leave the serving model untouched).
+
+Each result is encoded once (``DriftDetector.encode``); scorecards and
+the current ``quality_window`` count it in that layout, and
+``DriftConfig.confidence_bins`` is the one confidence bin count.
 
 Everything surfaces through the existing observability substrate:
 ``repro.events/v1`` events (``quality_window`` / ``drift_alert`` /
@@ -43,7 +44,7 @@ import numpy as np
 from repro.eval.calibration import StreamingCalibration
 from repro.obs import events as obs_events
 from repro.obs import metrics
-from repro.obs.drift import DriftConfig, DriftDetector
+from repro.obs.drift import HEADS, DriftConfig, DriftDetector
 from repro.obs.events import EventLog
 
 __all__ = [
@@ -51,9 +52,6 @@ __all__ = [
     "QualityConfig",
     "QualityMonitor",
 ]
-
-#: The four decode heads, in report order.
-_HEADS = ("scene", "ego_action", "actors", "actor_actions")
 
 
 class CanaryRefusedError(RuntimeError):
@@ -91,7 +89,6 @@ class QualityConfig:
     """
 
     window: int = 64
-    calibration_bins: int = 10
     drift: DriftConfig = field(default_factory=DriftConfig)
     canary_sample: int = 8
     canary_min_samples: int = 4
@@ -102,8 +99,6 @@ class QualityConfig:
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if self.calibration_bins <= 0:
-            raise ValueError("calibration_bins must be positive")
         if self.canary_sample <= 0:
             raise ValueError("canary_sample must be positive")
         if not 0 < self.canary_min_samples <= self.canary_sample:
@@ -117,69 +112,32 @@ class QualityConfig:
                 "canary_max_confidence_shift must be positive")
 
 
-class _Scorecard:
-    """Per-model-version quality accounting (guarded by monitor lock)."""
+class _Tally:
+    """Served results counted in the :meth:`DriftDetector.encode`
+    layout: one version's scorecard, or the current window (guarded by
+    the monitor lock)."""
 
-    __slots__ = ("requests", "statuses", "cached", "confidence_sums",
-                 "confidence_hist", "tag_positives", "calibration")
+    __slots__ = ("requests", "counts", "confidence_sums", "statuses",
+                 "cached")
 
-    def __init__(self, vocab, n_bins: int) -> None:
+    def __init__(self, size: int) -> None:
         self.requests = 0
+        self.counts = np.zeros(size, dtype=np.int64)
+        self.confidence_sums = np.zeros(len(HEADS))
         self.statuses: Dict[str, int] = {}
         self.cached = 0
-        self.confidence_sums = {head: 0.0 for head in _HEADS}
-        self.confidence_hist = {
-            head: np.zeros(n_bins, dtype=np.int64) for head in _HEADS
-        }
-        self.tag_positives = {
-            "scene": {tag: 0 for tag in vocab.scenes},
-            "ego_action": {tag: 0 for tag in vocab.ego_actions},
-            "actors": {tag: 0 for tag in vocab.actor_types},
-            "actor_actions": {tag: 0 for tag in vocab.actor_actions},
-        }
-        self.calibration = StreamingCalibration(n_bins)
 
-    def observe(self, status: str, cached: bool, description,
-                confidences: Dict[str, float], n_bins: int) -> None:
-        from repro.obs.drift import confidence_bin
-
+    def add(self, indices: np.ndarray, values: List[float], status: str,
+            cached: bool) -> None:
         self.requests += 1
+        self.counts[indices] += 1  # each index at most once per result
+        self.confidence_sums += values
         self.statuses[status] = self.statuses.get(status, 0) + 1
         self.cached += bool(cached)
-        for head in _HEADS:
-            value = float(confidences.get(head, 0.0))
-            self.confidence_sums[head] += value
-            self.confidence_hist[head][confidence_bin(value, n_bins)] += 1
-        self.tag_positives["scene"][description.scene] += 1
-        self.tag_positives["ego_action"][description.ego_action] += 1
-        for actor in description.actors:
-            self.tag_positives["actors"][actor] += 1
-        for action in description.actor_actions:
-            self.tag_positives["actor_actions"][action] += 1
 
-    def report(self) -> Dict[str, object]:
-        n = self.requests
-        return {
-            "requests": n,
-            "statuses": dict(sorted(self.statuses.items())),
-            "cached": self.cached,
-            "mean_confidence": {
-                head: (self.confidence_sums[head] / n if n else 0.0)
-                for head in _HEADS
-            },
-            "confidence_histogram": {
-                head: self.confidence_hist[head].tolist()
-                for head in _HEADS
-            },
-            "tag_positive_rate": {
-                head: {tag: (count / n if n else 0.0)
-                       for tag, count in tags.items()}
-                for head, tags in self.tag_positives.items()
-            },
-            "ece": (self.calibration.ece
-                    if self.calibration.count else None),
-            "labeled_samples": self.calibration.count,
-        }
+    def mean_confidence(self) -> Dict[str, float]:
+        return dict(zip(HEADS,
+                        (self.confidence_sums / self.requests).tolist()))
 
 
 class QualityMonitor:
@@ -210,15 +168,12 @@ class QualityMonitor:
         self.events = events
         self._lock = threading.Lock()
         self.drift = DriftDetector(self.vocab, self.config.drift)
-        self._scorecards: Dict[int, _Scorecard] = {}
+        self._scorecards: Dict[int, _Tally] = {}
+        self._window = _Tally(self.drift.size)
         self._observed = 0
         self._windows = 0
         self._drift_active = False
         self._drift_alerts: List[Dict[str, object]] = []
-        # current-window accumulators (reset each flush)
-        self._win_n = 0
-        self._win_statuses: Dict[str, int] = {}
-        self._win_conf = {head: 0.0 for head in _HEADS}
         self._last_version = 0
         # Version of the last reload: older results stay out of drift.
         self._reload_version = 0
@@ -235,12 +190,11 @@ class QualityMonitor:
         self._alerts_counter = metrics.counter("drift.alerts")
         self._conf_gauges = {
             head: metrics.gauge("quality.mean_confidence", head=head)
-            for head in _HEADS
+            for head in HEADS
         }
-        self._ece_gauge = metrics.gauge("quality.ece")
         self._tag_psi_gauges = {
             head: metrics.gauge("drift.tag_psi", head=head)
-            for head in _HEADS
+            for head in HEADS
         }
         self._conf_psi_gauge = metrics.gauge("drift.confidence_psi")
         self._conf_kl_gauge = metrics.gauge("drift.confidence_kl")
@@ -265,7 +219,8 @@ class QualityMonitor:
         extraction = result.result
         if extraction is None:
             return
-        confidences = extraction.confidences
+        indices, values = self.drift.encode(extraction.description,
+                                            extraction.confidences)
         version = int(getattr(result, "model_version", 0))
         flush = None
         with self._lock:
@@ -277,21 +232,13 @@ class QualityMonitor:
             # concurrent ``on_reload`` cannot re-pin in between.
             fresh = version >= self._reload_version
             if fresh:
-                self.drift.observe(extraction.description, confidences)
+                self.drift.add(indices)
             card = self._scorecards.get(version)
             if card is None:
-                card = self._scorecards[version] = _Scorecard(
-                    self.vocab, self.config.calibration_bins)
-            card.observe(result.status, result.cached,
-                         extraction.description, confidences,
-                         self.config.calibration_bins)
-            self._win_n += 1
-            self._win_statuses[result.status] = \
-                self._win_statuses.get(result.status, 0) + 1
-            for head in _HEADS:
-                self._win_conf[head] += float(
-                    confidences.get(head, 0.0))
-            if self._win_n >= self.config.window:
+                card = self._scorecards[version] = _Tally(self.drift.size)
+            for tally in (card, self._window):
+                tally.add(indices, values, result.status, result.cached)
+            if self._window.requests >= self.config.window:
                 flush = self._flush_window_locked()
         # Alert emission happens outside the monitor lock.
         if fresh:
@@ -301,25 +248,19 @@ class QualityMonitor:
             self._emit("quality_window", **flush)
 
     def _flush_window_locked(self) -> Dict[str, object]:
-        n = self._win_n
-        mean_conf = {head: self._win_conf[head] / n for head in _HEADS}
+        window = self._window
+        mean_conf = window.mean_confidence()
         for head, value in mean_conf.items():
             self._conf_gauges[head].set(value)
-        card = self._scorecards.get(self._last_version)
-        if card is not None and card.calibration.count:
-            self._ece_gauge.set(card.calibration.ece)
         self._windows += 1
-        flush = {
+        self._window = _Tally(self.drift.size)
+        return {
             "window": self._windows,
-            "requests": n,
-            "statuses": dict(sorted(self._win_statuses.items())),
+            "requests": window.requests,
+            "statuses": dict(sorted(window.statuses.items())),
             "mean_confidence": mean_conf,
             "model_version": self._last_version,
         }
-        self._win_n = 0
-        self._win_statuses = {}
-        self._win_conf = {head: 0.0 for head in _HEADS}
-        return flush
 
     def _check_drift(self) -> None:
         drifting, scores = self.drift.check()
@@ -348,25 +289,6 @@ class QualityMonitor:
         if fire is not None:
             self._alerts_counter.inc()
             self._emit("drift_alert", **fire)
-
-    def observe_labeled(self, model_version: int,
-                        confidences: Dict[str, float],
-                        correct: Dict[str, bool]) -> None:
-        """Feed ground-truthed probes into the streaming ECE.
-
-        ``confidences`` / ``correct`` are per-head; each pair becomes
-        one :class:`StreamingCalibration` observation on the version's
-        scorecard.  Canary runs feed the same stream with agreement as
-        the proxy correctness signal.
-        """
-        with self._lock:
-            card = self._scorecards.get(model_version)
-            if card is None:
-                card = self._scorecards[model_version] = _Scorecard(
-                    self.vocab, self.config.calibration_bins)
-            for head, confidence in confidences.items():
-                card.calibration.observe(confidence,
-                                         bool(correct.get(head, False)))
 
     def on_reload(self, version: int) -> None:
         """A model swap happened: re-pin the drift reference.
@@ -412,10 +334,9 @@ class QualityMonitor:
         verdict scores mean per-clip tag agreement (scene and ego
         match 0/1, multi-label heads as the fraction of vocabulary
         tags with identical presence decisions, averaged over heads)
-        and the mean absolute per-head confidence shift.  Agreement
-        observations also feed the candidate's streaming ECE with
-        agreement as proxy correctness.  Emits ``canary_start`` /
-        ``canary_verdict`` events and counts
+        and the mean absolute per-head confidence shift, plus the
+        candidate's ECE with agreement as proxy correctness.  Emits
+        ``canary_start`` / ``canary_verdict`` events and counts
         ``canary.verdicts{outcome=...}``; the caller (the service's
         ``reload``) enforces the verdict.
         """
@@ -433,23 +354,23 @@ class QualityMonitor:
         batch = np.stack(clips)
         serving_results = serving.extract_batch(batch)
         candidate_results = candidate.extract_batch(batch)
-        head_agreement = {head: 0.0 for head in _HEADS}
+        head_agreement = {head: 0.0 for head in HEADS}
         shift = 0.0
-        proxy = StreamingCalibration(self.config.calibration_bins)
+        proxy = StreamingCalibration(self.config.drift.confidence_bins)
         for base, cand in zip(serving_results, candidate_results):
             agree = _head_agreement(base.description, cand.description,
                                     self.vocab)
-            for head in _HEADS:
+            for head in HEADS:
                 head_agreement[head] += agree[head]
                 shift += abs(float(cand.confidences.get(head, 0.0))
                              - float(base.confidences.get(head, 0.0)))
                 proxy.observe(float(cand.confidences.get(head, 0.0)),
                               agree[head] >= 1.0)
         n = len(clips)
-        for head in _HEADS:
+        for head in HEADS:
             head_agreement[head] /= n
-        agreement = sum(head_agreement.values()) / len(_HEADS)
-        confidence_shift = shift / (n * len(_HEADS))
+        agreement = sum(head_agreement.values()) / len(HEADS)
+        confidence_shift = shift / (n * len(HEADS))
         cfg = self.config
         reasons = []
         if agreement < cfg.canary_min_agreement:
@@ -499,7 +420,7 @@ class QualityMonitor:
                 "observed": self._observed,
                 "windows": self._windows,
                 "models": {
-                    str(version): card.report()
+                    str(version): self._scorecard(card)
                     for version, card in sorted(self._scorecards.items())
                 },
                 "drift": {
@@ -517,6 +438,25 @@ class QualityMonitor:
                     "last_verdict": self._last_verdict,
                 },
             }
+
+    def _scorecard(self, card: _Tally) -> Dict[str, object]:
+        """One version's report, sliced out of its count vector."""
+        n = card.requests
+        counts = card.counts.tolist()
+        rates = (card.counts / n).tolist()
+        drift = self.drift
+        return {
+            "requests": n,
+            "statuses": dict(sorted(card.statuses.items())),
+            "cached": card.cached,
+            "mean_confidence": card.mean_confidence(),
+            "confidence_histogram": {
+                head: counts[part]
+                for head, part in drift.confidence_slices.items()},
+            "tag_positive_rate": {
+                head: dict(zip(drift.head_tags[head], rates[part]))
+                for head, part in drift.tag_slices.items()},
+        }
 
 
 def _head_agreement(base, candidate, vocab) -> Dict[str, float]:

@@ -366,7 +366,7 @@ def snapshot_from_service(service,
     if quality_report is not None:
         canary = quality_report["canary"]
         models = quality_report.get("models", {})
-        latest = (models[max(models)] if models else None)
+        latest = models[max(models, key=int)] if models else None
         quality = {
             "windows": quality_report["windows"],
             "last_window": (

@@ -8,11 +8,15 @@
   fires every ``drift_alert`` at the same result index, and every
   :meth:`DriftDetector.scores` value is bitwise equal to :func:`psi` /
   :func:`kl_divergence` over the same windows.
+- **Scorecard pin**: the same stream gives per-version scorecards and
+  ``quality_window`` events equal to tallies kept by hand, and a
+  service's ``health()`` with quality on is plain JSON.
 - **Event budget**: a healthy pool burst writes at most ``enqueue`` and
   ``result`` per request, ``flush`` and ``model_forward`` per batch,
   plus the pool's own system events.
 """
 
+import json
 from collections import Counter, deque
 
 import numpy as np
@@ -30,7 +34,13 @@ from repro.obs.slo import BurnWindow, SLOConfig
 from repro.obs.top import snapshot_from_events
 from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
-from repro.serve import ServeResult, ServiceClient, ServiceConfig, shard_of
+from repro.serve import (
+    ExtractionService,
+    ServeResult,
+    ServiceClient,
+    ServiceConfig,
+    shard_of,
+)
 from repro.serve.pool import ServicePool
 
 CFG = ModelConfig(frames=4, dim=16, depth=1, num_heads=2)
@@ -266,3 +276,132 @@ def test_drift_alerts_and_scores_pinned():
         scored += want is not None
     assert scored == 420 - 2 * (64 + 24 - 1)
     assert alerts == [164, 390]
+
+
+class _Scorecards:
+    """Per-version scorecards and ``quality_window`` events, kept by
+    hand."""
+
+    def __init__(self, bins, window):
+        self.bins = bins
+        self.window = window
+        self.cards = {}
+        self.windows = []
+        self.current = self._empty()
+        self.last_version = 0
+
+    def _empty(self):
+        return {"requests": 0, "statuses": {}, "cached": 0,
+                "sums": {head: 0.0 for head in HEAD_TAGS},
+                "hist": {head: [0] * self.bins for head in HEAD_TAGS},
+                "tags": {head: dict.fromkeys(tags, 0)
+                         for head, tags in HEAD_TAGS.items()}}
+
+    def _add(self, tally, status, cached, description, confidences):
+        tally["requests"] += 1
+        tally["statuses"][status] = tally["statuses"].get(status, 0) + 1
+        tally["cached"] += cached
+        for head in HEAD_TAGS:
+            tally["sums"][head] += confidences[head]
+            tally["hist"][head][
+                confidence_bin(confidences[head], self.bins)] += 1
+        tally["tags"]["scene"][description.scene] += 1
+        tally["tags"]["ego_action"][description.ego_action] += 1
+        for actor in description.actors:
+            tally["tags"]["actors"][actor] += 1
+        for action in description.actor_actions:
+            tally["tags"]["actor_actions"][action] += 1
+
+    @staticmethod
+    def _mean(tally):
+        return {head: total / tally["requests"]
+                for head, total in tally["sums"].items()}
+
+    def reload(self, version):
+        self.last_version = max(self.last_version, version)
+
+    def observe(self, version, status, cached, description, confidences):
+        self.reload(version)
+        card = self.cards.setdefault(version, self._empty())
+        for tally in (card, self.current):
+            self._add(tally, status, cached, description, confidences)
+        if self.current["requests"] == self.window:
+            self.windows.append({
+                "window": len(self.windows) + 1,
+                "requests": self.window,
+                "statuses": dict(sorted(self.current["statuses"].items())),
+                "mean_confidence": self._mean(self.current),
+                "model_version": self.last_version,
+            })
+            self.current = self._empty()
+
+    def _report(self, card):
+        n = card["requests"]
+        return {
+            "requests": n,
+            "statuses": dict(sorted(card["statuses"].items())),
+            "cached": card["cached"],
+            "mean_confidence": self._mean(card),
+            "confidence_histogram": card["hist"],
+            "tag_positive_rate": {
+                head: {tag: count / n for tag, count in tags.items()}
+                for head, tags in card["tags"].items()},
+        }
+
+    def models(self):
+        return {str(version): self._report(card)
+                for version, card in sorted(self.cards.items())}
+
+
+#: Event-log envelope fields of a ``quality_window`` record.
+ENVELOPE = ("schema", "event", "ts", "mono", "seq")
+
+
+def test_scorecards_and_quality_windows_pinned():
+    config = QualityConfig()
+    log = EventLog(None)
+    monitor = QualityMonitor(LabelCodec(), config, events=log)
+    tallies = _Scorecards(config.drift.confidence_bins, config.window)
+    version = 1
+    for index, (description, confidences) in enumerate(
+            _drift_stream(420, seed=7)):
+        if index == 300:
+            version = 2
+            monitor.on_reload(version)
+            tallies.reload(version)
+        # One late result of the old model after the reload.
+        served_by = 1 if index == 305 else version
+        status = "degraded" if index % 7 == 3 else "ok"
+        cached = index % 5 == 0
+        extraction = ExtractionResult(
+            description=description,
+            sentence=description.to_sentence(),
+            confidences=confidences, frame_range=(0, 4))
+        monitor.observe(ServeResult(request_id=index, status=status,
+                                    result=extraction, cached=cached,
+                                    model_version=served_by))
+        tallies.observe(served_by, status, cached, description,
+                        confidences)
+    models = monitor.report()["models"]
+    for card in models.values():
+        # Gone from the scorecard: no served result carries a label.
+        card.pop("ece", None)
+        card.pop("labeled_samples", None)
+    assert models == tallies.models()
+    windows = [{key: value for key, value in record.items()
+                if key not in ENVELOPE}
+               for record in log.recent()
+               if record["event"] == "quality_window"]
+    assert len(windows) == 420 // config.window
+    assert windows == tallies.windows
+
+
+def test_quality_health_is_plain_json(extractor):
+    service = ExtractionService(extractor, ServiceConfig(max_batch=4),
+                                quality=QualityConfig())
+    with service:
+        for clip in _clips(6, seed=5):
+            assert service.submit(clip).result(timeout=30.0).ok
+        health = service.health()
+    assert health["quality"]["models"]["1"]["requests"] == 6
+    assert json.loads(json.dumps(health)) == health

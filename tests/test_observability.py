@@ -128,6 +128,21 @@ class TestEventLog:
         assert all(e["schema"] == "repro.events/v1" for e in events)
         assert events[0]["queue_depth"] == 0
 
+    def test_read_is_read_event_log(self, tmp_path):
+        log = EventLog(str(tmp_path / "events"), rotate_bytes=300)
+        for i in range(8):
+            log.emit("tick", i=i)
+        log.dump_flight("probe")  # flight dumps are not the event stream
+        assert os.path.exists(
+            os.path.join(log.log_dir, "events-000001.jsonl"))
+        assert list(log.read()) == read_event_log(log.log_dir)
+        assert [r["i"] for r in log.read()
+                if r["event"] == "tick"] == list(range(8))
+        assert list(EventLog(str(tmp_path / "never")).read()) == []
+        memory = EventLog(None)
+        memory.emit("tick")
+        assert list(memory.read()) == memory.recent()
+
     def test_ids_default_from_bound_context(self, tmp_path):
         log = EventLog(str(tmp_path))
         with obs_context.bind(42) as ctx:

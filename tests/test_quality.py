@@ -158,6 +158,10 @@ class TestDriftMath:
         # out-of-range inputs clamp, never index out of bounds
         assert confidence_bin(-0.5, 10) == 0
         assert confidence_bin(1.5, 10) == 9
+        # non-finite model output lands in a bin, never raises
+        assert confidence_bin(math.nan, 10) == 0
+        assert confidence_bin(-math.inf, 10) == 0
+        assert confidence_bin(math.inf, 10) == 9
         with pytest.raises(ValueError):
             confidence_bin(0.5, 0)
 
@@ -298,7 +302,7 @@ class TestQualityMonitor:
         assert card["tag_positive_rate"]["scene"]["straight-road"] == 1.0
         assert card["tag_positive_rate"]["scene"]["intersection"] == 0.0
         assert card["tag_positive_rate"]["actors"]["car"] == 1.0
-        assert card["ece"] is None  # no labeled probes yet
+        assert "ece" not in card  # no served result carries a label
         windows = [r for r in log.recent()
                    if r["event"] == "quality_window"]
         assert len(windows) == 2
@@ -323,16 +327,6 @@ class TestQualityMonitor:
         assert models["2"]["requests"] == 2
         assert models["2"]["tag_positive_rate"]["scene"][
             "intersection"] == 1.0
-
-    def test_labeled_probes_feed_streaming_ece(self):
-        monitor = self._monitor()
-        monitor.observe_labeled(1, CONF_A, {"scene": True,
-                                            "ego_action": False,
-                                            "actors": True,
-                                            "actor_actions": True})
-        card = monitor.report()["models"]["1"]
-        assert card["labeled_samples"] == 4
-        assert card["ece"] is not None and card["ece"] > 0.0
 
     def test_drift_alert_latched_once_and_rearms(self):
         log = EventLog(None)
@@ -389,6 +383,38 @@ class TestQualityMonitor:
             QualityConfig(canary_min_agreement=1.5)
         with pytest.raises(ValueError):
             QualityConfig(canary_max_confidence_shift=0.0)
+
+
+class TestNaNClip:
+    """An all-NaN clip decodes ``ok`` with NaN confidences.  The monitor
+    runs on the thread that resolves results (the batch thread of a
+    service, the collector of a pool): raising there would leave every
+    later request unresolved."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_nan_clip_does_not_wedge_serving(self, workers):
+        from repro.serve.pool import ServicePool
+
+        extractor = ScenarioExtractor(make_model("frame-mlp"))
+        config = ServiceConfig(max_batch=4, max_wait_s=0.002)
+        if workers:
+            service = ServicePool(extractor, config, workers=workers,
+                                  quality=QualityConfig())
+        else:
+            service = ExtractionService(extractor, config,
+                                        quality=QualityConfig())
+        clips = make_clips(3)
+        with service:
+            nan = service.submit(np.full_like(clips[0], np.nan)) \
+                .result(timeout=30.0)
+            after = [service.submit(clip).result(timeout=30.0)
+                     for clip in clips]
+        assert nan.status == "ok"
+        assert math.isnan(nan.result.confidences["scene"])
+        assert [r.status for r in after] == ["ok"] * 3
+        card = service.quality.report()["models"]["1"]
+        assert card["requests"] == 4
+        assert card["confidence_histogram"]["scene"][0] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -763,6 +789,21 @@ class TestTopQualityPanel:
         assert quality["drift_alerts"] == 0
         assert quality["canary"]["starts"] == 0
         assert "repro top" in render(snap)
+
+    def test_panel_follows_the_newest_of_ten_versions(self):
+        monitor = QualityMonitor(
+            LabelCodec(), QualityConfig(window=64, drift=small_drift()),
+            events=EventLog(None))
+        for version in range(1, 11):
+            for i in range(version):
+                monitor.observe(make_result(i, DESC_A, CONF_A,
+                                            version=version))
+        service = ExtractionService(
+            ScenarioExtractor(make_model()), ServiceConfig(),
+            quality=monitor)
+        panel = snapshot_from_service(service)["quality"]
+        # version "10" holds 10 results; "9" (the string maximum) holds 9
+        assert panel["last_window"]["requests"] == 10
 
     def test_service_without_quality_has_null_panel(self):
         service = ExtractionService(
