@@ -72,10 +72,11 @@ def conv_nd(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(batch, cout, n_out)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0,) + tuple(range(2, 2 + spatial))))
+            bias._accumulate(g.sum(axis=(0,) + tuple(range(2, 2 + spatial))),
+                             fresh=True)
         if weight.requires_grad:
             gw2 = np.einsum("bop,bcpk->ock", g2, win2, optimize=True)
-            weight._accumulate(gw2.reshape(weight.data.shape))
+            weight._accumulate(gw2.reshape(weight.data.shape), fresh=True)
         if x.requires_grad:
             gx_pad = np.zeros_like(xp)
             # Scatter per kernel offset: each tap of the kernel maps the

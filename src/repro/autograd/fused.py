@@ -24,6 +24,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.autograd.functional import _row_max
 from repro.autograd.tensor import Tensor, _unbroadcast, is_grad_enabled
 
 NEG_INF = -1e9
@@ -105,7 +106,7 @@ def scaled_dot_product_attention(
     if bias is not None:
         scores = scores + bias
     # Numerically-stable softmax, matching F.softmax bit for bit.
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - _row_max(scores)
     exp = np.exp(shifted)
     attn = exp / exp.sum(axis=-1, keepdims=True)
 
@@ -135,7 +136,7 @@ def scaled_dot_product_attention(
             g = g.reshape(b, n, h, hd).transpose(0, 2, 1, 3)
         if v.requires_grad:
             v._accumulate(_unbroadcast(attn_used.swapaxes(-1, -2) @ g,
-                                       vd.shape))
+                                       vd.shape), fresh=True)
         if q.requires_grad or k.requires_grad:
             g_attn = g @ vd.swapaxes(-1, -2)
             if drop_mask is not None:
@@ -145,10 +146,11 @@ def scaled_dot_product_attention(
                                - (g_attn * attn).sum(axis=-1, keepdims=True))
             g_scores *= scale
             if q.requires_grad:
-                q._accumulate(_unbroadcast(g_scores @ kd, qd.shape))
+                q._accumulate(_unbroadcast(g_scores @ kd, qd.shape),
+                              fresh=True)
             if k.requires_grad:
                 k._accumulate(_unbroadcast(g_scores.swapaxes(-1, -2) @ qd,
-                                           kd.shape))
+                                           kd.shape), fresh=True)
 
     result = Tensor._make(out_data, (q, k, v), backward)
     return (result, attn) if return_weights else result
@@ -183,10 +185,10 @@ def linear_gelu(x: Tensor, weight: Tensor,
         dt = (1.0 - t * t) * dinner
         dz = gf * (0.5 * (1.0 + t) + 0.5 * z * dt)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(dz, bias.data.shape))
+            bias._accumulate(_unbroadcast(dz, bias.data.shape), fresh=True)
         if weight.requires_grad:
-            weight._accumulate(flat.T @ dz)
+            weight._accumulate(flat.T @ dz, fresh=True)
         if x.requires_grad:
-            x._accumulate((dz @ weight.data.T).reshape(xd.shape))
+            x._accumulate((dz @ weight.data.T).reshape(xd.shape), fresh=True)
 
     return Tensor._make(out_data, parents, backward)

@@ -167,13 +167,43 @@ class Tensor:
         out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into :attr:`grad`.
+
+        ``fresh`` marks an array the calling backward closure built and
+        holds no other reference to (a product, matmul or reduction).
+        The first accumulation adopts such an array when its dtype
+        matches and it is writeable; anything else (a pass-through of
+        the node's own ``g``, a view of it, ``np.broadcast_to``) is
+        copied, because a later ``+=`` into :attr:`grad` would write
+        through to its other owners.
+        """
         if grad.shape != self.data.shape:
             grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            if (fresh and grad.dtype == self.data.dtype
+                    and grad.flags.writeable):
+                self.grad = grad
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
+
+    def _accumulate_at(self, index, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad[index]`` for a basic ``index``.
+
+        Bit-identical to accumulating ``np.zeros_like(self.data)`` with
+        ``grad`` scattered into it by ``np.add.at``: a basic index reads
+        each element at most once, so a slice add is the same sum.
+        Adding that full-size array also turns every ``-0.0`` already in
+        :attr:`grad` into ``+0.0``; the in-place ``+= 0.0`` does the
+        same without allocating, so signed zeros match as well.
+        """
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad += 0.0
+        self.grad[index] += grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
@@ -241,9 +271,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * other_t.data)
+                self._accumulate(g * other_t.data, fresh=True)
             if other_t.requires_grad:
-                other_t._accumulate(g * self.data)
+                other_t._accumulate(g * self.data, fresh=True)
 
         return Tensor._node(data, (self, other_t), backward)
 
@@ -260,7 +290,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g)
             if other_t.requires_grad:
-                other_t._accumulate(-g)
+                other_t._accumulate(-g, fresh=True)
 
         return Tensor._node(data, (self, other_t), backward)
 
@@ -276,9 +306,10 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g / other_t.data)
+                self._accumulate(g / other_t.data, fresh=True)
             if other_t.requires_grad:
-                other_t._accumulate(-g * self.data / (other_t.data ** 2))
+                other_t._accumulate(-g * self.data / (other_t.data ** 2),
+                                    fresh=True)
 
         return Tensor._node(data, (self, other_t), backward)
 
@@ -292,7 +323,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-g)
+                self._accumulate(-g, fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -305,7 +336,8 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1))
+                self._accumulate(g * exponent * self.data ** (exponent - 1),
+                                 fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -322,10 +354,10 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 ga = g @ b.swapaxes(-1, -2)
-                self._accumulate(_unbroadcast(ga, a.shape))
+                self._accumulate(_unbroadcast(ga, a.shape), fresh=True)
             if other_t.requires_grad:
                 gb = a.swapaxes(-1, -2) @ g
-                other_t._accumulate(_unbroadcast(gb, b.shape))
+                other_t._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
         return Tensor._node(data, (self, other_t), backward)
 
@@ -367,7 +399,7 @@ class Tensor:
             mask = (self.data == full).astype(self.data.dtype)
             mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None
                                else mask.sum(), 1.0)
-            self._accumulate(mask * grad)
+            self._accumulate(mask * grad, fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -387,7 +419,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * np.sign(self.data))
+                self._accumulate(g * np.sign(self.data), fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -434,12 +466,18 @@ class Tensor:
         if not _GRAD_ENABLED or not self.requires_grad:
             return Tensor(data)
 
-        def backward(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, index, g)
-            self._accumulate(grad)
+        if self.data.ndim and _is_basic_index(index):
+            def backward(g: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate_at(index, g)
+        else:
+            def backward(g: np.ndarray) -> None:
+                if not self.requires_grad:
+                    return
+                # An advanced index may repeat an element: scatter-add.
+                grad = np.zeros_like(self.data)
+                np.add.at(grad, index, g)
+                self._accumulate(grad, fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -453,7 +491,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * data)
+                self._accumulate(g * data, fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -464,7 +502,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g / self.data)
+                self._accumulate(g / self.data, fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -475,7 +513,8 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * 0.5 / np.maximum(data, 1e-12))
+                self._accumulate(g * 0.5 / np.maximum(data, 1e-12),
+                                 fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -486,7 +525,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(g * (1.0 - data * data))
+                self._accumulate(g * (1.0 - data * data), fresh=True)
 
         return Tensor._node(data, (self,), backward)
 
@@ -498,9 +537,22 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-                self._accumulate(g * mask)
+                self._accumulate(g * mask, fresh=True)
 
         return Tensor._node(data, (self,), backward)
+
+
+def _is_basic_index(index) -> bool:
+    """True for numpy *basic* indexing: ints (numpy integers included),
+    slices, ``None``, ``Ellipsis`` or a tuple of these.  Such an index
+    selects each element at most once; bools, lists and arrays (alone or
+    in a tuple) are advanced indexing and may repeat one."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
 
 
 def _coerce(value: TensorLike) -> Tensor:

@@ -57,7 +57,7 @@ def clip_content_hash(clip: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(str(clip.dtype).encode())
     digest.update(str(clip.shape).encode())
-    digest.update(clip.tobytes())
+    digest.update(clip)  # the contiguous buffer itself, no bytes copy
     return digest.hexdigest()[:24]
 
 

@@ -11,7 +11,10 @@ ScenarioExtractor` runs every video transformer through it, at the
   forward's float32 operations in the same order, so logits and frame
   features are bit-identical to ``VideoTransformer.forward`` (pinned
   by ``tests/test_quantized.py``); the autograd forward remains the
-  training path and the parity reference.  Weights are the model's
+  training path and the parity reference.  The in-place softmax takes
+  its last-axis max with ``repro.autograd.functional._row_max``, the
+  same short-row kernel as ``F.softmax``, ``F.log_softmax`` and the
+  fused attention: one row max for training and inference.  Weights are the model's
   own parameter arrays, never copies.
 - ``"fp16"`` — a memory format: weights stored in half precision and
   widened to fp32 once for BLAS (numpy has no half BLAS), so weight
@@ -38,6 +41,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+# The softmax row max is the autograd one; its limit is re-exported for
+# the engine's tests.
+from repro.autograd.functional import _COLUMN_MAX_LIMIT, _row_max  # noqa: F401
 from repro.models.video_transformer import VideoTransformer
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.quant import (
@@ -147,28 +153,6 @@ def _layer_norm(x: np.ndarray, norm: LayerNorm) -> np.ndarray:
     c *= norm.weight.data
     c += norm.bias.data
     return c
-
-
-#: Rows up to this long take their max column by column (see
-#: :func:`_row_max`); longer rows use numpy's reduction, which was
-#: faster at 129 tokens and slower at 64 on a 2-core x86 host.
-_COLUMN_MAX_LIMIT = 64
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)``, faster on short rows.
-
-    numpy reduces a short last axis one row at a time; for attention
-    scores over 16 tokens that costs ~10x more than ``n - 1``
-    elementwise maxima across the columns.  A max is exact in any
-    order, so the result is bit-identical either way."""
-    n = x.shape[-1]
-    if n > _COLUMN_MAX_LIMIT:
-        return x.max(axis=-1, keepdims=True)
-    out = x[..., :1].copy()
-    for j in range(1, n):
-        np.maximum(out, x[..., j:j + 1], out=out)
-    return out
 
 
 def _softmax_inplace(scores: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 SCENES: Tuple[str, ...] = (
@@ -72,13 +73,14 @@ class Vocabulary:
         return (len(self.scenes) + len(self.actor_types)
                 + len(self.ego_actions) + len(self.actor_actions))
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
         """Stable digest of the four tag sets (order-sensitive).
 
         Checkpoints embed this so a model trained against one vocabulary
         is never silently decoded with another (tag order defines the
-        label index space).
+        label index space).  Computed once per instance: the tag tuples
+        are immutable, and serving reads it for every cache key.
         """
         payload = json.dumps(
             {

@@ -173,6 +173,17 @@ class TestCacheStore:
         assert clip_content_hash(clips[0]) \
             != clip_content_hash(clips[0].astype(np.float64))
 
+    def test_clip_hash_pinned(self):
+        """Digests recorded when the hash still copied the clip through
+        ``tobytes()``: hashing the buffer moves no cache key or shard."""
+        clip = np.random.default_rng(0).random((16, 3, 32, 32),
+                                               dtype=np.float32)
+        assert clip_content_hash(clip) == "6a7fa62d9b3bfd7f2b715dac"
+        assert clip_content_hash(clip[:, :, ::2, ::-1]) \
+            == "4885cd64ae36d5b30cd2dd5b"
+        assert clip_content_hash((clip * 255).astype(np.uint8)) \
+            == "d964399e7b40322e191a7bc0"
+
     def test_model_fingerprint_tracks_weights(self, model):
         before = model_fingerprint(model)
         other = build_model("vt-divided", ModelConfig(

@@ -1,5 +1,7 @@
 """Tests for the SDL vocabulary, descriptions, codec and similarity."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,21 @@ class TestVocabulary:
         v = Vocabulary()
         assert v.total_tags == len(SCENES) + len(ACTOR_TYPES) \
             + len(EGO_ACTIONS) + len(ACTOR_ACTIONS)
+
+    def test_content_hash_memoized_and_pickle_stable(self):
+        """The digest is computed once per instance, and a fresh or a
+        pickled-then-unpickled vocabulary (before or after the first
+        read) gives the same value as before it was memoized."""
+        fresh = Vocabulary()
+        assert fresh.content_hash == "a568a4adc4db818b"
+        assert "content_hash" in vars(fresh)
+        assert fresh.content_hash is fresh.content_hash
+        unread = pickle.loads(pickle.dumps(Vocabulary()))
+        assert unread.content_hash == fresh.content_hash
+        assert pickle.loads(pickle.dumps(fresh)).content_hash \
+            == fresh.content_hash
+        assert Vocabulary(scenes=("a", "b")).content_hash \
+            == "a0d5acd52d412822"
 
     def test_mirror_pairs(self):
         v = Vocabulary()
