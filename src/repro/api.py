@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -117,39 +116,13 @@ def _as_extractor(source: ExtractorSource) -> ScenarioExtractor:
     return load_extractor(source)
 
 
-def _coerce(value, legacy, cls, name: str, legacy_name: str):
-    """Shared coercer behind the polymorphic store parameters.
-
-    Every facade entry point takes ``cache=`` / ``events=`` as *either*
-    a prebuilt instance *or* a directory path (str / PathLike) — one
-    parameter instead of the historical ``cache``/``cache_dir`` and
-    ``events``/``events_dir`` either-or pairs.  The old ``*_dir``
-    spellings still work (routed through here) but raise a
-    ``DeprecationWarning``.
-    """
-    if legacy is not None:
-        warnings.warn(
-            f"{legacy_name}= is deprecated; pass {name}= "
-            f"(a directory path or a {cls.__name__})",
-            DeprecationWarning, stacklevel=3)
-        if value is not None:
-            raise ValueError(
-                f"pass either {name} or {legacy_name}, not both")
-        value = legacy
+def _coerce(value, cls):
+    """Shared coercer behind the polymorphic store parameters: every
+    facade entry point takes ``cache=`` / ``events=`` as *either* a
+    prebuilt instance *or* a directory path (str / PathLike)."""
     if value is None or isinstance(value, cls):
         return value
     return cls(os.fspath(value))
-
-
-def _as_cache(cache: CacheLike,
-              cache_dir: Optional[str]) -> Optional[ExtractionCache]:
-    return _coerce(cache, cache_dir, ExtractionCache,
-                   "cache", "cache_dir")
-
-
-def _as_events(events: EventsLike,
-               events_dir: Optional[str]) -> Optional[EventLog]:
-    return _coerce(events, events_dir, EventLog, "events", "events_dir")
 
 
 def _as_config(config: Union[ServiceConfig, dict, None],
@@ -180,16 +153,13 @@ def extract_clip(source: ExtractorSource,
 
 def extract_video(source: ExtractorSource, video: np.ndarray,
                   window: int, stride: int,
-                  cache: CacheLike = None,
-                  cache_dir: Optional[str] = None
-                  ) -> List[ExtractionResult]:
+                  cache: CacheLike = None) -> List[ExtractionResult]:
     """Sliding-window description timeline over a long video
     ``(T, C, H, W)`` — one result per window with its frame range.
 
     ``cache`` is a prebuilt :class:`ExtractionCache` or a directory
     path; windows whose content was described before (under the same
     model version / vocabulary / threshold) skip the forward pass.
-    (``cache_dir=`` is the deprecated spelling of ``cache=<path>``.)
     The whole timeline shares one correlation context (one trace id for
     the video; see :func:`extract_clip`).
     """
@@ -197,14 +167,13 @@ def extract_video(source: ExtractorSource, video: np.ndarray,
         return cached_extract_sliding(_as_extractor(source),
                                       np.asarray(video), window=window,
                                       stride=stride,
-                                      cache=_as_cache(cache, cache_dir))
+                                      cache=_coerce(cache, ExtractionCache))
 
 
 def mine(source: ExtractorSource, clips: np.ndarray,
          query: Optional[ScenarioDescription] = None,
          top_k: int = 5, min_score: float = 0.0,
          cache: CacheLike = None,
-         cache_dir: Optional[str] = None,
          **tags) -> List[MiningHit]:
     """Search a corpus ``(N, T, C, H, W)`` for a scenario.
 
@@ -212,15 +181,15 @@ def mine(source: ExtractorSource, clips: np.ndarray,
     tags (``ego_action="stop"``, ``actors={"pedestrian"}`` ...).  Clips
     are ranked by SDL similarity between the query and each clip's
     *extracted* description.  Pass ``cache=`` (an
-    :class:`ExtractionCache` or a directory path; ``cache_dir=`` is the
-    deprecated spelling) to reuse descriptions across calls: mining an
+    :class:`ExtractionCache` or a directory path) to reuse descriptions
+    across calls: mining an
     already-cached corpus performs zero extractor forward passes (see
     ``docs/caching.md``).
     """
     if query is not None and tags:
         raise ValueError("pass either query or tags, not both")
     extractor = _as_extractor(source)
-    miner = ScenarioMiner(extractor, cache=_as_cache(cache, cache_dir))
+    miner = ScenarioMiner(extractor, cache=_coerce(cache, ExtractionCache))
     miner.index(np.asarray(clips))
     if query is not None:
         return miner.query(query, top_k=top_k, min_score=min_score)
@@ -269,14 +238,14 @@ def mine_corpus(source: ExtractorSource,
     active event log for the duration of the call.
     """
     extractor = _as_extractor(source)
-    events = _as_events(events, None)
+    events = _coerce(events, EventLog)
     previous = (_obs_events.set_active(events) if events is not None
                 else None)
     try:
         return _fleet_mine_corpus(extractor, os.fspath(corpus_dir),
                                   query=query, top_k=top_k,
                                   min_score=min_score, store_dir=store_dir,
-                                  cache=_as_cache(cache, None),
+                                  cache=_coerce(cache, ExtractionCache),
                                   heartbeat_s=heartbeat_s,
                                   on_progress=on_progress, **tags)
     finally:
@@ -286,15 +255,14 @@ def mine_corpus(source: ExtractorSource,
 
 def retrieve(source: ExtractorSource, clips: np.ndarray,
              query: ScenarioDescription, top_k: int = 5,
-             cache: CacheLike = None,
-             cache_dir: Optional[str] = None) -> List[int]:
+             cache: CacheLike = None) -> List[int]:
     """Text→video retrieval: clip indices of ``(N, T, C, H, W)`` ranked
     by SDL-embedding similarity between ``query`` and each clip's
     extracted description.  ``cache=`` (instance or directory path)
     reuses descriptions exactly as in :func:`mine`."""
     extractor = _as_extractor(source)
     index = RetrievalIndex(extractor=extractor,
-                           cache=_as_cache(cache, cache_dir))
+                           cache=_coerce(cache, ExtractionCache))
     index.add_clips(np.asarray(clips))
     return index.query(query, top_k=top_k)
 
@@ -304,12 +272,9 @@ def serve(source: ExtractorSource,
           *,
           workers: int = 1,
           cache: CacheLike = None,
-          cache_dir: Optional[str] = None,
           events: EventsLike = None,
-          events_dir: Optional[str] = None,
           slo: Optional[Union[SLOConfig, SLOTracker]] = None,
           quality: Optional[Union[QualityConfig, QualityMonitor]] = None,
-          precision: Optional[str] = None,
           fault_injector: Optional[FaultInjector] = None,
           telemetry_interval_s: Optional[float] = 0.25,
           **config_kwargs) -> Union[ExtractionService, ServicePool]:
@@ -335,43 +300,25 @@ def serve(source: ExtractorSource,
     :class:`~repro.obs.quality.QualityConfig` or prebuilt monitor)
     turns on model-quality observability — scorecards, drift alerts
     and the canary gate on ``reload()`` (refusals raise
-    :class:`~repro.obs.quality.CanaryRefusedError`).  The old
-    ``cache_dir=`` / ``events_dir=`` spellings still work with a
-    ``DeprecationWarning``.  ``fault_injector`` (a
-    :class:`~repro.serve.faults.FaultInjector`) fails or delays primary
-    batch attempts; a pool ships its spec to every worker with a
-    per-rank seed offset.  ``telemetry_interval_s`` is the pool's
-    worker telemetry cadence (``None`` disables it); a single
-    in-process service has no workers and ignores it.
+    :class:`~repro.obs.quality.CanaryRefusedError`).
+    ``fault_injector`` (a :class:`~repro.serve.faults.FaultInjector`)
+    fails or delays primary batch attempts; a pool ships its spec to
+    every worker with a per-rank seed offset.  ``telemetry_interval_s``
+    is the pool's worker telemetry cadence (``None`` disables it); a
+    single in-process service has no workers and ignores it.
 
-    ``precision`` selects the inference path of the served model and
-    only applies when the service builds the extractor (model or
-    checkpoint source); passing it alongside a prebuilt
-    :class:`ScenarioExtractor` whose precision differs raises
-    ``ValueError`` instead of silently serving the extractor's own.
+    The service serves the extractor's own precision: set it with
+    ``load_extractor(..., precision=)``.
 
     Use as a context manager or call ``.stop()``; pair with
     :class:`ServiceClient` for bursts.
     """
     config = _as_config(config, config_kwargs)
-    events = _as_events(events, events_dir)
-    resolved_cache = _as_cache(cache, cache_dir)
-    if isinstance(source, ScenarioExtractor):
-        if (precision is not None
-                and precision != getattr(source, "precision", "fp32")):
-            raise ValueError(
-                f"precision={precision!r} conflicts with the prebuilt "
-                f"extractor's precision="
-                f"{getattr(source, 'precision', 'fp32')!r}; rebuild it "
-                f"via load_extractor(..., precision={precision!r}) or "
-                f"pass the model/checkpoint instead"
-            )
-    elif precision is not None:
-        source = load_extractor(source, precision=precision)
     extractor = _as_extractor(source)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    common = dict(cache=resolved_cache, events=events, slo=slo,
+    common = dict(cache=_coerce(cache, ExtractionCache),
+                  events=_coerce(events, EventLog), slo=slo,
                   quality=quality, fault_injector=fault_injector)
     if workers > 1:
         return ServicePool(extractor, config, workers=workers,

@@ -7,11 +7,9 @@ the CLI assembles extractors, services and fleet indexes exactly the
 way library callers do.  ``repro <command> --help`` lists the flags;
 ``docs/`` covers mining, caching, serving and observability.
 
-Checkpoints are self-describing (``repro.checkpoint/v1``).  The
-``--model/--dim/--depth/--heads`` flags remain as deprecated overrides
-for checkpoint consumers — validated against the metadata when both are
-present — and still define the architecture for legacy weights-only
-checkpoints.
+Checkpoints are self-describing (``repro.checkpoint/v1``): a consumer
+(``extract``, ``evaluate``, ``serve``, ``mine``) takes the architecture
+from the checkpoint alone, and only ``train`` has model-shape flags.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import os
 import sys
 import threading
 import time
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -34,43 +31,17 @@ from repro.core.export import export_corpus
 from repro.core.pipeline import PRECISIONS, ScenarioExtractor
 from repro.data import SynthDriveConfig, SynthDriveDataset, generate_dataset
 from repro.models import MODEL_REGISTRY, ModelConfig, build_model
-from repro.nn.module import read_checkpoint_meta
 from repro.obs import metrics, write_prometheus
 from repro.serve import BATCH_SIZE_BUCKETS, FaultInjector
 from repro.train import TrainConfig, Trainer
 
-#: Historical architecture defaults, applied only to legacy checkpoints
-#: saved before checkpoint metadata existed.
-_LEGACY_DEFAULTS = {"model": "vt-divided", "dim": 48, "depth": 2, "heads": 4}
-
-
-def _add_checkpoint_args(parser: argparse.ArgumentParser,
-                         precision: bool = True) -> None:
-    """``--precision`` (docs/performance.md) and the model-shape flags,
-    which default to ``None``: the checkpoint's own metadata wins, and
-    explicit values are deprecated, validated overrides."""
-    if precision:
-        parser.add_argument("--precision", choices=PRECISIONS,
-                            default="fp32",
-                            help="no-grad inference precision; int8 "
-                                 "calibrates activation scales on "
-                                 "synthetic clips at load time")
-    help_suffix = ("(deprecated: self-describing checkpoints make this "
-                   "unnecessary; validated against metadata if given)")
-    parser.add_argument("--model", default=None,
-                        choices=sorted(MODEL_REGISTRY),
-                        help=f"model family {help_suffix}")
-    for flag, what in (("dim", "embedding dim"), ("depth", "encoder depth"),
-                       ("heads", "attention heads")):
-        parser.add_argument(f"--{flag}", type=int, default=None,
-                            help=f"{what} {help_suffix}")
-
-
-def _build_model(settings: dict, frames: int, seed: int):
-    """A fresh model from ``model``/``dim``/``depth``/``heads``."""
-    return build_model(settings["model"], ModelConfig(
-        frames=frames, dim=settings["dim"], depth=settings["depth"],
-        num_heads=settings["heads"], seed=seed))
+def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
+    """A checkpoint consumer's one model flag: ``--precision``
+    (docs/performance.md)."""
+    parser.add_argument("--precision", choices=PRECISIONS, default="fp32",
+                        help="no-grad inference precision; int8 "
+                             "calibrates activation scales on "
+                             "synthetic clips at load time")
 
 
 def cmd_generate(args) -> int:
@@ -103,7 +74,9 @@ def cmd_train(args) -> int:
     """``train``: fit a model on a dataset file, save a checkpoint."""
     dataset = SynthDriveDataset.load(args.data)
     train_set, val_set, _ = dataset.split(seed=args.seed)
-    model = _build_model(vars(args), dataset.videos.shape[1], args.seed)
+    model = build_model(args.model, ModelConfig(
+        frames=dataset.videos.shape[1], dim=args.dim, depth=args.depth,
+        num_heads=args.heads, seed=args.seed))
     trainer = Trainer(model, TrainConfig(epochs=args.epochs,
                                          batch_size=args.batch_size,
                                          lr=args.lr, seed=args.seed,
@@ -118,53 +91,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_extractor(args, frames: int) -> ScenarioExtractor:
+def _load_extractor(args) -> ScenarioExtractor:
     """The checkpoint's extractor at the command's ``--threshold`` and
-    ``--precision``, built by :func:`repro.api.load_extractor`.
-
-    Self-describing checkpoints need no flags; explicit flags are
-    deprecation-warned and must agree with the metadata.  Legacy
-    weights-only checkpoints fall back to the flags (or their historical
-    defaults)."""
-    meta = read_checkpoint_meta(args.checkpoint)
-    overrides = {name: value for name, value in
-                 (("model", args.model), ("dim", args.dim),
-                  ("depth", args.depth), ("heads", args.heads))
-                 if value is not None}
-    source = args.checkpoint
-    if meta is None or "model" not in meta:
-        source = _build_model(dict(_LEGACY_DEFAULTS, **overrides),
-                              frames, args.seed)
-        source.load(args.checkpoint)
-    elif overrides:
-        warnings.warn(
-            "--model/--dim/--depth/--heads are deprecated for "
-            "self-describing checkpoints; the checkpoint metadata "
-            "defines the architecture",
-            DeprecationWarning, stacklevel=2,
-        )
-        config = meta.get("config", {})
-        expected = {"model": meta["model"], "dim": config.get("dim"),
-                    "depth": config.get("depth"),
-                    "heads": config.get("num_heads")}
-        conflicts = [
-            f"--{name}={value} but checkpoint has {expected[name]}"
-            for name, value in overrides.items()
-            if expected.get(name) is not None and value != expected[name]
-        ]
-        if conflicts:
-            print("error: model flags conflict with checkpoint "
-                  "metadata: " + "; ".join(conflicts), file=sys.stderr)
-            raise SystemExit(2)
-    return api.load_extractor(source,
-                              threshold=getattr(args, "threshold", 0.5),
-                              precision=getattr(args, "precision", "fp32"))
+    ``--precision``, built by :func:`repro.api.load_extractor`.  A
+    weights-only checkpoint (no ``repro.checkpoint/v1`` metadata) is a
+    usage error: ``load_model``'s remedy goes to stderr, exit code 2."""
+    try:
+        return api.load_extractor(
+            args.checkpoint, threshold=getattr(args, "threshold", 0.5),
+            precision=getattr(args, "precision", "fp32"))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_extract(args) -> int:
     """``extract``: print descriptions for clips in a dataset."""
     dataset = SynthDriveDataset.load(args.data)
-    extractor = _load_extractor(args, dataset.videos.shape[1])
+    extractor = _load_extractor(args)
     clips = dataset.videos[:args.limit] if args.limit else dataset.videos
     for i, result in enumerate(extractor.extract_batch(clips)):
         print(f"clip {i}: {result.sentence}")
@@ -176,7 +120,7 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     """``evaluate``: full SDL metric suite of a checkpoint."""
     dataset = SynthDriveDataset.load(args.data)
-    model = _load_extractor(args, dataset.videos.shape[1]).model
+    model = _load_extractor(args).model
     scores = Trainer(model).evaluate(dataset)
     print(json.dumps({k: round(v, 4) for k, v in scores.items()},
                      indent=2))
@@ -187,7 +131,7 @@ def _mine_data(args, cache, tags: dict):
     """``mine --data``: export every record, then query through
     :func:`repro.api.mine`, which only hits the cache by then."""
     dataset = SynthDriveDataset.load(args.data)
-    extractor = _load_extractor(args, dataset.videos.shape[1])
+    extractor = _load_extractor(args)
     records = export_corpus(extractor, dataset.videos, args.out,
                             families=dataset.families, cache=cache)
     hits = (api.mine(extractor, dataset.videos, top_k=args.top_k,
@@ -222,8 +166,7 @@ def _mine_fleet(args, cache, tags: dict):
     """``mine --corpus-dir``: out-of-core mining through
     :func:`repro.api.mine_corpus` (resumable: a re-run skips every
     already-persisted shard; see ``docs/mining.md``)."""
-    extractor = _load_extractor(
-        args, fleet.corpus_clip_shape(args.corpus_dir)[0])
+    extractor = _load_extractor(args)
     hits, stats = api.mine_corpus(
         extractor, args.corpus_dir, top_k=args.top_k,
         min_score=args.min_score, cache=cache,
@@ -351,7 +294,7 @@ def cmd_serve(args) -> int:
     accounting.  Exit code 0 when every request produced a result
     (primary or degraded); 1 otherwise unless ``--allow-failures``."""
     dataset = SynthDriveDataset.load(args.data)
-    extractor = _load_extractor(args, dataset.videos.shape[1])
+    extractor = _load_extractor(args)
     injector = None
     if (args.inject_failure_rate > 0
             or (args.inject_latency_ms > 0 and args.inject_latency_rate > 0)):
@@ -554,11 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=20)
     train.add_argument("--batch-size", type=int, default=16)
     train.add_argument("--lr", type=float, default=3e-3)
-    train.add_argument("--model", default=_LEGACY_DEFAULTS["model"],
+    train.add_argument("--model", default="vt-divided",
                        choices=sorted(MODEL_REGISTRY))
-    for flag in ("dim", "depth", "heads"):
-        train.add_argument(f"--{flag}", type=int,
-                           default=_LEGACY_DEFAULTS[flag])
+    train.add_argument("--dim", type=int, default=48)
+    train.add_argument("--depth", type=int, default=2)
+    train.add_argument("--heads", type=int, default=4)
     train.set_defaults(fn=cmd_train)
 
     extract = sub.add_parser("extract", help="extract descriptions")
@@ -573,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="evaluate a checkpoint")
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--checkpoint", required=True)
-    _add_checkpoint_args(evaluate, precision=False)
     evaluate.set_defaults(fn=cmd_evaluate)
 
     stats = sub.add_parser("stats", help="dataset label statistics")

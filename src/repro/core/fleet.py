@@ -225,15 +225,6 @@ def load_shard(corpus_dir: str, shard: str,
     return clips, [family for _, family in loaded]
 
 
-def corpus_clip_shape(corpus_dir: str) -> Tuple[int, ...]:
-    """Shape ``(T, C, H, W)`` of the corpus' clips (from the first)."""
-    for shard in corpus_shards(corpus_dir):
-        clips, _ = load_shard(corpus_dir, shard)
-        if len(clips):
-            return tuple(clips.shape[1:])
-    raise FileNotFoundError(f"corpus {corpus_dir} holds no clips")
-
-
 # -- fingerprint + store ------------------------------------------------
 def extraction_fingerprint(extractor: ScenarioExtractor) -> str:
     """The resumability key: model version × vocabulary × threshold.
@@ -420,7 +411,8 @@ def extract_corpus(extractor: ScenarioExtractor, corpus_dir: str,
     additionally dedupe per clip.
     The manifest is (re)written at the end of every pass, so a pass
     that completes always leaves a queryable store.  Returns the pass
-    accounting; raising mid-pass loses at most the shard in flight.
+    accounting; raising mid-pass loses at most the shard in flight.  A
+    corpus without a single clip raises ``FileNotFoundError``.
 
     Progress heartbeats (``fleet_progress`` events, the store's
     telemetry ring, ``on_progress``) fire at most every
@@ -479,6 +471,8 @@ def extract_corpus(extractor: ScenarioExtractor, corpus_dir: str,
         offset += n
         stats.clips = offset
         heartbeat.beat(stats, len(shards), forwards)
+    if not offset:
+        raise FileNotFoundError(f"corpus {corpus_dir} holds no clips")
     stats.clips = offset
     store.write_manifest({
         "schema": FLEET_FORMAT,
@@ -647,7 +641,6 @@ __all__ = [
     "FleetIndex",
     "FleetStats",
     "FleetStore",
-    "corpus_clip_shape",
     "corpus_shards",
     "extract_corpus",
     "extraction_fingerprint",

@@ -259,22 +259,6 @@ class TestPolymorphicStoreParams:
         assert len(results) == 3
         assert (tmp_path / "vid-cache" / "extractions.jsonl").exists()
 
-    def test_legacy_cache_dir_warns_but_works(self, extractor, clips,
-                                              tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            api.mine(extractor, clips, cache_dir=str(tmp_path / "legacy"),
-                     ego_action="stop")
-        assert (tmp_path / "legacy" / "extractions.jsonl").exists()
-
-    def test_cache_and_cache_dir_rejected(self, extractor, clips,
-                                          tmp_path):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                api.retrieve(extractor, clips,
-                             extractor.extract(clips[0]).description,
-                             cache=str(tmp_path / "a"),
-                             cache_dir=str(tmp_path / "b"))
-
     def test_serve_events_accepts_path(self, extractor, clips,
                                        tmp_path):
         events_dir = tmp_path / "events"
@@ -284,12 +268,6 @@ class TestPolymorphicStoreParams:
         finally:
             service.stop()
         assert (events_dir / "events.jsonl").exists()
-
-    def test_serve_legacy_events_dir_warns(self, extractor, tmp_path):
-        with pytest.warns(DeprecationWarning, match="events_dir"):
-            service = api.serve(extractor,
-                                events_dir=str(tmp_path / "ev"))
-        service.stop()
 
     def test_serve_config_accepts_mapping(self, extractor):
         service = api.serve(extractor, {"max_batch": 4, "max_queue": 8})
@@ -301,32 +279,11 @@ class TestPolymorphicStoreParams:
 
 
 class TestServeRedesign:
-    def test_precision_conflict_with_prebuilt_extractor(self,
-                                                        extractor):
-        # Regression: this used to be silently ignored — the service
-        # served the extractor's own precision regardless.
-        with pytest.raises(ValueError, match="precision"):
-            api.serve(extractor, precision="fp16")
-
-    def test_precision_conflict_with_prebuilt_extractor_pool(self,
-                                                             extractor):
-        # The pool path refuses the conflict too, before any worker
-        # starts.
-        with pytest.raises(ValueError, match="precision"):
-            api.serve(extractor, precision="fp16", workers=2)
-
-    def test_matching_precision_accepted(self, extractor, clips):
-        service = api.serve(extractor, precision="fp32")
-        try:
-            assert service.extract(clips[0], timeout=5.0).status == "ok"
-        finally:
-            service.stop()
-
     def test_precision_applied_when_building(self, clips, tmp_path):
         # fp16 rides the quantized engine, which serves transformers
         path = str(tmp_path / "vt.npz")
         build_model("vt-divided", CFG).save(path)
-        service = api.serve(path, precision="fp16")
+        service = api.serve(api.load_extractor(path, precision="fp16"))
         try:
             assert service._primary.precision == "fp16"
             assert service.extract(clips[0], timeout=5.0).status == "ok"

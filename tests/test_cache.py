@@ -463,18 +463,12 @@ class TestApiCache:
 
     def test_mine_cache_dir_convenience(self, extractor, clips,
                                         tmp_path):
-        api.mine(extractor, clips, cache_dir=str(tmp_path),
+        api.mine(extractor, clips, cache=str(tmp_path),
                  ego_action="stop")
         counting, counts = _counting(extractor)
-        api.mine(counting, clips, cache_dir=str(tmp_path),
+        api.mine(counting, clips, cache=str(tmp_path),
                  ego_action="stop")
         assert counts["clips"] == 0  # persisted across calls
-
-    def test_mine_rejects_cache_and_cache_dir(self, extractor, clips,
-                                              tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            api.mine(extractor, clips, cache=ExtractionCache(),
-                     cache_dir=str(tmp_path), ego_action="stop")
 
     def test_retrieve_with_cache(self, extractor, clips):
         cache = ExtractionCache()

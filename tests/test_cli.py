@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.data import SynthDriveDataset
+from repro.models import ModelConfig, build_model
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +30,25 @@ def checkpoint_file(dataset_file, tmp_path_factory):
     return path
 
 
+def _subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {command}")
+        assert "deprecated" not in out.lower()
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
@@ -78,28 +95,44 @@ class TestTrainExtractEvaluate:
         assert 0.0 <= metrics["ego_acc"] <= 1.0
 
 
-class TestDeprecatedModelFlags:
-    def test_matching_flags_warn_but_work(self, dataset_file,
-                                          checkpoint_file, capsys):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            code = main(["extract", "--data", dataset_file,
-                         "--checkpoint", checkpoint_file, "--limit", "1",
-                         "--model", "frame-mlp", "--dim", "16",
-                         "--depth", "1", "--heads", "2"])
-        assert code == 0
-        assert "clip 0" in capsys.readouterr().out
+CONSUMERS = ["extract", "evaluate", "serve", "mine"]
 
-    def test_conflicting_flags_exit_2(self, dataset_file,
-                                      checkpoint_file, capsys):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SystemExit) as exc:
-                main(["extract", "--data", dataset_file,
-                      "--checkpoint", checkpoint_file,
-                      "--dim", "32"])
+
+class TestCheckpointOnlyConsumers:
+    """Consumers take the architecture from the checkpoint alone."""
+
+    @pytest.mark.parametrize("command", CONSUMERS)
+    def test_shape_flags_rejected(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--data", "x",
+                                       "--checkpoint", "m.npz",
+                                       "--dim", "32"])
+        assert exc.value.code == 2
+
+    def test_train_keeps_shape_flags(self):
+        args = build_parser().parse_args(["train", "--data", "x",
+                                          "--out", "y", "--model",
+                                          "frame-mlp", "--dim", "16"])
+        assert (args.model, args.dim) == ("frame-mlp", 16)
+
+    @pytest.mark.parametrize("command", CONSUMERS)
+    def test_weights_only_checkpoint_exits_2(self, command, dataset_file,
+                                             tmp_path, capsys):
+        # Regression: a checkpoint without metadata used to be loaded
+        # into the historical default architecture.
+        model = build_model("vt-divided", ModelConfig(frames=4))
+        legacy = str(tmp_path / "legacy.npz")
+        np.savez(legacy, **model.state_dict())
+        argv = [command, "--data", dataset_file, "--checkpoint", legacy]
+        if command == "mine":
+            argv += ["--out", str(tmp_path / "records.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "conflict" in err
-        assert "--dim=32" in err
+        assert err.startswith("error: ")
+        assert "no self-describing metadata" in err
+        assert "build_model" in err
 
 
 class TestServe:

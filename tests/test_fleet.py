@@ -76,7 +76,8 @@ class TestCorpusLayout:
                     for f in shard_families]
         assert np.array_equal(clips, dataset.videos)
         assert families == list(dataset.families)
-        assert fleet.corpus_clip_shape(corpus) == (4, 3, 16, 16)
+        assert fleet.load_shard(corpus, "shard-0000")[0].shape \
+            == (4, 4, 3, 16, 16)
 
     def test_write_corpus_validates_input(self, dataset, tmp_path):
         with pytest.raises(ValueError, match="shard_size"):
@@ -128,6 +129,23 @@ class TestCorpusLayout:
         stats = fleet.extract_corpus(extractor, corpus)
         assert (stats.shards, stats.clips) == (1, 4)
 
+    def test_corpus_without_clips_rejected(self, extractor, tmp_path):
+        # Regression: an empty corpus used to surface as the index's
+        # "run extract_corpus() first" RuntimeError.
+        import repro
+        from repro.cli import main
+
+        corpus = str(tmp_path / "corpus")
+        os.makedirs(os.path.join(corpus, "shard-0000"))
+        with pytest.raises(FileNotFoundError, match="holds no clips"):
+            fleet.extract_corpus(extractor, corpus)
+        with pytest.raises(FileNotFoundError, match="holds no clips"):
+            repro.mine_corpus(extractor, corpus, ego_action="stop")
+        ckpt = str(tmp_path / "model.npz")
+        extractor.model.save(ckpt)
+        with pytest.raises(FileNotFoundError, match="holds no clips"):
+            main(["mine", "--corpus-dir", corpus, "--checkpoint", ckpt])
+
 
 def _write_v1_corpus(clips, corpus_dir, shard_size, families):
     """The layout-v1 writer: one ``clip-NNNNNN.npz`` object per clip."""
@@ -166,7 +184,8 @@ class TestLegacyLayout:
         assert not isinstance(clips, np.memmap)
         assert np.array_equal(clips, dataset.videos[12:])
         assert families == list(dataset.families[12:])
-        assert fleet.corpus_clip_shape(corpus) == (4, 3, 16, 16)
+        assert fleet.load_shard(corpus, "shard-0000")[0].shape \
+            == (4, 4, 3, 16, 16)
 
     def test_vector_stores_byte_identical(self, mined):
         stores = {layout: run[2].store for layout, run in mined.items()}

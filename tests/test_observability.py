@@ -964,7 +964,7 @@ class TestApiCorrelation:
         try:
             video = make_clips(1)[0].repeat(3, axis=0)[:8]
             api.extract_video(make_model(), video, window=4, stride=2,
-                              cache_dir=str(tmp_path / "cache"))
+                              cache=str(tmp_path / "cache"))
         finally:
             obs_events.set_active(None)
         cache_events = [e for e in read_event_log(str(tmp_path))
