@@ -450,6 +450,10 @@ def cmd_top(args) -> int:
     following) a ``repro.events/v1`` log; see ``docs/observability.md``."""
     from repro.obs.top import run_top
 
+    if not os.path.exists(args.from_events):
+        print(f"error: no event log at {args.from_events}",
+              file=sys.stderr)
+        return 2
     return run_top(args.from_events, json_mode=args.json,
                    follow=args.follow, interval_s=args.interval,
                    iterations=args.iterations, slo_config=_slo_config(args))

@@ -3,13 +3,6 @@
 Deployment-facing analyses for the extractor: how trustworthy are the
 reported confidences (ECE / reliability bins), and what per-tag decision
 thresholds maximise validation F1 (instead of a global 0.5).
-
-:class:`StreamingCalibration` is the serving-tier form of the same
-computation: it maintains the identical equal-width ``(low, high]``
-bins incrementally, one ``(confidence, correct)`` observation at a
-time, so the quality monitor (:mod:`repro.obs.quality`) reports an ECE
-that is bit-compatible with the offline
-:func:`expected_calibration_error`.
 """
 
 from __future__ import annotations
@@ -25,8 +18,9 @@ def reliability_bins(confidences: np.ndarray, correct: np.ndarray,
                      n_bins: int = 10) -> List[Dict[str, float]]:
     """Equal-width confidence bins with per-bin accuracy.
 
-    ``confidences``: predicted max-probabilities in [0, 1];
-    ``correct``: boolean per-sample hit indicators.
+    ``confidences``: predicted max-probabilities in [0, 1] (a NaN
+    falls in no bin, so it counts nowhere); ``correct``: boolean
+    per-sample hit indicators.
     """
     confidences = np.asarray(confidences, dtype=np.float64)
     correct = np.asarray(correct, dtype=bool)
@@ -60,80 +54,6 @@ def expected_calibration_error(confidences: np.ndarray,
     return float(sum(
         b["count"] * abs(b["accuracy"] - b["confidence"]) for b in bins
     ) / total)
-
-
-class StreamingCalibration:
-    """Streaming reliability bins and expected calibration error.
-
-    Maintains the same equal-width ``(low, high]`` confidence bins as
-    :func:`reliability_bins` (0.0 lands in the first bin), updated one
-    observation at a time, so :attr:`ece` over a stream equals
-    :func:`expected_calibration_error` over the same samples exactly
-    (pinned by test).  Not thread-safe on its own — callers hold their
-    own lock (:class:`repro.obs.quality.QualityMonitor` does).
-    """
-
-    __slots__ = ("n_bins", "_counts", "_confidence_sums", "_correct_sums")
-
-    def __init__(self, n_bins: int = 10) -> None:
-        if n_bins <= 0:
-            raise ValueError("n_bins must be positive")
-        self.n_bins = n_bins
-        self._counts = np.zeros(n_bins, dtype=np.int64)
-        self._confidence_sums = np.zeros(n_bins, dtype=np.float64)
-        self._correct_sums = np.zeros(n_bins, dtype=np.float64)
-
-    def observe(self, confidence: float, correct: bool) -> None:
-        """Account one prediction's confidence and hit indicator."""
-        confidence = float(confidence)
-        if not 0.0 <= confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-        if confidence <= 0.0:
-            index = 0
-        else:
-            index = min(int(np.ceil(confidence * self.n_bins)) - 1,
-                        self.n_bins - 1)
-        self._counts[index] += 1
-        self._confidence_sums[index] += confidence
-        self._correct_sums[index] += bool(correct)
-
-    @property
-    def count(self) -> int:
-        return int(self._counts.sum())
-
-    @property
-    def ece(self) -> float:
-        """Count-weighted |accuracy − confidence| over the bins.
-
-        0.0 with no observations, mirroring
-        :func:`expected_calibration_error` on empty input.
-        """
-        total = self._counts.sum()
-        if total == 0:
-            return 0.0
-        mask = self._counts > 0
-        counts = self._counts[mask].astype(np.float64)
-        accuracy = self._correct_sums[mask] / counts
-        confidence = self._confidence_sums[mask] / counts
-        return float(np.sum(counts * np.abs(accuracy - confidence))
-                     / total)
-
-    def bins(self) -> List[Dict[str, float]]:
-        """Per-bin snapshot in the :func:`reliability_bins` shape."""
-        edges = np.linspace(0.0, 1.0, self.n_bins + 1)
-        report = []
-        for i, (low, high) in enumerate(zip(edges[:-1], edges[1:])):
-            count = int(self._counts[i])
-            report.append({
-                "low": float(low),
-                "high": float(high),
-                "count": count,
-                "confidence": (float(self._confidence_sums[i] / count)
-                               if count else 0.0),
-                "accuracy": (float(self._correct_sums[i] / count)
-                             if count else 0.0),
-            })
-        return report
 
 
 def categorical_calibration(logits: np.ndarray,

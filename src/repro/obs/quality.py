@@ -41,7 +41,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.eval.calibration import StreamingCalibration
+from repro.eval.calibration import expected_calibration_error
 from repro.obs import events as obs_events
 from repro.obs import metrics
 from repro.obs.drift import HEADS, DriftConfig, DriftDetector
@@ -356,16 +356,18 @@ class QualityMonitor:
         candidate_results = candidate.extract_batch(batch)
         head_agreement = {head: 0.0 for head in HEADS}
         shift = 0.0
-        proxy = StreamingCalibration(self.config.drift.confidence_bins)
+        confs: List[float] = []
+        correct: List[bool] = []
         for base, cand in zip(serving_results, candidate_results):
             agree = _head_agreement(base.description, cand.description,
                                     self.vocab)
             for head in HEADS:
                 head_agreement[head] += agree[head]
-                shift += abs(float(cand.confidences.get(head, 0.0))
+                confidence = float(cand.confidences.get(head, 0.0))
+                shift += abs(confidence
                              - float(base.confidences.get(head, 0.0)))
-                proxy.observe(float(cand.confidences.get(head, 0.0)),
-                              agree[head] >= 1.0)
+                confs.append(confidence)
+                correct.append(agree[head] >= 1.0)
         n = len(clips)
         for head in HEADS:
             head_agreement[head] /= n
@@ -390,7 +392,9 @@ class QualityMonitor:
             "per_head_agreement": head_agreement,
             "confidence_shift": confidence_shift,
             "agreement_floor": cfg.canary_min_agreement,
-            "candidate_ece_vs_serving": proxy.ece,
+            # NaN confidences (a NaN clip) fall in no bin.
+            "candidate_ece_vs_serving": expected_calibration_error(
+                confs, correct, cfg.drift.confidence_bins),
             "reasons": reasons,
             "serving_version": serving_version,
         }

@@ -1,27 +1,23 @@
-"""``repro top`` — live terminal dashboard over the serving stack.
+"""``repro top`` — terminal dashboard over the serving stack.
 
-Renders a refreshing view of throughput, queue depth, batch-size
-distribution, circuit-breaker state, cache hit rate, firing SLO
-alerts and — when quality monitoring is on — a quality panel
-(``quality_window`` cadence, drift alerts, canary verdicts).  Pool
-runs (``repro serve --workers N``) add a per-worker panel: routed /
-shed / per-status counts and shard-cache verdicts replayed from the
-parent's ``worker``-stamped ``enqueue`` / ``shed`` / ``result`` events —
-plus each worker's *internal* flush / forward / breaker activity,
-shipped home by the telemetry plane (:mod:`repro.obs.telemetry`) — or
-the live ``repro.health/v1`` pool rollup's worker sub-documents
-(:func:`snapshot_from_service` consumes only that versioned schema).
+Renders throughput, queue depth, batch-size distribution,
+circuit-breaker state, cache hit rate, firing SLO alerts and — when
+quality monitoring is on — a quality panel (``quality_window``
+cadence, drift alerts, canary verdicts).  Pool runs (``repro serve
+--workers N``) add a per-worker panel: routed / shed / per-status
+counts and shard-cache verdicts replayed from the parent's
+``worker``-stamped ``enqueue`` / ``shed`` / ``result`` events, plus
+each worker's *internal* flush / forward / breaker activity, shipped
+home by the telemetry plane (:mod:`repro.obs.telemetry`).
 ``fleet_progress`` heartbeats from ``extract_corpus`` render as a
 fleet progress panel (shards / clips / throughput / ETA).
-Two sources:
 
-- **a recorded event log** (``--from-events DIR``): the snapshot is
-  computed purely from ``repro.events/v1`` records, so the dashboard
-  replays any burst after the fact — and with ``--follow`` it tails
-  the directory a running ``repro serve --events-dir`` is writing,
-  which is the live mode;
-- **a running in-process service** (:func:`snapshot_from_service`),
-  for notebooks and tests.
+The one source is a recorded event log (``--from-events DIR``): the
+snapshot is computed purely from ``repro.events/v1`` records, so the
+dashboard replays any burst after the fact.  The live mode is
+``--follow``, which tails the directory a running ``repro serve
+--events-dir`` is writing.  A running service's own state is its
+``health()`` document (``health()["workers"]`` for a pool).
 
 ``--json`` prints one ``repro.top/v1`` snapshot and exits — the mode
 CI uses to assert that the event log fully accounts for a burst
@@ -316,129 +312,6 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
     }
 
 
-def snapshot_from_service(service,
-                          slo_report: Optional[Dict[str, object]] = None
-                          ) -> Dict[str, object]:
-    """A ``repro.top/v1`` snapshot of a running, in-process
-    :class:`~repro.serve.service.ExtractionService` or
-    :class:`~repro.serve.pool.ServicePool`.
-
-    Consumes only the versioned ``repro.health/v1`` document — any
-    other (or missing) schema is rejected, so the dashboard never
-    renders from an unversioned payload.  A health document with
-    ``workers`` (a pool's) additionally populates the per-worker panel
-    from those replica sub-documents; a worker's ``requests`` is its
-    ``routed`` count, the number the event replay shows.  Batch, retry
-    and breaker-trip figures sum every label set of their series, so a
-    pool's merged worker series count the same as a single replica's.
-    """
-    from repro.obs import metrics
-
-    def all_series(name: str) -> list:
-        # Every label set: a pool's replicas record in the workers and
-        # the telemetry plane merges their series under worker=<rank>.
-        return [m for m in metrics.series() if m.name == name]
-
-    health = service.health()
-    schema = health.get("schema")
-    if schema != "repro.health/v1":
-        raise ValueError(
-            f"unsupported health schema {schema!r}; "
-            "expected repro.health/v1")
-    counts = service.status_counts()
-    pool = None
-    if health.get("workers"):
-        per_worker = {}
-        for rank, doc in sorted(health["workers"].items(),
-                                key=lambda item: int(item[0])):
-            per_worker[str(rank)] = {
-                "status": doc.get("status"),
-                "breaker": doc.get("breaker"),
-                "queue_depth": doc.get("queue_depth"),
-                "model_version": doc.get("model_version"),
-                "requests": doc.get("routed", 0),
-                "cache_hit_rate": (doc.get("cache") or {}).get(
-                    "hit_rate"),
-            }
-        pool = {"workers": health.get("world_size"),
-                "per_worker": per_worker}
-    quality_report = health.get("quality")
-    if quality_report is not None:
-        canary = quality_report["canary"]
-        models = quality_report.get("models", {})
-        latest = models[max(models, key=int)] if models else None
-        quality = {
-            "windows": quality_report["windows"],
-            "last_window": (
-                {"requests": latest["requests"],
-                 "mean_confidence": latest["mean_confidence"]}
-                if latest else None),
-            "drift_alerts": quality_report["drift"]["alert_count"],
-            "last_drift": (quality_report["drift"]["alerts"][-1]
-                           if quality_report["drift"]["alerts"]
-                           else None),
-            "canary": {
-                "starts": canary["starts"],
-                "accepted": canary["accepted"],
-                "refused": canary["refused"],
-                "last_verdict": canary["last_verdict"],
-            },
-        }
-    else:
-        quality = None
-    batch_hists = all_series("serve.batch_size")
-    batch_count = sum(h.count for h in batch_hists)
-    total = sum(counts.values())
-    uptime = float(health.get("uptime_s") or 0.0)
-    cache = health.get("cache") or {}
-    return {
-        "schema": SCHEMA,
-        "source": "service",
-        "events": None,
-        "elapsed_s": uptime,
-        "requests": {
-            "total": total,
-            "statuses": {k: v for k, v in sorted(counts.items()) if v},
-            "served": counts.get("ok", 0) + counts.get("degraded", 0),
-            "retried": int(sum(c.value
-                               for c in all_series("serve.retries"))),
-        },
-        "throughput_rps": total / uptime if uptime > 0 else 0.0,
-        "queue_depth": health["queue_depth"],
-        "batches": {
-            "count": batch_count,
-            "mean_size": (sum(h.sum for h in batch_hists) / batch_count
-                          if batch_count else 0.0),
-            "max_size": max((h.max for h in batch_hists if h.count),
-                            default=0.0),
-            "p95_size": 0.0,
-        },
-        "model_forwards": {},
-        "cache": {
-            "hits": cache.get("hits", 0),
-            "misses": cache.get("misses", 0),
-            "hit_rate": cache.get("hit_rate", 0.0),
-        },
-        "breaker": {
-            "state": health["breaker"],
-            "trips": int(sum(c.value
-                             for c in all_series("serve.breaker_trips"))),
-        },
-        "reloads": int(metrics.counter("serve.reloads").value),
-        "flight_dumps": 0,
-        "pool": pool,
-        "fleet": None,
-        "extractor": {
-            "precision": health.get("precision", "fp32"),
-            "reuse": health.get("reuse"),
-        },
-        "quality": quality,
-        "slo": slo_report if slo_report is not None
-        else health.get("slo", {"objectives": {}, "alerts": []}),
-        "lifecycles": None,
-    }
-
-
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
@@ -448,12 +321,9 @@ def render(snapshot: Dict[str, object]) -> str:
     batches = snapshot["batches"]
     cache = snapshot["cache"]
     breaker = snapshot["breaker"]
-    slo = snapshot.get("slo") or {}
-    alerts = slo.get("alerts", [])
+    slo = snapshot["slo"]
     lines = [
-        f"repro top — {snapshot['source']}"
-        + (f" ({snapshot['events']} events)"
-           if snapshot.get("events") is not None else ""),
+        f"repro top — {snapshot['source']} ({snapshot['events']} events)",
         "",
         f"  requests   {req['total']:6d} total   "
         f"{snapshot['throughput_rps']:8.1f} req/s   "
@@ -474,45 +344,34 @@ def render(snapshot: Dict[str, object]) -> str:
     ]
     pool = snapshot.get("pool")
     if pool:
-        lines.append(f"  pool       {pool.get('workers')} workers")
+        lines.append(f"  pool       {pool['workers']} workers")
         for rank, stats in pool["per_worker"].items():
-            if "statuses" in stats:  # replayed from events
-                status_text = "  ".join(
-                    f"{status}={n}" for status, n
-                    in stats["statuses"].items()) or "-"
-                flags = []
-                if stats.get("reloads"):
-                    flags.append(f"reloads {stats['reloads']}")
-                if stats.get("restarts"):
-                    flags.append(f"restarts {stats['restarts']}")
-                if stats.get("dead"):
-                    flags.append("DEAD")
-                internals = []
-                if stats.get("cache_hits") or stats.get("cache_misses"):
-                    internals.append(
-                        f"cache {stats['cache_hits']}h/"
-                        f"{stats['cache_misses']}m")
-                if stats.get("forwards"):
-                    internals.append(f"fwd {stats['forwards']}")
-                if stats.get("retries"):
-                    internals.append(f"retries {stats['retries']}")
-                if stats.get("breaker_trips"):
-                    internals.append(f"trips {stats['breaker_trips']}")
-                lines.append(
-                    f"    worker {rank}  routed {stats['routed']:4d}  "
-                    f"shed {stats['shed']}  {status_text}"
-                    + (f"  {' '.join(internals)}" if internals else "")
-                    + (f"  [{', '.join(flags)}]" if flags else ""))
-            else:  # live pool health rollup
-                hit_rate = stats.get("cache_hit_rate")
-                lines.append(
-                    f"    worker {rank}  {stats.get('status', '?'):8s}"
-                    f"  breaker {stats.get('breaker', '?'):9s}"
-                    f"  depth {stats.get('queue_depth', 0)}"
-                    f"  v{stats.get('model_version', '?')}"
-                    f"  req {stats.get('requests', 0)}"
-                    + (f"  cache {hit_rate:.0%}"
-                       if isinstance(hit_rate, (int, float)) else ""))
+            status_text = "  ".join(
+                f"{status}={n}" for status, n
+                in stats["statuses"].items()) or "-"
+            flags = []
+            if stats["reloads"]:
+                flags.append(f"reloads {stats['reloads']}")
+            if stats["restarts"]:
+                flags.append(f"restarts {stats['restarts']}")
+            if stats["dead"]:
+                flags.append("DEAD")
+            internals = []
+            if stats["cache_hits"] or stats["cache_misses"]:
+                internals.append(
+                    f"cache {stats['cache_hits']}h/"
+                    f"{stats['cache_misses']}m")
+            if stats["forwards"]:
+                internals.append(f"fwd {stats['forwards']}")
+            if stats["retries"]:
+                internals.append(f"retries {stats['retries']}")
+            if stats["breaker_trips"]:
+                internals.append(f"trips {stats['breaker_trips']}")
+            lines.append(
+                f"    worker {rank}  routed {stats['routed']:4d}  "
+                f"shed {stats['shed']}  {status_text}"
+                + (f"  {' '.join(internals)}" if internals else "")
+                + (f"  [{', '.join(flags)}]" if flags else ""))
     fleet = snapshot.get("fleet")
     if fleet:
         last = fleet.get("last") or {}
@@ -528,24 +387,13 @@ def render(snapshot: Dict[str, object]) -> str:
                if isinstance(eta, (int, float)) else "")
             + ("  [done]" if last.get("final") else "")
             + ("" if fleet.get("monotone") else "  [NON-MONOTONE]"))
-    extractor = snapshot.get("extractor")
-    if extractor is not None:
-        line = f"  extractor  precision={extractor['precision']}"
-        reuse = extractor.get("reuse") or {}
-        if reuse.get("supported") and (reuse.get("frame_hits", 0)
-                                       or reuse.get("frame_misses", 0)):
-            line += (f"   frame reuse {reuse['frame_hits']} hits / "
-                     f"{reuse['frame_misses']} misses "
-                     f"({reuse['hit_rate']:.0%})")
-        lines.append(line)
-    p95 = slo.get("p95_latency_s")
+    p95 = slo["p95_latency_s"]
     if p95 is not None:
         lines.append(f"  latency    p95 {p95 * 1e3:.1f} ms")
-    quality = snapshot.get("quality")
-    if quality is not None and (quality["windows"] or
-                                quality["drift_alerts"] or
-                                quality["canary"]["starts"]):
-        window = quality.get("last_window") or {}
+    quality = snapshot["quality"]
+    if (quality["windows"] or quality["drift_alerts"]
+            or quality["canary"]["starts"]):
+        window = quality["last_window"] or {}
         confidences = window.get("mean_confidence") or {}
         conf_text = "  ".join(
             f"{head}={value:.2f}"
@@ -558,7 +406,7 @@ def render(snapshot: Dict[str, object]) -> str:
             f"  drift      {quality['drift_alerts']} alerts [{drift_flag}]")
         canary = quality["canary"]
         if canary["starts"]:
-            verdict = canary.get("last_verdict") or {}
+            verdict = canary["last_verdict"] or {}
             agreement = verdict.get("agreement")
             lines.append(
                 f"  canary     {canary['starts']} runs: "
@@ -566,15 +414,14 @@ def render(snapshot: Dict[str, object]) -> str:
                 f"{canary['refused']} refused"
                 + (f"   last agreement {agreement:.2f}"
                    if isinstance(agreement, (int, float)) else ""))
-        for alert in (quality.get("last_drift"),):
-            if alert:
-                lines.append(
-                    f"  ALERT drift: tag PSI "
-                    f"{alert.get('tag_psi_max', 0.0):.2f}, confidence "
-                    f"PSI {alert.get('confidence_psi', 0.0):.2f}, KL "
-                    f"{alert.get('confidence_kl', 0.0):.2f}")
-    objectives = slo.get("objectives", {})
-    for name, obj in sorted(objectives.items()):
+        alert = quality["last_drift"]
+        if alert:
+            lines.append(
+                f"  ALERT drift: tag PSI "
+                f"{alert.get('tag_psi_max', 0.0):.2f}, confidence "
+                f"PSI {alert.get('confidence_psi', 0.0):.2f}, KL "
+                f"{alert.get('confidence_kl', 0.0):.2f}")
+    for name, obj in sorted(slo["objectives"].items()):
         observed = obj.get("observed")
         observed_text = (f"{observed:.4f}" if observed is not None
                          else "n/a")
@@ -582,22 +429,21 @@ def render(snapshot: Dict[str, object]) -> str:
         lines.append(f"  slo        {name:<15} target "
                      f"{obj['target']:.3f}  observed {observed_text}  "
                      f"[{flag}]")
-    if alerts:
+    if slo["alerts"]:
         lines.append("")
-        for alert in alerts:
+        for alert in slo["alerts"]:
             lines.append(
                 f"  ALERT {alert['objective']}: burn rate "
                 f"{alert['long_burn_rate']:.1f}x over "
                 f"{alert['long_window_s']:.0f}s "
                 f"(>{alert['factor']:.1f}x budget)")
-    lifecycles = snapshot.get("lifecycles")
-    if lifecycles is not None:
-        joined = "yes" if lifecycles["fully_joined"] else "NO"
-        lines += [
-            "",
-            f"  lifecycle  {lifecycles['complete']}/"
-            f"{lifecycles['ids_seen']} complete, fully joined: {joined}",
-        ]
+    lifecycles = snapshot["lifecycles"]
+    joined = "yes" if lifecycles["fully_joined"] else "NO"
+    lines += [
+        "",
+        f"  lifecycle  {lifecycles['complete']}/"
+        f"{lifecycles['ids_seen']} complete, fully joined: {joined}",
+    ]
     return "\n".join(lines)
 
 
@@ -636,5 +482,4 @@ __all__ = [
     "render",
     "run_top",
     "snapshot_from_events",
-    "snapshot_from_service",
 ]

@@ -175,3 +175,15 @@ class TestServe:
             names = {json.loads(line)["name"] for line in fh}
         assert "serve.requests" in names
         assert "serve.batch_size" in names
+
+
+class TestTop:
+    @pytest.mark.parametrize("follow", [
+        [], ["--follow", "--iterations", "1", "--interval", "0"]],
+        ids=["once", "follow"])
+    def test_missing_event_log_exits_2(self, tmp_path, capsys, follow):
+        missing = str(tmp_path / "no-such-log")
+        assert main(["top", "--from-events", missing, *follow]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no event log at {missing}\n"
+        assert captured.out == ""

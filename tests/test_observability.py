@@ -36,7 +36,6 @@ from repro.obs.top import (
     render,
     run_top,
     snapshot_from_events,
-    snapshot_from_service,
 )
 from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultInjector

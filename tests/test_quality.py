@@ -1,5 +1,5 @@
 """Tests for model-quality observability (PR 6): drift math and the
-streaming detector, streaming calibration, per-version scorecards and
+streaming detector, per-version scorecards and
 ``quality_window`` cadence, latched drift alerts, the shadow-canary
 reload gate, per-tag decode confidences through pipeline/cache/serve,
 events-reader forward compatibility, the SLO confidence objective, and
@@ -21,11 +21,7 @@ from repro.core.cache import (
     _result_to_record,
 )
 from repro.core.pipeline import ExtractionResult
-from repro.eval.calibration import (
-    StreamingCalibration,
-    expected_calibration_error,
-    reliability_bins,
-)
+from repro.eval.calibration import reliability_bins
 from repro.models import ModelConfig, build_model
 from repro.obs import events as obs_events
 from repro.obs.drift import (
@@ -43,7 +39,7 @@ from repro.obs.quality import (
 )
 from repro.obs.registry import get_registry
 from repro.obs.slo import SLOConfig, SLOTracker
-from repro.obs.top import render, snapshot_from_events, snapshot_from_service
+from repro.obs.top import render, snapshot_from_events
 from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
 from repro.serve import (
@@ -246,36 +242,6 @@ class TestDriftDetector:
 
 
 # ----------------------------------------------------------------------
-# Streaming calibration
-# ----------------------------------------------------------------------
-class TestStreamingCalibration:
-    def test_matches_batch_ece_exactly(self):
-        rng = np.random.default_rng(0)
-        confidences = rng.random(500)
-        correct = rng.random(500) < confidences  # roughly calibrated
-        streaming = StreamingCalibration(10)
-        for c, ok in zip(confidences, correct):
-            streaming.observe(float(c), bool(ok))
-        assert streaming.count == 500
-        assert streaming.ece == pytest.approx(
-            expected_calibration_error(confidences, correct, 10),
-            abs=1e-12)
-        batch = reliability_bins(confidences, correct, 10)
-        assert [b["count"] for b in streaming.bins()] == \
-            [b["count"] for b in batch]
-
-    def test_empty_is_zero(self):
-        assert StreamingCalibration().ece == 0.0
-        assert StreamingCalibration().count == 0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingCalibration().observe(1.2, True)
-        with pytest.raises(ValueError):
-            StreamingCalibration(0)
-
-
-# ----------------------------------------------------------------------
 # Quality monitor: scorecards, windows, latched drift alerts
 # ----------------------------------------------------------------------
 class TestQualityMonitor:
@@ -416,6 +382,28 @@ class TestNaNClip:
         assert card["requests"] == 4
         assert card["confidence_histogram"]["scene"][0] >= 1
 
+    def test_nan_clip_in_canary_slice_does_not_break_reload(self):
+        # Regression: the canary's ECE rejected the NaN confidences of
+        # a sampled NaN clip, so every later reload raised ValueError.
+        service = ExtractionService(
+            ScenarioExtractor(make_model()),
+            ServiceConfig(max_batch=8, max_wait_s=0.01),
+            quality=QualityConfig(canary_sample=8, canary_min_samples=4))
+        clips = make_clips(4)
+        with service:
+            for clip in clips:
+                service.submit(clip).result(timeout=30.0)
+            service.submit(np.full_like(clips[0], np.nan)) \
+                .result(timeout=30.0)
+            try:
+                service.reload(make_model(seed=3))
+            except CanaryRefusedError as exc:
+                verdict = exc.verdict
+            else:
+                verdict = service.quality.report()["canary"]["last_verdict"]
+        assert verdict["samples"] == 5
+        assert 0.0 <= verdict["candidate_ece_vs_serving"] <= 1.0
+
 
 # ----------------------------------------------------------------------
 # Shadow canary
@@ -461,6 +449,19 @@ class TestCanary:
         assert "canary_start" in events and "canary_verdict" in events
         assert obs.metrics.counter("canary.verdicts",
                                    outcome="accepted").value == 1
+
+    def test_candidate_ece_is_the_offline_ece(self):
+        # The verdict's ECE bins each head's (candidate confidence,
+        # head agreed) pair with expected_calibration_error; the value
+        # was recorded when a streaming copy of the bins computed it.
+        monitor = self._monitor()
+        for clip in make_clips(6):
+            monitor.sample_clip(clip)
+        verdict = monitor.canary(
+            ScenarioExtractor(make_model("vt-divided")),
+            ScenarioExtractor(make_model("frame-mlp", seed=7)))
+        assert verdict["candidate_ece_vs_serving"] == pytest.approx(
+            0.4021798921748996, abs=1e-12)
 
     def test_disagreeing_candidate_refused(self):
         monitor = self._monitor()
@@ -771,49 +772,6 @@ class TestTopQualityPanel:
                         status="ok", latency_s=0.1, mono=1.1)]
         text = render(snapshot_from_events(records))
         assert "DRIFTING" not in text and "canary" not in text
-
-    def test_snapshot_from_service_same_shape(self):
-        quality_config = QualityConfig(window=4, drift=small_drift())
-        service = ExtractionService(
-            ScenarioExtractor(make_model()),
-            ServiceConfig(max_batch=8, max_wait_s=0.01),
-            quality=quality_config)
-        with service:
-            ServiceClient(service).extract_many(
-                list(make_clips(8)), concurrency=4)
-            snap = snapshot_from_service(service)
-        quality = snap["quality"]
-        assert quality["windows"] == 2
-        assert set(quality["last_window"]["mean_confidence"]) == \
-            {"scene", "ego_action", "actors", "actor_actions"}
-        assert quality["drift_alerts"] == 0
-        assert quality["canary"]["starts"] == 0
-        assert "repro top" in render(snap)
-
-    def test_panel_follows_the_newest_of_ten_versions(self):
-        monitor = QualityMonitor(
-            LabelCodec(), QualityConfig(window=64, drift=small_drift()),
-            events=EventLog(None))
-        for version in range(1, 11):
-            for i in range(version):
-                monitor.observe(make_result(i, DESC_A, CONF_A,
-                                            version=version))
-        service = ExtractionService(
-            ScenarioExtractor(make_model()), ServiceConfig(),
-            quality=monitor)
-        panel = snapshot_from_service(service)["quality"]
-        # version "10" holds 10 results; "9" (the string maximum) holds 9
-        assert panel["last_window"]["requests"] == 10
-
-    def test_service_without_quality_has_null_panel(self):
-        service = ExtractionService(
-            ScenarioExtractor(make_model()),
-            ServiceConfig(max_batch=8, max_wait_s=0.01))
-        with service:
-            ServiceClient(service).extract(make_clips(1)[0])
-            snap = snapshot_from_service(service)
-        assert snap["quality"] is None
-        render(snap)  # must not crash on the absent panel
 
 
 # ----------------------------------------------------------------------
