@@ -33,6 +33,18 @@ on when it assembles per-frame activations computed across different
 windows.  The engine exposes the same frame-level reuse hooks as the
 model (``frame_features`` / ``head_logits_from_frame_features``), so
 reuse composes with any precision.
+
+Rows the output reads: every joint or factorized encoder is read only
+at its CLS row, so the last encoder layer carries only that row past
+attention.  It still runs the qkv projection, the scores, the softmax
+and ``scores @ v`` over all rows (keys and values need them all, and a
+one-query ``q_cls @ kᵀ`` is not bit-identical to row 0 of the full
+product), then runs the output projection, both residuals, ``norm2``,
+the MLP and the final norm on the CLS row alone.  A lone sequence
+keeps rows 0 and 1: BLAS multiplies a single row by another path,
+whose row 0 differs in the last bits.  Calibration keeps every row,
+so int8 activation scales still see the whole layer.  Earlier layers
+and the divided path run all rows.
 """
 
 from __future__ import annotations
@@ -205,6 +217,7 @@ class InferenceEngine:
         self.attention = model.attention
         self.config = model.config
         self._sites: List[_Site] = []
+        self._calibrating = False
         self.embed = self._site("embed.proj", model.embed.proj)
         if self.attention == "joint":
             self._enc_joint = self._encoder_sites("encoder", model.encoder)
@@ -292,9 +305,11 @@ class InferenceEngine:
         for site in self._sites:
             site.observing = True
             site.absmax = 0.0
+        self._calibrating = True
         try:
             self._forward(clips)
         finally:
+            self._calibrating = False
             for site in self._sites:
                 site.observing = False
         for site in self._sites:
@@ -320,8 +335,10 @@ class InferenceEngine:
         }
 
     # -- kernels -------------------------------------------------------
-    def _attention(self, x: np.ndarray, spec: Dict[str, object]
-                   ) -> np.ndarray:
+    def _attention(self, x: np.ndarray, spec: Dict[str, object],
+                   rows: slice = slice(None)) -> np.ndarray:
+        """Attention over every row of ``x``; the output projection runs
+        on query ``rows`` only (keys and values always span them all)."""
         batch, tokens, dim = x.shape
         qkv = spec["qkv"](x).reshape(
             batch, tokens, 3, spec["heads"], spec["head_dim"]
@@ -330,21 +347,36 @@ class InferenceEngine:
         scores = q @ k.swapaxes(-1, -2)
         scores *= spec["scale"]
         _softmax_inplace(scores)
-        out = scores @ v
-        out = out.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
+        out = (scores @ v)[:, :, rows]
+        out = out.transpose(0, 2, 1, 3).reshape(batch, -1, dim)
         return spec["proj"](out)
 
     def _mlp(self, x: np.ndarray, spec: Dict[str, _Site]) -> np.ndarray:
         return spec["fc2"](_gelu_inplace(spec["fc1"](x)))
 
+    def _readout_rows(self, batch: int) -> slice:
+        """Rows of each sequence the last encoder layer carries past
+        attention: all of them while calibrating (activation scales see
+        every row), else the CLS row — plus row 1 for a lone sequence,
+        so no projection multiplies a single row (BLAS takes another
+        path for one row and row 0 would not be bit-identical)."""
+        if self._calibrating:
+            return slice(None)
+        return slice(0, 1 if batch > 1 else 2)
+
     def _encoder(self, x: np.ndarray, enc: Dict[str, object]
                  ) -> np.ndarray:
-        for entry in enc["layers"]:
+        """``(B, N, D)`` tokens → ``(B, D)`` normalised CLS rows; past
+        attention the last layer runs on :meth:`_readout_rows` only."""
+        layers = enc["layers"]
+        for i, entry in enumerate(layers):
             layer = entry["layer"]
-            x = x + self._attention(_layer_norm(x, layer.norm1),
-                                    entry["attn"])
+            rows = (self._readout_rows(len(x)) if i == len(layers) - 1
+                    else slice(None))
+            x = x[:, rows] + self._attention(_layer_norm(x, layer.norm1),
+                                             entry["attn"], rows)
             x += self._mlp(_layer_norm(x, layer.norm2), entry["mlp"])
-        return _layer_norm(x, enc["encoder"].norm)
+        return _layer_norm(x, enc["encoder"].norm)[:, 0]
 
     def _patch_tokens(self, clips: np.ndarray) -> np.ndarray:
         """(B, T, C, H, W) → (B, T, N, D) per-frame patch tokens."""
@@ -378,8 +410,7 @@ class InferenceEngine:
         batch, _, dim = tokens.shape
         cls = np.broadcast_to(m.cls_token.data, (batch, 1, dim))
         x = np.concatenate([cls, tokens], axis=1) + m.pos_embed.data
-        x = self._encoder(x, self._enc_joint)
-        return self._head_logits(x[:, 0])
+        return self._head_logits(self._encoder(x, self._enc_joint))
 
     def _divided_from_tokens(self, tokens: np.ndarray
                              ) -> Dict[str, np.ndarray]:
@@ -419,7 +450,7 @@ class InferenceEngine:
         rows, _, dim = tokens.shape
         cls = np.broadcast_to(m.cls_spatial.data, (rows, 1, dim))
         x = np.concatenate([cls, tokens], axis=1) + m.pos_spatial.data
-        return self._encoder(x, self._enc_spatial)[:, 0]
+        return self._encoder(x, self._enc_spatial)
 
     def _factorized_from_summaries(self, summaries: np.ndarray
                                    ) -> Dict[str, np.ndarray]:
@@ -427,8 +458,7 @@ class InferenceEngine:
         batch, _, dim = summaries.shape
         cls = np.broadcast_to(m.cls_temporal.data, (batch, 1, dim))
         y = np.concatenate([cls, summaries], axis=1) + m.pos_temporal.data
-        y = self._encoder(y, self._enc_temporal)
-        return self._head_logits(y[:, 0])
+        return self._head_logits(self._encoder(y, self._enc_temporal))
 
     def _forward(self, clips: np.ndarray) -> Dict[str, np.ndarray]:
         clips = np.ascontiguousarray(clips, dtype=np.float32)

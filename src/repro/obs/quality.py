@@ -35,6 +35,7 @@ quality panel.  See ``docs/observability.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -66,10 +67,12 @@ class CanaryRefusedError(RuntimeError):
 
     def __init__(self, verdict: Dict[str, object]) -> None:
         reasons = ", ".join(verdict.get("reasons", ())) or "refused"
+        shift = verdict.get("confidence_shift")
+        shift_text = "n/a" if shift is None else f"{shift:.3f}"
         super().__init__(
             f"canary refused checkpoint swap: {reasons} "
             f"(agreement {verdict.get('agreement', 0.0):.3f}, "
-            f"confidence shift {verdict.get('confidence_shift', 0.0):.3f})"
+            f"confidence shift {shift_text})"
         )
         self.verdict = verdict
 
@@ -85,7 +88,8 @@ class QualityConfig:
     clips, refuses to judge below ``canary_min_samples``, and accepts
     a candidate only when mean tag agreement is at least
     ``canary_min_agreement`` (and, when set, mean absolute per-head
-    confidence shift is at most ``canary_max_confidence_shift``).
+    confidence shift is at most ``canary_max_confidence_shift``; a
+    non-finite shift is refused).
     """
 
     window: int = 64
@@ -373,17 +377,22 @@ class QualityMonitor:
             head_agreement[head] /= n
         agreement = sum(head_agreement.values()) / len(HEADS)
         confidence_shift = shift / (n * len(HEADS))
+        # A NaN clip makes the shift NaN, which no comparison refuses:
+        # record it as ``None`` (strict JSON) and refuse it when bounded.
+        if not math.isfinite(confidence_shift):
+            confidence_shift = None
         cfg = self.config
         reasons = []
         if agreement < cfg.canary_min_agreement:
             reasons.append(
                 f"agreement {agreement:.3f} < floor "
                 f"{cfg.canary_min_agreement:.3f}")
-        if (cfg.canary_max_confidence_shift is not None
-                and confidence_shift > cfg.canary_max_confidence_shift):
+        bound = cfg.canary_max_confidence_shift
+        if bound is not None and confidence_shift is None:
+            reasons.append("confidence shift is not finite")
+        elif bound is not None and confidence_shift > bound:
             reasons.append(
-                f"confidence shift {confidence_shift:.3f} > "
-                f"{cfg.canary_max_confidence_shift:.3f}")
+                f"confidence shift {confidence_shift:.3f} > {bound:.3f}")
         accepted = not reasons
         verdict = {
             "accepted": accepted,

@@ -315,6 +315,12 @@ def snapshot_from_events(source, slo_config: Optional[SLOConfig] = None
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
+def _score(value) -> str:
+    """A replayed score to two places, or ``n/a`` when the event lacks
+    it (a log from another writer still renders)."""
+    return f"{value:.2f}" if isinstance(value, (int, float)) else "n/a"
+
+
 def render(snapshot: Dict[str, object]) -> str:
     """Terminal rendering of one snapshot (fixed-width, ANSI-free)."""
     req = snapshot["requests"]
@@ -396,7 +402,7 @@ def render(snapshot: Dict[str, object]) -> str:
         window = quality["last_window"] or {}
         confidences = window.get("mean_confidence") or {}
         conf_text = "  ".join(
-            f"{head}={value:.2f}"
+            f"{head}={_score(value)}"
             for head, value in sorted(confidences.items()))
         lines.append(
             f"  quality    {quality['windows']} windows"
@@ -418,9 +424,9 @@ def render(snapshot: Dict[str, object]) -> str:
         if alert:
             lines.append(
                 f"  ALERT drift: tag PSI "
-                f"{alert.get('tag_psi_max', 0.0):.2f}, confidence "
-                f"PSI {alert.get('confidence_psi', 0.0):.2f}, KL "
-                f"{alert.get('confidence_kl', 0.0):.2f}")
+                f"{_score(alert.get('tag_psi_max'))}, confidence "
+                f"PSI {_score(alert.get('confidence_psi'))}, KL "
+                f"{_score(alert.get('confidence_kl'))}")
     for name, obj in sorted(slo["objectives"].items()):
         observed = obj.get("observed")
         observed_text = (f"{observed:.4f}" if observed is not None

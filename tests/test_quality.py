@@ -480,6 +480,31 @@ class TestCanary:
                                    outcome="refused").value == 1
 
 
+    def test_nan_confidence_shift_refused_and_emitted_as_null(self):
+        # A NaN clip in the slice makes the shift NaN, and ``NaN >
+        # bound`` is False: the bound must still refuse, and the
+        # verdict event must stay strict JSON.
+        log = EventLog(None)
+        config = QualityConfig(drift=small_drift(), canary_sample=4,
+                               canary_min_samples=2,
+                               canary_max_confidence_shift=0.5, seed=0)
+        monitor = QualityMonitor(LabelCodec(), config, events=log)
+        clips = make_clips(3)
+        for clip in [*clips, np.full_like(clips[0], np.nan)]:
+            monitor.sample_clip(clip)
+        extractor = ScenarioExtractor(make_model())
+        verdict = monitor.canary(extractor, extractor)
+        assert verdict["agreement"] == 1.0
+        assert verdict["confidence_shift"] is None
+        assert verdict["accepted"] is False
+        assert verdict["reasons"] == ["confidence shift is not finite"]
+        record = [r for r in log.recent()
+                  if r["event"] == "canary_verdict"][-1]
+        assert '"confidence_shift": null' in json.dumps(record,
+                                                        allow_nan=False)
+        assert "confidence shift n/a" in str(CanaryRefusedError(verdict))
+
+
 # ----------------------------------------------------------------------
 # Service integration: canary-gated reload + quality in health()
 # ----------------------------------------------------------------------
@@ -763,6 +788,18 @@ class TestTopQualityPanel:
         assert "DRIFTING" in text
         assert "1 refused" in text
         assert "ALERT drift" in text
+
+    def test_render_shows_missing_scores_as_na(self):
+        # A log from another writer may omit a score; the panel
+        # renders it as n/a rather than raising on ``None``.
+        text = render(snapshot_from_events(
+            [{"schema": "repro.events/v1", "event": "drift_alert"}]))
+        assert "ALERT drift: tag PSI n/a, confidence PSI n/a, KL n/a" \
+            in text
+        text = render(snapshot_from_events(
+            [{"schema": "repro.events/v1", "event": "quality_window",
+              "mean_confidence": {"scene": None, "actors": 0.5}}]))
+        assert "conf actors=0.50  scene=n/a" in text
 
     def test_render_omits_panel_when_inactive(self):
         base = {"schema": EVENTS_FORMAT}

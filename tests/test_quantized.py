@@ -2,6 +2,7 @@
 temporal-overlap reuse (docs/performance.md)."""
 
 import hashlib
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.models import ModelConfig, VideoTransformer, build_model
 from repro.models.engine import (
     _COLUMN_MAX_LIMIT,
     InferenceEngine,
+    _Site,
     _row_max,
 )
 from repro.nn.quant import (
@@ -206,6 +208,123 @@ class TestInferenceEngine:
         for head in together:
             np.testing.assert_array_equal(together[head][2:3],
                                           alone[head])
+
+
+def _deep_model(attention, depth=2):
+    # dim 32, not 16: at width 16 a one-row GEMM happens to match row 0
+    # of a multi-row one, which would hide the lone-sequence hazard.
+    return build_model(f"vt-{attention}", ModelConfig(
+        frames=4, height=16, width=16, dim=32, depth=depth, num_heads=2,
+        dropout=0.0, seed=0))
+
+
+class TestCLSReadout:
+    """The last encoder layer carries only the CLS row past attention
+    (a lone sequence keeps two rows); calibration still sees them all."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("attention", ["joint", "factorized"])
+    def test_fp32_matches_autograd_at_batch_edges(self, attention, depth):
+        model = _deep_model(attention, depth)
+        engine = InferenceEngine(model, "fp32")
+        for batch in (1, 2, 3, 16):
+            clips = _clips(batch, seed=batch)
+            reference = _autograd_logits(model, clips)
+            fast = engine.logits(clips)
+            for head in reference:
+                np.testing.assert_array_equal(
+                    fast[head], reference[head], err_msg=f"batch={batch}")
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_frame_hooks_match_model_on_one_frame_and_window(self, depth):
+        model = _deep_model("factorized", depth)
+        engine = InferenceEngine(model, "fp32")
+        frames = _clips(1, seed=5, frames=7)[0]
+        for count in (1, 2, 7):
+            with no_grad():
+                reference = model.frame_features(frames[:count])
+            np.testing.assert_array_equal(
+                engine.frame_features(frames[:count]), reference,
+                err_msg=f"frames={count}")
+        features = engine.frame_features(frames)
+        for starts in ((2,), (0, 1, 3)):
+            windows = np.stack([features[s:s + 4] for s in starts])
+            with no_grad():
+                expected = model.head_logits_from_frame_features(windows)
+            logits = engine.head_logits_from_frame_features(windows)
+            for head in expected:
+                np.testing.assert_array_equal(
+                    logits[head], expected[head],
+                    err_msg=f"windows={len(starts)}")
+
+    @pytest.mark.parametrize("precision", ["fp16", "int8"])
+    @pytest.mark.parametrize("attention", ["joint", "factorized"])
+    def test_quantized_equals_full_row_engine(self, attention, precision,
+                                              monkeypatch):
+        model = _deep_model(attention)
+        clips = _clips(3)
+        engine = InferenceEngine(model, precision)
+        trimmed = {b: engine.logits(clips[:b]) for b in (1, 3)}
+        # The untrimmed reference: every row through the last layer.
+        monkeypatch.setattr(InferenceEngine, "_readout_rows",
+                            lambda self, batch: slice(None))
+        full = InferenceEngine(model, precision)
+        assert engine.activation_scales() == full.activation_scales()
+        for batch, logits in trimmed.items():
+            expected = full.logits(clips[:batch])
+            for head in expected:
+                np.testing.assert_array_equal(
+                    logits[head], expected[head], err_msg=f"batch={batch}")
+
+    @pytest.mark.parametrize("attention", ["joint", "factorized"])
+    def test_last_layer_row_counts(self, attention, monkeypatch):
+        """Inference feeds the last layer's proj/fc1/fc2 one row per
+        sequence (two for a lone one) and earlier layers every row;
+        calibration feeds every layer every row."""
+        model = _deep_model(attention)
+        cfg = model.config
+        engine = InferenceEngine(model, "int8")
+        rows: Dict[str, int] = {}
+        call = _Site.__call__
+
+        def counted(site, x):
+            rows[site.name] = rows.get(site.name, 0) \
+                + x.size // site.in_features
+            return call(site, x)
+
+        monkeypatch.setattr(_Site, "__call__", counted)
+        # encoder name -> (sequences per clip, rows per sequence)
+        if attention == "joint":
+            tubelets = cfg.frames // cfg.tubelet_size * cfg.patches_per_frame
+            encoders = {"encoder": (1, 1 + tubelets)}
+        else:
+            encoders = {"spatial_encoder": (cfg.frames,
+                                            1 + cfg.patches_per_frame),
+                        "temporal_encoder": (1, 1 + cfg.frames)}
+
+        def expect(clips, calibrating):
+            want = {}
+            for name, (per_clip, tokens) in encoders.items():
+                sequences = clips * per_clip
+                trimmed = 2 if sequences == 1 else sequences
+                for layer in (0, 1):
+                    count = (trimmed if layer == 1 and not calibrating
+                             else sequences * tokens)
+                    for site in ("attn.proj", "mlp.fc1", "mlp.fc2"):
+                        want[f"{name}.layers.{layer}.{site}"] = count
+            return want
+
+        def observed():
+            return {name: count for name, count in rows.items()
+                    if ".attn.proj" in name or ".mlp." in name}
+
+        for batch in (1, 2, 3):
+            rows.clear()
+            engine.logits(_clips(batch))
+            assert observed() == expect(batch, False), batch
+        rows.clear()
+        engine.calibrate(samples=2)
+        assert observed() == expect(2, True)
 
 
 def _assert_identical(got, want):
