@@ -87,8 +87,9 @@ def load_extractor(checkpoint: Optional[ExtractorSource] = None, *,
 
     ``precision`` selects the weight format of the fused inference
     engine every video transformer runs on: ``"fp32"`` (default,
-    bit-identical to the autograd forward), or the smaller ``"fp16"`` /
-    ``"int8"`` memory formats — int8 optionally with ``calibration``
+    bit-identical to the autograd forward), ``"fp16"`` or ``"int8"``
+    (compact stored weights, but no memory saved: the engine keeps an
+    fp32 staging copy next to them) — int8 optionally with ``calibration``
     sample clips ``(N, T, C, H, W)`` to fix its activation scales on
     real footage (a seeded synthetic batch is used otherwise).  See
     ``docs/performance.md``.

@@ -22,9 +22,11 @@ from repro.sdl.description import ScenarioDescription
 #: :class:`VideoTransformer` runs the fused
 #: :class:`~repro.models.engine.InferenceEngine` at any precision; at
 #: ``fp32`` its logits are bit-identical to the autograd forward.
-#: ``fp16``/``int8`` are weight *memory* formats (2x / 3.7x smaller
-#: stored weights), not speedups.  Baseline models run the autograd
-#: no-grad path at fp32 only.
+#: ``fp16``/``int8`` are neither speedups nor memory savings: the engine
+#: keeps each compact weight next to a float32 staging copy, and the
+#: model keeps its fp32 parameters, so resident weight memory is about
+#: 2.5x (fp16) and 2.25x (int8) that of fp32.  Baseline models run the
+#: autograd no-grad path at fp32 only.
 PRECISIONS = ("fp32", "fp16", "int8")
 
 #: Default capacity of the sliding-window frame memo (frames, LRU).
@@ -88,6 +90,8 @@ class ScenarioExtractor:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}, got {precision!r}"
             )
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.model = model
         self.codec = codec or LabelCodec()
         self.threshold = threshold

@@ -2,6 +2,9 @@
 temporal-overlap reuse (docs/performance.md)."""
 
 import hashlib
+import sys
+import threading
+import time
 from typing import Dict
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.core.pipeline import (
 from repro.core.cache import extractor_version, model_fingerprint
 from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, VideoTransformer, build_model
+from repro.models import engine as engine_module
 from repro.models.engine import (
     _COLUMN_MAX_LIMIT,
     InferenceEngine,
@@ -490,6 +494,172 @@ class TestSlidingReuse:
             np.concatenate([clips for _, clips in chunks]), whole_clips)
         assert [s for starts, _ in chunks
                 for s in starts] == whole_starts
+
+
+class TestChunkFanOut:
+    """``InferenceEngine.logits`` runs its ``batch_size`` chunks on up to
+    one thread per usable CPU; the threads live only for the call."""
+
+    BATCH = 4
+
+    @pytest.mark.parametrize("attention",
+                             ["divided", "factorized", "joint"])
+    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    @pytest.mark.parametrize("clips", [1, 4, 5, 17])
+    def test_byte_equal_to_one_forward_per_chunk(self, attention,
+                                                 precision, clips):
+        engine = InferenceEngine(_model(attention), precision)
+        batch = _clips(clips, seed=clips)
+        got = engine.logits(batch, batch_size=self.BATCH)
+        chunks = [engine._forward(batch[i:i + self.BATCH])
+                  for i in range(0, clips, self.BATCH)]
+        assert set(got) == set(chunks[0])
+        for head, value in got.items():
+            want = np.concatenate([chunk[head] for chunk in chunks])
+            assert value.dtype == want.dtype and value.shape == want.shape
+            assert value.tobytes() == want.tobytes(), head
+
+    @staticmethod
+    def _tagging_forward(fail_on=None):
+        """A stand-in ``_forward`` returning each clip's tag (its first
+        pixel) after a random pause, so chunks finish out of order;
+        raises ``KeyError`` on the chunk starting with tag ``fail_on``."""
+        rng = np.random.default_rng(0)
+        pauses = iter(rng.uniform(0.0, 0.01, size=64))
+
+        def forward(chunk):
+            time.sleep(next(pauses))
+            tags = chunk[:, 0, 0, 0, :1].copy()
+            if fail_on is not None and tags[0, 0] == fail_on:
+                raise KeyError(fail_on)
+            return {"scene": tags, "actors": -tags}
+
+        return forward
+
+    @staticmethod
+    def _tagged(n):
+        clips = np.zeros((n, 1, 1, 1, 1), dtype=np.float32)
+        clips[:, 0, 0, 0, 0] = np.arange(n)
+        return clips
+
+    def test_row_order_preserved(self, monkeypatch):
+        engine = InferenceEngine(_model(), "fp32")
+        monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(engine, "_forward", self._tagging_forward())
+        out = engine.logits(self._tagged(3 * self.BATCH + 5),
+                            batch_size=self.BATCH)
+        order = np.arange(3 * self.BATCH + 5, dtype=np.float32)
+        np.testing.assert_array_equal(out["scene"][:, 0], order)
+        np.testing.assert_array_equal(out["actors"][:, 0], -order)
+
+    def test_every_chunk_claimed_once_under_contention(self, monkeypatch):
+        """More threads than cores and a tiny switch interval: a lost or
+        doubled chunk would show as a wrong count or a wrong row."""
+        monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 8)
+        calls = []
+
+        def forward(chunk):
+            calls.append(int(chunk[0, 0]))
+            return {"scene": chunk * 2}
+
+        chunks = [np.full((1, 1), i, dtype=np.float32) for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = engine_module._map_chunks(forward, chunks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(400))
+        assert [int(o["scene"][0, 0]) for o in out] \
+            == [2 * i for i in range(400)]
+
+    def test_chunk_error_propagates_and_joins(self, monkeypatch):
+        engine = InferenceEngine(_model(), "fp32")
+        monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(engine, "_forward",
+                            self._tagging_forward(fail_on=2 * self.BATCH))
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            engine.logits(self._tagged(3 * self.BATCH + 5),
+                          batch_size=self.BATCH)
+        assert threading.active_count() == before
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        engine = InferenceEngine(_model(), "fp32")
+        monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", Spy)
+        for clips in (1, self.BATCH):
+            engine.logits(_clips(clips), batch_size=self.BATCH)
+        assert started == []
+        engine.logits(_clips(self.BATCH + 1), batch_size=self.BATCH)
+        assert len(started) == 1  # the caller runs the other chunk
+
+    @pytest.mark.skipif(engine_module._usable_cpus() < 2,
+                        reason="needs two usable CPUs")
+    def test_chunks_run_on_several_threads(self, monkeypatch):
+        engine = InferenceEngine(_model(), "fp32")
+        idents = set()
+        forward = engine._forward
+
+        def recorded(chunk):
+            idents.add(threading.get_ident())
+            time.sleep(0.02)  # every thread claims a chunk meanwhile
+            return forward(chunk)
+
+        monkeypatch.setattr(engine, "_forward", recorded)
+        engine.logits(_clips(3 * self.BATCH + 5), batch_size=self.BATCH)
+        assert len(idents) >= 2
+
+    def test_pool_forks_cleanly_after_fan_out(self):
+        from repro.serve import ServiceConfig, ServicePool
+
+        model = build_model("vt-divided", ModelConfig(
+            frames=4, dim=16, depth=1, num_heads=2))
+        extractor = ScenarioExtractor(model, batch_size=self.BATCH)
+        rng = np.random.default_rng(0)
+        clips = rng.random((3 * self.BATCH + 5, 4, 3, 32, 32)
+                           ).astype(np.float32)
+        before = threading.active_count()
+        direct = extractor.extract_batch(clips)
+        assert threading.active_count() == before
+        config = ServiceConfig(max_batch=1)
+        with ServicePool(extractor, config, workers=2) as pool:
+            futures = [pool.submit(clip, timeout=30.0) for clip in clips[:4]]
+            results = [future.result(timeout=60.0) for future in futures]
+        assert [r.status for r in results] == ["ok"] * 4
+        assert [r.result.sentence for r in results] \
+            == [d.sentence for d in direct[:4]]
+
+
+class TestEngineInputEdges:
+    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    def test_zero_clips_give_zero_row_heads(self, precision):
+        model = _model()
+        engine = InferenceEngine(model, precision)
+        got = engine.logits(_clips(0))
+        want = ScenarioExtractor(model).logits(_clips(0))
+        assert set(got) == set(want)
+        for head, value in want.items():
+            assert got[head].shape == value.shape == (0, value.shape[1])
+            assert got[head].dtype == np.float32
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_engine_rejects_non_positive_batch_size(self, batch_size):
+        engine = InferenceEngine(_model(), "fp32")
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            engine.logits(_clips(2), batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_extractor_rejects_non_positive_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            ScenarioExtractor(_model(), batch_size=batch_size)
 
 
 class TestExtractorBackend:
