@@ -50,10 +50,14 @@ whose row 0 differs in the last bits.  Calibration keeps every row,
 so int8 activation scales still see the whole layer.  Earlier layers
 and the divided path run all rows.
 
-Chunks on every usable CPU: :meth:`InferenceEngine.logits` splits its
-clips into ``batch_size`` chunks and, when there are two or more, runs
-them on ``min(chunks, usable CPUs)`` threads that live only for that
-call (numpy and BLAS release the GIL at these array sizes).  Each
+Chunks on the CPUs BLAS leaves free: :meth:`InferenceEngine.logits`
+splits its clips into ``batch_size`` chunks and, when there are two or
+more, runs them on ``min(chunks, usable CPUs // BLAS threads)``
+threads that live only for that call (numpy and BLAS release the GIL
+at these array sizes).  BLAS threads come from ``OPENBLAS_NUM_THREADS``,
+``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS``, else every usable CPU, so
+an unpinned BLAS keeps the one-thread pass: on two CPUs, two engine
+threads over a two-thread BLAS ran ~18% slower than one.  Each
 chunk runs the unchanged :meth:`InferenceEngine._forward` and the
 results are joined in chunk order, so logits are byte-identical to a
 one-thread pass.  No thread outlives the call, so a later ``fork`` (the
@@ -63,7 +67,7 @@ serving pool's) never copies a lock an engine thread holds.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -212,54 +216,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blas_threads(cpus: int) -> int:
+    """Threads each BLAS call runs on: the first positive of BLAS's own
+    thread variables, else ``cpus`` (OpenBLAS's and MKL's default)."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
 def _map_chunks(fn: Callable[[np.ndarray], Dict[str, np.ndarray]],
                 chunks: Sequence[np.ndarray]
                 ) -> List[Dict[str, np.ndarray]]:
-    """``[fn(c) for c in chunks]`` on ``min(len(chunks), _usable_cpus())``
-    threads: the caller plus helpers started and joined inside this
-    call, each taking the next unclaimed chunk.  One thread's worth of
-    work starts no helper.  After a chunk raises no further chunk is
-    claimed; every helper is joined, then the exception of the earliest
-    failed chunk is re-raised.
-
-    The caller works rather than waits: a call-scoped
-    ``ThreadPoolExecutor`` with an idle caller measured ~9% fewer
-    mine-fleet clips/s on a shared 2-core x86-64 host (7 of 8
-    alternating bench pairs)."""
-    workers = min(len(chunks), _usable_cpus())
-    if workers <= 1:
+    """``[fn(c) for c in chunks]`` on one thread per chunk, up to the
+    usable CPUs that BLAS's own threads leave free, in an executor that
+    lives only for this call.  One thread's worth of work runs in the
+    caller and starts no thread.  If a chunk raises, unstarted chunks
+    are cancelled, every thread is joined, then the earliest failed
+    chunk's exception is re-raised."""
+    cpus = _usable_cpus()
+    workers = min(len(chunks), max(1, cpus // _blas_threads(cpus)))
+    if workers == 1:
         return [fn(chunk) for chunk in chunks]
-    results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(chunks)
-    errors: Dict[int, BaseException] = {}
-    claim = threading.Lock()
-    pending = iter(range(len(chunks)))
-
-    def work() -> None:
-        while True:
-            with claim:
-                index = None if errors else next(pending, None)
-            if index is None:
-                return
-            try:
-                results[index] = fn(chunks[index])
-            except BaseException as exc:  # re-raised in the caller
-                with claim:
-                    errors[index] = exc
-
-    helpers: List[threading.Thread] = []
-    try:
-        for i in range(1, workers):
-            helper = threading.Thread(target=work, daemon=True,
-                                      name=f"engine-chunk-{i}")
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    with ThreadPoolExecutor(workers,
+                            thread_name_prefix="engine-chunk") as pool:
+        return list(pool.map(fn, chunks))
 
 
 class InferenceEngine:
@@ -553,7 +536,12 @@ class InferenceEngine:
         """Batched head logits for ``(N, T, C, H, W)`` clips: one
         :meth:`_forward` per ``batch_size`` chunk, the chunks spread over
         the usable CPUs (see the module docstring).  Zero clips give
-        zero-row logits for every head."""
+        zero-row logits for every head.
+
+        The engine is exported on its own, so it checks its input like
+        :meth:`ScenarioExtractor.logits` does rather than relying on
+        that caller: it would otherwise return ``{}`` for zero clips and
+        raise range()'s error for ``batch_size=0``."""
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if len(clips) == 0:

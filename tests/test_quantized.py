@@ -5,6 +5,7 @@ import hashlib
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict
 
 import numpy as np
@@ -498,9 +499,45 @@ class TestSlidingReuse:
 
 class TestChunkFanOut:
     """``InferenceEngine.logits`` runs its ``batch_size`` chunks on up to
-    one thread per usable CPU; the threads live only for the call."""
+    one thread per usable CPU that BLAS's own threads leave free; the
+    threads live only for the call."""
 
     BATCH = 4
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "OMP_NUM_THREADS")
+
+    @pytest.fixture(autouse=True)
+    def _one_blas_thread(self, monkeypatch):
+        """BLAS pinned to one thread, so every usable CPU is free."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+        ({"MKL_NUM_THREADS": "3"}, 1),
+        ({"OMP_NUM_THREADS": "0"}, 1),
+        ({"OMP_NUM_THREADS": "two"}, 1),
+    ])
+    def test_threads_leave_blas_its_cpus(self, monkeypatch, env, workers):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ThreadPoolExecutor", Recording)
+        chunks = [np.full((1, 1), i, dtype=np.float32) for i in range(8)]
+        out = engine_module._map_chunks(lambda c: {"scene": c}, chunks)
+        assert [o["scene"][0, 0] for o in out] == list(range(8))
+        assert sizes == ([workers] if workers > 1 else [])
 
     @pytest.mark.parametrize("attention",
                              ["divided", "factorized", "joint"])
@@ -584,7 +621,8 @@ class TestChunkFanOut:
                           batch_size=self.BATCH)
         assert threading.active_count() == before
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch):
+    @staticmethod
+    def _spy_threads(monkeypatch):
         started = []
 
         class Spy(threading.Thread):
@@ -592,14 +630,31 @@ class TestChunkFanOut:
                 started.append(self)
                 super().__init__(*args, **kwargs)
 
+        monkeypatch.setattr(threading, "Thread", Spy)
+        return started
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
         engine = InferenceEngine(_model(), "fp32")
         monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(threading, "Thread", Spy)
+        started = self._spy_threads(monkeypatch)
         for clips in (1, self.BATCH):
             engine.logits(_clips(clips), batch_size=self.BATCH)
         assert started == []
         engine.logits(_clips(self.BATCH + 1), batch_size=self.BATCH)
-        assert len(started) == 1  # the caller runs the other chunk
+        assert 1 <= len(started) <= 2
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        engine = InferenceEngine(_model(), "fp32")
+        batch = _clips(3 * self.BATCH + 5)
+        monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 1)
+        started = self._spy_threads(monkeypatch)
+        got = engine.logits(batch, batch_size=self.BATCH)
+        assert started == []
+        for head, value in got.items():
+            want = np.concatenate([
+                engine._forward(batch[i:i + self.BATCH])[head]
+                for i in range(0, len(batch), self.BATCH)])
+            assert value.tobytes() == want.tobytes(), head
 
     @pytest.mark.skipif(engine_module._usable_cpus() < 2,
                         reason="needs two usable CPUs")
