@@ -74,25 +74,13 @@ def load_extractor(checkpoint: Optional[ExtractorSource] = None, *,
                    model: Optional[Module] = None,
                    codec: Optional[LabelCodec] = None,
                    threshold: float = 0.5,
-                   batch_size: int = 16,
-                   precision: str = "fp32",
-                   calibration: Optional[np.ndarray] = None
-                   ) -> ScenarioExtractor:
+                   batch_size: int = 16) -> ScenarioExtractor:
     """Build a ready-to-use extractor.
 
     Pass a checkpoint path (the model architecture is reconstructed
     from the checkpoint's own metadata — no shape flags), an already
     constructed model via ``model=``, or an existing extractor (returned
     as-is, ignoring the keyword knobs).
-
-    ``precision`` selects the weight format of the fused inference
-    engine every video transformer runs on: ``"fp32"`` (default,
-    bit-identical to the autograd forward), ``"fp16"`` or ``"int8"``
-    (compact stored weights, but no memory saved: the engine keeps an
-    fp32 staging copy next to them) — int8 optionally with ``calibration``
-    sample clips ``(N, T, C, H, W)`` to fix its activation scales on
-    real footage (a seeded synthetic batch is used otherwise).  See
-    ``docs/performance.md``.
     """
     if (checkpoint is None) == (model is None):
         raise ValueError("pass exactly one of checkpoint or model")
@@ -105,8 +93,7 @@ def load_extractor(checkpoint: Optional[ExtractorSource] = None, *,
 
         model = load_model(os.fspath(checkpoint), codec=codec)
     return ScenarioExtractor(model, codec=codec, threshold=threshold,
-                             batch_size=batch_size, precision=precision,
-                             calibration=calibration)
+                             batch_size=batch_size)
 
 
 def _as_extractor(source: ExtractorSource) -> ScenarioExtractor:
@@ -307,9 +294,6 @@ def serve(source: ExtractorSource,
     every worker with a per-rank seed offset.  ``telemetry_interval_s``
     is the pool's worker telemetry cadence (``None`` disables it); a
     single in-process service has no workers and ignores it.
-
-    The service serves the extractor's own precision: set it with
-    ``load_extractor(..., precision=)``.
 
     Use as a context manager or call ``.stop()``; pair with
     :class:`ServiceClient` for bursts.

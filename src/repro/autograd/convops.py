@@ -12,7 +12,7 @@ a block reshape, which covers the C3D-style baselines.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -137,8 +137,3 @@ def max_pool_nd(x: Tensor, kernel) -> Tensor:
         x._accumulate(gblocks.reshape(shape))
 
     return Tensor._make(np.ascontiguousarray(out), (x,), backward)
-
-
-def avg_pool_all(x: Tensor, axes: Sequence[int]) -> Tensor:
-    """Global average pooling over the given axes (keeps other dims)."""
-    return x.mean(axis=tuple(axes))

@@ -66,11 +66,6 @@ def mask_bias(mask: Union[np.ndarray, "np.typing.ArrayLike"]) -> np.ndarray:
     return bias
 
 
-def mask_bias_cache_size() -> int:
-    """Number of live cached biases (test/introspection hook)."""
-    return len(_BIAS_CACHE)
-
-
 def scaled_dot_product_attention(
     q: Tensor,
     k: Tensor,

@@ -28,21 +28,12 @@ import numpy as np
 from repro import api
 from repro.core import fleet
 from repro.core.export import export_corpus
-from repro.core.pipeline import PRECISIONS, ScenarioExtractor
+from repro.core.pipeline import ScenarioExtractor
 from repro.data import SynthDriveConfig, SynthDriveDataset, generate_dataset
 from repro.models import MODEL_REGISTRY, ModelConfig, build_model
 from repro.obs import metrics, write_prometheus
 from repro.serve import BATCH_SIZE_BUCKETS, FaultInjector
 from repro.train import TrainConfig, Trainer
-
-def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
-    """A checkpoint consumer's one model flag: ``--precision``
-    (docs/performance.md)."""
-    parser.add_argument("--precision", choices=PRECISIONS, default="fp32",
-                        help="no-grad inference precision; int8 "
-                             "calibrates activation scales on "
-                             "synthetic clips at load time")
-
 
 def cmd_generate(args) -> int:
     """``generate``: build a SynthDrive dataset and save it either as
@@ -92,14 +83,13 @@ def cmd_train(args) -> int:
 
 
 def _load_extractor(args) -> ScenarioExtractor:
-    """The checkpoint's extractor at the command's ``--threshold`` and
-    ``--precision``, built by :func:`repro.api.load_extractor`.  A
-    weights-only checkpoint (no ``repro.checkpoint/v1`` metadata) is a
-    usage error: ``load_model``'s remedy goes to stderr, exit code 2."""
+    """The checkpoint's extractor at the command's ``--threshold``,
+    built by :func:`repro.api.load_extractor`.  A weights-only
+    checkpoint (no ``repro.checkpoint/v1`` metadata) is a usage error:
+    ``load_model``'s remedy goes to stderr, exit code 2."""
     try:
         return api.load_extractor(
-            args.checkpoint, threshold=getattr(args, "threshold", 0.5),
-            precision=getattr(args, "precision", "fp32"))
+            args.checkpoint, threshold=getattr(args, "threshold", 0.5))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -514,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--threshold", type=float, default=0.5)
     extract.add_argument("--limit", type=int, default=0)
     extract.add_argument("--json", action="store_true")
-    _add_checkpoint_args(extract)
     extract.set_defaults(fn=cmd_extract)
 
     evaluate = sub.add_parser("evaluate", help="evaluate a checkpoint")
@@ -613,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--allow-failures", action="store_true",
                        help="exit 0 as long as every request is "
                             "accounted for (e.g. under fault injection)")
-    _add_checkpoint_args(serve)
     serve.set_defaults(fn=cmd_serve)
 
     top = sub.add_parser(
@@ -681,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--json", action="store_true",
                       help="print a repro.mine/v1 JSON summary "
                            "(includes cache stats)")
-    _add_checkpoint_args(mine)
     mine.set_defaults(fn=cmd_mine)
     return parser
 

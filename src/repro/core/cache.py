@@ -79,18 +79,9 @@ def model_fingerprint(model: Module) -> str:
 
 
 def extractor_version(extractor: ScenarioExtractor) -> str:
-    """The cache-relevant version of an extractor's model.
-
-    Beyond the weight/metadata fingerprint this includes the inference
-    precision: an int8 extractor decodes from quantized logits, so its
-    results must never alias an fp32 (or fp16) entry for the same clip
-    and weights.  fp32 keeps the bare fingerprint — existing caches
-    stay valid."""
-    version = model_fingerprint(extractor.model)
-    precision = getattr(extractor, "precision", "fp32")
-    if precision != "fp32":
-        version = f"{version}-{precision}"
-    return version
+    """The cache-relevant version of an extractor's model: the
+    weight/metadata fingerprint of :func:`model_fingerprint`."""
+    return model_fingerprint(extractor.model)
 
 
 def cache_key(clip_hash: str, model_version: str, vocab_hash: str,

@@ -14,25 +14,12 @@ from repro.autograd.tensor import Tensor
 from repro.models.engine import InferenceEngine
 from repro.models.video_transformer import VideoTransformer
 from repro.nn.module import Module
-from repro.obs import get_logger, is_enabled, metrics, span
+from repro.obs import is_enabled, metrics, span
 from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
 
-#: Inference precisions a :class:`ScenarioExtractor` accepts.  Every
-#: :class:`VideoTransformer` runs the fused
-#: :class:`~repro.models.engine.InferenceEngine` at any precision; at
-#: ``fp32`` its logits are bit-identical to the autograd forward.
-#: ``fp16``/``int8`` are neither speedups nor memory savings: the engine
-#: keeps each compact weight next to a float32 staging copy, and the
-#: model keeps its fp32 parameters, so resident weight memory is about
-#: 2.5x (fp16) and 2.25x (int8) that of fp32.  Baseline models run the
-#: autograd no-grad path at fp32 only.
-PRECISIONS = ("fp32", "fp16", "int8")
-
 #: Default capacity of the sliding-window frame memo (frames, LRU).
 FRAME_MEMO_SIZE = 2048
-
-_logger = get_logger("core.pipeline")
 
 #: The model's output heads, in decode order.
 _HEADS = ("scene", "ego_action", "actors", "actor_actions")
@@ -83,33 +70,23 @@ class ScenarioExtractor:
 
     def __init__(self, model: Module, codec: Optional[LabelCodec] = None,
                  threshold: float = 0.5, batch_size: int = 16,
-                 precision: str = "fp32",
-                 calibration: Optional[np.ndarray] = None,
                  frame_memo_size: int = FRAME_MEMO_SIZE) -> None:
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.model = model
         self.codec = codec or LabelCodec()
         self.threshold = threshold
         self.batch_size = batch_size
-        self.precision = precision
-        self.calibration = calibration
         self.frame_memo_size = frame_memo_size
         self._engine: Optional[InferenceEngine] = None
-        if precision != "fp32" or isinstance(model, VideoTransformer):
-            self._engine = InferenceEngine(model, precision,
-                                           calibration=calibration)
+        if isinstance(model, VideoTransformer):
+            self._engine = InferenceEngine(model)
         # Sliding-window overlap reuse: LRU of per-frame activations
         # keyed by frame content hash (see extract_sliding).
         self._frame_memo: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
         self._memo_version: Optional[bytes] = None
         self._reuse_hits = 0
         self._reuse_misses = 0
-        metrics.gauge("extractor.precision", precision=precision).set(1.0)
 
     # -- primitives -----------------------------------------------------
     def logits(self, clips: np.ndarray,
@@ -181,30 +158,14 @@ class ScenarioExtractor:
         return [dict(zip(_HEADS, heads)) for heads in zip(*columns)]
 
     def clone_with_model(self, model: Module) -> "ScenarioExtractor":
-        """A new extractor on ``model`` keeping codec/threshold/batching
-        and the precision mode.
+        """A new extractor on ``model`` keeping codec/threshold/batching.
 
         Used by the serving layer's checkpoint hot-reload: the swapped-in
         extractor inherits every decoding knob, so only the weights
-        change.  A quantized extractor cloned onto a model that can't be
-        quantized (e.g. the circuit breaker's frame-mlp fallback)
-        downgrades to fp32 with a logged warning instead of failing —
-        degraded service beats no service."""
-        precision = self.precision
-        if precision != "fp32" and not isinstance(model,
-                                                  VideoTransformer):
-            _logger.warning(
-                "clone_with_model: %s model %s cannot run %s — "
-                "downgrading clone to fp32",
-                type(model).__name__, getattr(model, "name", "?"),
-                precision,
-            )
-            precision = "fp32"
+        change."""
         return ScenarioExtractor(model, codec=self.codec,
                                  threshold=self.threshold,
                                  batch_size=self.batch_size,
-                                 precision=precision,
-                                 calibration=self.calibration,
                                  frame_memo_size=self.frame_memo_size)
 
     # -- public API -------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.eval.experiments import (
 from repro.eval.efficiency import (
     estimate_flops,
     measure_throughput,
-    quantized_accuracy_delta,
 )
 from repro.eval.formatting import format_figure_series, format_table
 
@@ -45,7 +44,6 @@ __all__ = [
     "run_fig8_criticality",
     "estimate_flops",
     "measure_throughput",
-    "quantized_accuracy_delta",
     "format_table",
     "format_figure_series",
 ]

@@ -56,23 +56,6 @@ def expected_calibration_error(confidences: np.ndarray,
     ) / total)
 
 
-def categorical_calibration(logits: np.ndarray,
-                            targets: np.ndarray,
-                            n_bins: int = 10) -> Dict[str, float]:
-    """ECE + mean confidence/accuracy for a softmax head."""
-    logits = np.asarray(logits, dtype=np.float64)
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    confidences = probs.max(axis=1)
-    predictions = probs.argmax(axis=1)
-    correct = predictions == np.asarray(targets)
-    return {
-        "ece": expected_calibration_error(confidences, correct, n_bins),
-        "mean_confidence": float(confidences.mean()),
-        "accuracy": float(correct.mean()),
-    }
-
-
 def tune_thresholds(probs: np.ndarray, targets: np.ndarray,
                     grid: np.ndarray = None) -> np.ndarray:
     """Per-tag thresholds maximising F1 on a validation set.
@@ -97,19 +80,3 @@ def tune_thresholds(probs: np.ndarray, targets: np.ndarray,
                 best_f1 = f1
                 thresholds[k] = threshold
     return thresholds
-
-
-def threshold_improvement(probs_val: np.ndarray, targets_val: np.ndarray,
-                          probs_test: np.ndarray,
-                          targets_test: np.ndarray) -> Dict[str, float]:
-    """Macro-F1 on test at the default 0.5 threshold vs thresholds tuned
-    on validation — quantifies the tuning gain honestly (tuned on val,
-    scored on test)."""
-    tuned = tune_thresholds(probs_val, targets_val)
-    default_f1 = multilabel_prf(probs_test, targets_test, 0.5)["macro_f1"]
-    tuned_f1 = multilabel_prf(probs_test, targets_test, tuned)["macro_f1"]
-    return {
-        "default_macro_f1": default_f1,
-        "tuned_macro_f1": tuned_f1,
-        "gain": tuned_f1 - default_f1,
-    }

@@ -1,14 +1,8 @@
-"""Confusion analysis: ego-action confusion matrix and per-family
-extraction quality."""
+"""Confusion analysis: the class confusion matrix."""
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 import numpy as np
-
-from repro.data.synthdrive import SynthDriveDataset
-from repro.train.trainer import Trainer
 
 
 def confusion_matrix(predictions: np.ndarray, targets: np.ndarray,
@@ -22,53 +16,3 @@ def confusion_matrix(predictions: np.ndarray, targets: np.ndarray,
     matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(matrix, (targets, predictions), 1)
     return matrix
-
-
-def format_confusion(matrix: np.ndarray, labels: Sequence[str]) -> str:
-    """Readable rendering with truncated labels."""
-    short = [label[:12] for label in labels]
-    width = max(len(s) for s in short) + 1
-    header = " " * width + " ".join(s.rjust(width) for s in short)
-    lines = [header]
-    for i, label in enumerate(short):
-        cells = " ".join(str(int(v)).rjust(width) for v in matrix[i])
-        lines.append(label.ljust(width) + cells)
-    return "\n".join(lines)
-
-
-def ego_confusion(trainer: Trainer,
-                  dataset: SynthDriveDataset) -> np.ndarray:
-    """Ego-action confusion matrix of a trained model on a dataset."""
-    logits = trainer.predict_logits(dataset.videos)
-    predictions = logits["ego_action"].argmax(axis=1)
-    n_classes = len(trainer.codec.vocab.ego_actions)
-    return confusion_matrix(predictions, dataset.targets["ego_action"],
-                            n_classes)
-
-
-def per_family_report(trainer: Trainer, dataset: SynthDriveDataset
-                      ) -> Dict[str, Dict[str, float]]:
-    """Extraction quality broken down by (hidden) scenario family —
-    which scenario types the extractor finds hard."""
-    logits = trainer.predict_logits(dataset.videos)
-    decoded = trainer.codec.decode_batch(logits)
-    ego_preds = logits["ego_action"].argmax(axis=1)
-    report: Dict[str, Dict[str, float]] = {}
-    families = sorted(set(dataset.families))
-    for family in families:
-        idx = [i for i, f in enumerate(dataset.families) if f == family]
-        ego_hits = sum(
-            int(ego_preds[i] == dataset.targets["ego_action"][i])
-            for i in idx
-        )
-        exact = sum(
-            int(decoded[i].all_tags()
-                == dataset.descriptions[i].all_tags())
-            for i in idx
-        )
-        report[family] = {
-            "ego_acc": ego_hits / len(idx),
-            "exact_match": exact / len(idx),
-            "count": len(idx),
-        }
-    return report

@@ -9,7 +9,7 @@ normalisation and activation costs.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -109,62 +109,3 @@ def measure_throughput(model: Module, batch_size: int = 16,
         "ms_per_clip": per_clip * 1000.0,
     }
 
-
-def quantized_accuracy_delta(model: Module, dataset,
-                             threshold: float = 0.5,
-                             precisions=("fp16", "int8"),
-                             calibration: Optional[np.ndarray] = None
-                             ) -> Dict[str, object]:
-    """Table-1-style accuracy of quantized extraction vs fp32.
-
-    Runs the full extractor (not the trainer) over ``dataset`` at each
-    precision and scores the same metric suite as
-    :meth:`Trainer.evaluate`; reports per-precision metrics plus the
-    macro-F1 drop in *points* (×100) against fp32 — the number the CI
-    accuracy gate bounds.  ``calibration`` defaults to a slice of the
-    evaluated clips, mimicking a deployment calibrating on sample
-    footage.
-    """
-    from repro.core.pipeline import ScenarioExtractor
-    from repro.train.metrics import (
-        accuracy,
-        multilabel_prf,
-    )
-
-    def _sigmoid(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
-
-    if calibration is None:
-        calibration = dataset.videos[:4]
-    targets = dataset.targets
-    report: Dict[str, object] = {}
-    scores: Dict[str, Dict[str, float]] = {}
-    for precision in ("fp32",) + tuple(precisions):
-        extractor = ScenarioExtractor(
-            model, threshold=threshold, precision=precision,
-            calibration=None if precision == "fp32" else calibration)
-        logits = extractor.logits(dataset.videos)
-        actors = multilabel_prf(_sigmoid(logits["actors"]),
-                                targets["actors"], threshold)
-        actions = multilabel_prf(_sigmoid(logits["actor_actions"]),
-                                 targets["actor_actions"], threshold)
-        scores[precision] = {
-            "scene_acc": accuracy(logits["scene"], targets["scene"]),
-            "ego_acc": accuracy(logits["ego_action"],
-                                targets["ego_action"]),
-            "actors_macro_f1": actors["macro_f1"],
-            "actions_macro_f1": actions["macro_f1"],
-        }
-    report["metrics"] = scores
-    base = scores["fp32"]
-    for precision in precisions:
-        cur = scores[precision]
-        report[f"{precision}_macro_f1_drop_pts"] = 100.0 * max(
-            base["actors_macro_f1"] - cur["actors_macro_f1"],
-            base["actions_macro_f1"] - cur["actions_macro_f1"],
-        )
-        report[f"{precision}_scene_acc_drop_pts"] = 100.0 * (
-            base["scene_acc"] - cur["scene_acc"])
-        report[f"{precision}_ego_acc_drop_pts"] = 100.0 * (
-            base["ego_acc"] - cur["ego_acc"])
-    return report

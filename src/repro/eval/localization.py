@@ -8,7 +8,7 @@ precision/recall/F1 per tag.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -67,25 +67,3 @@ def frame_level_metrics(predicted: Dict[str, np.ndarray],
                          "f1": micro_f1,
                          "support": total_tp + total_fn}
     return per_tag
-
-
-def interval_iou(pred_intervals: List[tuple],
-                 true_intervals: List[tuple]) -> float:
-    """IoU between unions of 1-D intervals (frame index space)."""
-    def to_mask(intervals, length):
-        mask = np.zeros(length, dtype=bool)
-        for start, end in intervals:
-            mask[start:end] = True
-        return mask
-
-    if not pred_intervals and not true_intervals:
-        return 1.0
-    length = max(
-        [end for _, end in pred_intervals + true_intervals] or [1]
-    )
-    pred = to_mask(pred_intervals, length)
-    true = to_mask(true_intervals, length)
-    union = (pred | true).sum()
-    if union == 0:
-        return 1.0
-    return float((pred & true).sum() / union)

@@ -4,39 +4,19 @@
 trained :class:`~repro.models.video_transformer.VideoTransformer` —
 no autograd ``Tensor`` wrappers, no graph bookkeeping, in-place
 softmax/GELU/residuals.  :class:`~repro.core.pipeline.\
-ScenarioExtractor` runs every video transformer through it, at the
-``precision`` it was built with:
-
-- ``"fp32"`` — the default.  Every kernel performs the autograd
-  forward's float32 operations in the same order, so logits and frame
-  features are bit-identical to ``VideoTransformer.forward`` (pinned
-  by ``tests/test_quantized.py``); the autograd forward remains the
-  training path and the parity reference.  The in-place softmax takes
-  its last-axis max with ``repro.autograd.functional._row_max``, the
-  same short-row kernel as ``F.softmax``, ``F.log_softmax`` and the
-  fused attention: one row max for training and inference.  Weights are the model's
-  own parameter arrays, never copies.
-- ``"fp16"`` — weights stored in half precision and widened to fp32
-  once for BLAS (numpy has no half BLAS), at fp32 speed.  It saves no
-  memory: each projection keeps its half-precision weights *and* the
-  widened fp32 copy, and :attr:`InferenceEngine.model` keeps the fp32
-  parameters, so resident weight memory is about 2.5x fp32.
-- ``"int8"`` — per-output-channel symmetric weight quantization for
-  every Linear/attention projection (3.7x smaller codes) plus *static*
-  per-site activation scales fixed by a small calibration pass.
-  Quantized operands stay integer-valued float32 so the matmul runs on
-  BLAS and is exact integer arithmetic at these accumulation depths;
-  it is no faster than fp32.  It saves no memory either: the int8
-  codes sit next to their float32 staging copy and the model's fp32
-  parameters, about 2.25x fp32 resident weight memory.
-
-Static (rather than dynamic per-batch) activation scales are load-
-bearing: they make every quantized output independent of how rows are
-batched together, which the sliding-window overlap-reuse path relies
-on when it assembles per-frame activations computed across different
-windows.  The engine exposes the same frame-level reuse hooks as the
-model (``frame_features`` / ``head_logits_from_frame_features``), so
-reuse composes with any precision.
+ScenarioExtractor` runs every video transformer through it.  Every
+kernel performs the autograd forward's float32 operations in the same
+order, so logits and frame features are bit-identical to
+``VideoTransformer.forward`` (pinned by ``tests/test_quantized.py``);
+the autograd forward remains the training path and the parity
+reference.  The in-place softmax takes its last-axis max with
+``repro.autograd.functional._row_max``, the same short-row kernel as
+``F.softmax``, ``F.log_softmax`` and the fused attention: one row max
+for training and inference.  Weights are the model's own parameter
+arrays, never copies.  The engine exposes the same frame-level reuse
+hooks as the model (``frame_features`` /
+``head_logits_from_frame_features``), so the sliding-window
+overlap-reuse path runs on it too.
 
 Rows the output reads: every joint or factorized encoder is read only
 at its CLS row, so the last encoder layer carries only that row past
@@ -46,9 +26,8 @@ one-query ``q_cls @ kᵀ`` is not bit-identical to row 0 of the full
 product), then runs the output projection, both residuals, ``norm2``,
 the MLP and the final norm on the CLS row alone.  A lone sequence
 keeps rows 0 and 1: BLAS multiplies a single row by another path,
-whose row 0 differs in the last bits.  Calibration keeps every row,
-so int8 activation scales still see the whole layer.  Earlier layers
-and the divided path run all rows.
+whose row 0 differs in the last bits.  Earlier layers and the divided
+path run all rows.
 
 Chunks on the CPUs BLAS leaves free: :meth:`InferenceEngine.logits`
 splits its clips into ``batch_size`` chunks and, when there are two or
@@ -68,7 +47,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -77,96 +56,25 @@ import numpy as np
 from repro.autograd.functional import _COLUMN_MAX_LIMIT, _row_max  # noqa: F401
 from repro.models.video_transformer import VideoTransformer
 from repro.nn.layers import LayerNorm, Linear
-from repro.nn.quant import (
-    activation_scale,
-    dequantize_per_channel,
-    quantize_activations,
-    quantize_fp16,
-    quantize_per_channel,
-)
-
-PRECISIONS = ("fp32", "fp16", "int8")
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_C = np.float32(0.044715)
 
-#: Synthetic calibration defaults: a handful of uniform [0, 1) clips is
-#: enough to pin activation ranges for these shallow models, and keeps
-#: engine construction deterministic when no sample clips are passed.
-CALIBRATION_SEED = 0
-CALIBRATION_CLIPS = 4
-
 
 class _Site:
-    """One Linear projection in the quantized network.
+    """One Linear projection: the model's own weight and bias arrays
+    and a plain ``x @ weight + bias`` over the last axis."""
 
-    Holds the precision-specific weight representation and performs the
-    matmul; for int8 it also owns the calibration state (observed input
-    absmax → static activation scale).
-    """
-
-    def __init__(self, name: str, linear: Linear, precision: str) -> None:
+    def __init__(self, name: str, linear: Linear) -> None:
         self.name = name
-        self.precision = precision
-        weight = linear.weight.data
-        bias = linear.bias.data if linear.bias is not None else None
-        self.in_features, self.out_features = weight.shape
-        self.bias = bias
-        self.act_scale: Optional[float] = None
-        self.observing = False
-        self.absmax = 0.0
-        if precision == "int8":
-            self.codes, self.w_scales = quantize_per_channel(weight)
-            self.weight = None
-            # Integer codes staged as float32 once, so the hot path is
-            # a straight BLAS matmul (exact: operands stay integers).
-            self._codes_f32 = self.codes.astype(np.float32)
-        elif precision == "fp16":
-            self.w16 = quantize_fp16(weight)
-            self.weight = None
-            # fp16 is the *stored* representation; compute uses a
-            # widened copy staged once (numpy has no half BLAS).
-            self._w16_f32 = self.w16.astype(np.float32)
-        else:
-            self.weight = weight
-
-    # -- storage accounting -------------------------------------------
-    def stored_bytes(self) -> int:
-        if self.precision == "int8":
-            return self.codes.nbytes + self.w_scales.nbytes
-        if self.precision == "fp16":
-            return self.w16.nbytes
-        return self.weight.nbytes
-
-    def fp32_bytes(self) -> int:
-        if self.precision == "int8":
-            return self.codes.size * 4
-        if self.precision == "fp16":
-            return self.w16.size * 4
-        return self.weight.nbytes
-
-    # -- compute ------------------------------------------------------
-    def _dequantized(self) -> np.ndarray:
-        if self.precision == "int8":
-            return dequantize_per_channel(self.codes, self.w_scales)
-        if self.precision == "fp16":
-            return self._w16_f32
-        return self.weight
+        self.weight = linear.weight.data
+        self.bias = linear.bias.data if linear.bias is not None else None
+        self.in_features, self.out_features = self.weight.shape
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         shape = x.shape
         flat = x.reshape(-1, self.in_features) if x.ndim != 2 else x
-        if self.precision == "int8" and not self.observing \
-                and self.act_scale is not None:
-            xq = quantize_activations(flat, self.act_scale)
-            out = xq @ self._codes_f32
-            out *= self.w_scales * np.float32(self.act_scale)
-        else:
-            if self.observing:
-                peak = float(np.abs(flat).max()) if flat.size else 0.0
-                if peak > self.absmax:
-                    self.absmax = peak
-            out = flat @ self._dequantized()
+        out = flat @ self.weight
         if self.bias is not None:
             out += self.bias
         if x.ndim != 2:
@@ -248,34 +156,23 @@ def _map_chunks(fn: Callable[[np.ndarray], Dict[str, np.ndarray]],
 class InferenceEngine:
     """Fused no-grad forward for one :class:`VideoTransformer`.
 
-    Construction quantizes every Linear/attention projection (including
-    the patch/tubelet embedding and the SDL head) and — for int8 —
-    immediately runs the calibration pass, so a built engine is ready
-    and deterministic.  Pass ``calibration`` clips ``(N, T, C, H, W)``
-    to calibrate on real footage; otherwise a seeded synthetic batch is
-    used.
+    Construction wraps every Linear/attention projection (including the
+    patch/tubelet embedding and the SDL head) around the model's own
+    parameter arrays, so a built engine is ready and follows in-place
+    weight changes.
     """
 
-    def __init__(self, model: VideoTransformer, precision: str,
-                 calibration: Optional[np.ndarray] = None,
-                 calibration_seed: int = CALIBRATION_SEED) -> None:
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
+    def __init__(self, model: VideoTransformer) -> None:
         if not isinstance(model, VideoTransformer):
             raise ValueError(
-                "quantized inference requires a VideoTransformer; got "
+                "the inference engine runs only a VideoTransformer; got "
                 f"{type(model).__name__}"
             )
         model.eval()
         self.model = model
-        self.precision = precision
         self.attention = model.attention
         self.config = model.config
-        self._sites: List[_Site] = []
-        self._calibrating = False
-        self.embed = self._site("embed.proj", model.embed.proj)
+        self.embed = _Site("embed.proj", model.embed.proj)
         if self.attention == "joint":
             self._enc_joint = self._encoder_sites("encoder", model.encoder)
         elif self.attention == "divided":
@@ -296,31 +193,23 @@ class InferenceEngine:
             self._enc_temporal = self._encoder_sites(
                 "temporal_encoder", model.temporal_encoder)
         self.heads = {
-            key: self._site(f"head.{key}", getattr(model.head, key))
+            key: _Site(f"head.{key}", getattr(model.head, key))
             for key in ("scene", "ego_action", "actors", "actor_actions")
         }
-        self.calibration: Dict[str, object] = {"calibrated": False}
-        if precision == "int8":
-            self.calibrate(calibration, seed=calibration_seed)
 
     # -- site wiring ---------------------------------------------------
-    def _site(self, name: str, linear: Linear) -> _Site:
-        site = _Site(name, linear, self.precision)
-        self._sites.append(site)
-        return site
-
     def _attn_sites(self, name: str, attn) -> Dict[str, object]:
         return {
-            "qkv": self._site(f"{name}.qkv", attn.qkv),
-            "proj": self._site(f"{name}.proj", attn.proj),
+            "qkv": _Site(f"{name}.qkv", attn.qkv),
+            "proj": _Site(f"{name}.proj", attn.proj),
             "heads": attn.num_heads,
             "head_dim": attn.head_dim,
             "scale": np.float32(attn.scale),
         }
 
     def _mlp_sites(self, name: str, mlp) -> Dict[str, _Site]:
-        return {"fc1": self._site(f"{name}.fc1", mlp.fc1),
-                "fc2": self._site(f"{name}.fc2", mlp.fc2)}
+        return {"fc1": _Site(f"{name}.fc1", mlp.fc1),
+                "fc2": _Site(f"{name}.fc2", mlp.fc2)}
 
     def _encoder_sites(self, name: str, encoder) -> Dict[str, object]:
         return {
@@ -335,60 +224,6 @@ class InferenceEngine:
                 for i, layer in enumerate(encoder.layers)
             ],
             "encoder": encoder,
-        }
-
-    # -- calibration ---------------------------------------------------
-    def calibrate(self, clips: Optional[np.ndarray] = None,
-                  seed: int = CALIBRATION_SEED,
-                  samples: int = CALIBRATION_CLIPS) -> Dict[str, object]:
-        """Fix static activation scales from sample clips.
-
-        With ``clips=None`` a deterministic synthetic batch (uniform
-        [0, 1) pixels under ``seed``) is used — same seed, same model
-        ⇒ bit-identical scales and therefore bit-identical quantized
-        logits.  Observation runs the *quantized-weight* network in
-        fp32, so the scales see the distributions inference will see.
-        """
-        cfg = self.config
-        if clips is None:
-            rng = np.random.default_rng(seed)
-            clips = rng.random(
-                (samples, cfg.frames, cfg.channels, cfg.height,
-                 cfg.width), dtype=np.float32)
-            source = "synthetic"
-        else:
-            clips = np.asarray(clips, dtype=np.float32)
-            source = "provided"
-        for site in self._sites:
-            site.observing = True
-            site.absmax = 0.0
-        self._calibrating = True
-        try:
-            self._forward(clips)
-        finally:
-            self._calibrating = False
-            for site in self._sites:
-                site.observing = False
-        for site in self._sites:
-            site.act_scale = activation_scale(site.absmax)
-        self.calibration = {
-            "calibrated": True,
-            "source": source,
-            "clips": int(len(clips)),
-            "seed": int(seed) if source == "synthetic" else None,
-        }
-        return self.calibration
-
-    def activation_scales(self) -> Dict[str, float]:
-        """Per-site static activation scales (empty before calibration)."""
-        return {s.name: s.act_scale for s in self._sites
-                if s.act_scale is not None}
-
-    def weight_bytes(self) -> Dict[str, int]:
-        """Stored-weight footprint of the quantized projections vs fp32."""
-        return {
-            "stored": sum(s.stored_bytes() for s in self._sites),
-            "fp32": sum(s.fp32_bytes() for s in self._sites),
         }
 
     # -- kernels -------------------------------------------------------
@@ -413,12 +248,9 @@ class InferenceEngine:
 
     def _readout_rows(self, batch: int) -> slice:
         """Rows of each sequence the last encoder layer carries past
-        attention: all of them while calibrating (activation scales see
-        every row), else the CLS row — plus row 1 for a lone sequence,
-        so no projection multiplies a single row (BLAS takes another
-        path for one row and row 0 would not be bit-identical)."""
-        if self._calibrating:
-            return slice(None)
+        attention: the CLS row — plus row 1 for a lone sequence, so no
+        projection multiplies a single row (BLAS takes another path for
+        one row and row 0 would not be bit-identical)."""
         return slice(0, 1 if batch > 1 else 2)
 
     def _encoder(self, x: np.ndarray, enc: Dict[str, object]
@@ -577,5 +409,4 @@ class InferenceEngine:
         return self._factorized_from_summaries(feats)
 
 
-__all__ = ["CALIBRATION_CLIPS", "CALIBRATION_SEED", "InferenceEngine",
-           "PRECISIONS"]
+__all__ = ["InferenceEngine"]

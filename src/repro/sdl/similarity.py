@@ -60,12 +60,3 @@ def sdl_similarity(a: ScenarioDescription, b: ScenarioDescription,
     if denom == 0.0:
         return 0.0
     return float(np.clip(np.dot(va, vb) / denom, 0.0, 1.0))
-
-
-def tag_jaccard(a: ScenarioDescription, b: ScenarioDescription) -> float:
-    """Jaccard index over the full tag sets (an alternative similarity)."""
-    ta, tb = a.all_tags(), b.all_tags()
-    union = ta | tb
-    if not union:
-        return 1.0
-    return len(ta & tb) / len(union)

@@ -1,4 +1,4 @@
-"""Dataset label statistics: tag frequencies and co-occurrence.
+"""Dataset label statistics: tag frequencies and imbalance.
 
 Corpus-inspection tooling for SDL-annotated datasets — the analogue of
 the dataset-statistics tables driving-video papers report, exposed via
@@ -7,7 +7,7 @@ the dataset-statistics tables driving-video papers report, exposed via
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -43,21 +43,6 @@ def tag_frequencies(descriptions: Sequence[ScenarioDescription]
         for tag in group:
             group[tag] /= n
     return groups
-
-
-def cooccurrence_matrix(descriptions: Sequence[ScenarioDescription]
-                        ) -> Tuple[np.ndarray, List[str]]:
-    """Symmetric co-occurrence counts over the full tag universe."""
-    tags: List[str] = (list(SCENES) + list(EGO_ACTIONS)
-                       + list(ACTOR_TYPES) + list(ACTOR_ACTIONS))
-    index = {tag: i for i, tag in enumerate(tags)}
-    matrix = np.zeros((len(tags), len(tags)), dtype=np.int64)
-    for desc in descriptions:
-        present = sorted(index[t] for t in desc.all_tags())
-        for i in present:
-            for j in present:
-                matrix[i, j] += 1
-    return matrix, tags
 
 
 def imbalance_report(descriptions: Sequence[ScenarioDescription]

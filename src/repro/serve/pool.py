@@ -120,10 +120,9 @@ class ServicePool(_Frontend):
     Parameters
     ----------
     extractor:
-        The primary extractor, or a bare model served at fp32.  Each
-        worker serves a copy of it, decoding settings and precision
-        included; the parent keeps it for canary gating and client-side
-        codec access.
+        The primary extractor, or a bare model.  Each worker serves a
+        copy of it, decoding settings included; the parent keeps it for
+        canary gating and client-side codec access.
     config:
         Per-worker :class:`ServiceConfig` (each replica runs its own
         micro-batch queue with these knobs; ``max_queue`` bounds each

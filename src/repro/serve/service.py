@@ -433,7 +433,7 @@ class _Frontend:
         :func:`repro.models.factory.load_model`) or an in-memory model.
         The clip shape must be unchanged (queued clips were validated
         against it).  The candidate extractor is cloned once from the
-        serving one, keeping its decoding knobs and precision.
+        serving one, keeping its decoding knobs.
 
         When a quality monitor is attached and its canary slice holds
         enough sampled live clips, the swap is **canary-gated**: the
@@ -488,10 +488,11 @@ class _Frontend:
         """Versioned ``repro.health/v1`` liveness/health snapshot.
 
         JSON-serialisable.  The front-end fills the envelope (schema,
-        role, status, readiness, model version, precision, uptime,
-        per-status counts, SLO/quality/events reports); the transport
-        adds its replica fields.  ``status`` is ``"degraded"`` when a
-        breaker is not closed or a replica sub-document is not ``"ok"``.
+        role, status, readiness, model version, precision — always
+        ``"fp32"`` — uptime, per-status counts, SLO/quality/events
+        reports); the transport adds its replica fields.  ``status`` is
+        ``"degraded"`` when a breaker is not closed or a replica
+        sub-document is not ``"ok"``.
         See ``docs/serving.md`` for the documented field set.
         """
         running = self._running
@@ -511,7 +512,7 @@ class _Frontend:
             "ready": self.ready(),
             **replicas,
             "model_version": self.model_version,
-            "precision": getattr(self._serving()[0], "precision", "fp32"),
+            "precision": "fp32",
             "uptime_s": (time.monotonic() - self._started_at
                          if running else 0.0),
             "requests": self.status_counts(),
@@ -946,9 +947,7 @@ class ExtractionService(_Frontend):
     Parameters
     ----------
     extractor:
-        The primary extractor, or a bare model served at fp32.  A
-        precision is applied when the extractor is built
-        (:func:`repro.api.load_extractor`), not here.
+        The primary extractor, or a bare model.
     config:
         Batching/robustness knobs; see :class:`ServiceConfig`.
     fallback / fault_injector / cache:

@@ -74,7 +74,7 @@ class WorkerSpec:
     """Everything a worker needs to build its replica — plain data.
 
     ``extractor`` is the serving :class:`ScenarioExtractor` itself, with
-    its decoding settings and precision; it rides through pickle (pure
+    its decoding settings; it rides through pickle (pure
     numpy / pure python) when the worker is spawned.  Thread-locked
     objects like a live :class:`~repro.serve.faults.FaultInjector` must
     be passed as their :meth:`~repro.serve.faults.FaultInjector.spec`

@@ -95,12 +95,3 @@ def compute_safety_metrics(snapshots: Sequence[Snapshot],
         max_ego_decel=max_decel,
         min_ped_distance=float(min_ped),
     )
-
-
-def rank_by_criticality(recordings) -> List[int]:
-    """Indices of recordings sorted most-critical first."""
-    scores = [
-        compute_safety_metrics(rec.snapshots).criticality_score()
-        for rec in recordings
-    ]
-    return list(np.argsort(-np.array(scores), kind="stable"))

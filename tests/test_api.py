@@ -279,17 +279,6 @@ class TestPolymorphicStoreParams:
 
 
 class TestServeRedesign:
-    def test_precision_applied_when_building(self, clips, tmp_path):
-        # fp16 rides the quantized engine, which serves transformers
-        path = str(tmp_path / "vt.npz")
-        build_model("vt-divided", CFG).save(path)
-        service = api.serve(api.load_extractor(path, precision="fp16"))
-        try:
-            assert service._primary.precision == "fp16"
-            assert service.extract(clips[0], timeout=5.0).status == "ok"
-        finally:
-            service.stop()
-
     def test_workers_validated(self, extractor):
         with pytest.raises(ValueError, match="workers"):
             api.serve(extractor, workers=0)

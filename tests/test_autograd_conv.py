@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.convops import avg_pool_all, conv_nd, max_pool_nd
+from repro.autograd.convops import conv_nd, max_pool_nd
 
 RNG = np.random.default_rng(7)
 
@@ -115,10 +115,3 @@ class TestPooling:
     def test_indivisible_raises(self):
         with pytest.raises(ValueError):
             max_pool_nd(rand_tensor(1, 1, 5, 4), (2, 2))
-
-    def test_avg_pool_all(self):
-        x = rand_tensor(2, 3, 4, 4)
-        out = avg_pool_all(x, axes=(2, 3))
-        assert out.shape == (2, 3)
-        np.testing.assert_allclose(out.data, x.data.mean(axis=(2, 3)),
-                                   rtol=1e-5)

@@ -185,12 +185,12 @@ class TestMaskBiasCache:
         assert (bias[1, 0, :, 3] == np.float32(fused.NEG_INF)).all()
 
     def test_evicted_when_mask_dies(self):
-        before = fused.mask_bias_cache_size()
+        before = len(fused._BIAS_CACHE)
         mask = np.ones((3, 3), dtype=bool)
         fused.mask_bias(mask)
-        assert fused.mask_bias_cache_size() == before + 1
+        assert len(fused._BIAS_CACHE) == before + 1
         del mask
-        assert fused.mask_bias_cache_size() == before
+        assert len(fused._BIAS_CACHE) == before
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="mask"):

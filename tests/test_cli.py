@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import ScenarioExtractor
 from repro.data import SynthDriveDataset
 from repro.models import ModelConfig, build_model
 
@@ -103,11 +104,17 @@ class TestCheckpointOnlyConsumers:
 
     @pytest.mark.parametrize("command", CONSUMERS)
     def test_shape_flags_rejected(self, command):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, "--data", "x",
-                                       "--checkpoint", "m.npz",
-                                       "--dim", "32"])
-        assert exc.value.code == 2
+        # fp32 is the only inference precision: neither the CLI nor the
+        # extractor takes a precision knob.
+        for flag in (["--dim", "32"], ["--precision", "int8"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "--data", "x",
+                                           "--checkpoint", "m.npz",
+                                           *flag])
+            assert exc.value.code == 2, flag
+        model = build_model("vt-divided", ModelConfig(frames=4))
+        with pytest.raises(TypeError):
+            ScenarioExtractor(model, precision="fp32")
 
     def test_train_keeps_shape_flags(self):
         args = build_parser().parse_args(["train", "--data", "x",

@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from repro.eval.calibration import (
-    categorical_calibration,
     expected_calibration_error,
     reliability_bins,
-    threshold_improvement,
     tune_thresholds,
 )
-from repro.eval.confusion import (
-    confusion_matrix,
-    ego_confusion,
-    format_confusion,
-    per_family_report,
-)
+from repro.eval.confusion import confusion_matrix
 
 RNG = np.random.default_rng(0)
 
@@ -45,13 +38,6 @@ class TestReliability:
         assert expected_calibration_error(np.zeros(0), np.zeros(0, bool)) \
             == 0.0
 
-    def test_categorical_calibration_fields(self):
-        logits = RNG.standard_normal((50, 4))
-        targets = RNG.integers(0, 4, 50)
-        stats = categorical_calibration(logits, targets)
-        assert 0.0 <= stats["ece"] <= 1.0
-        assert 0.25 <= stats["mean_confidence"] <= 1.0
-
 
 class TestThresholdTuning:
     def test_finds_low_threshold_for_shy_scores(self):
@@ -76,16 +62,6 @@ class TestThresholdTuning:
         best = multilabel_prf(probs, targets, tuned)["macro_f1"]
         assert best >= default - 1e-9
 
-    def test_threshold_improvement_reports_gain(self):
-        probs = RNG.random((80, 3))
-        targets = (probs > 0.3).astype(float)  # ideal threshold 0.3
-        stats = threshold_improvement(probs[:40], targets[:40],
-                                      probs[40:], targets[40:])
-        assert stats["tuned_macro_f1"] >= stats["default_macro_f1"]
-        assert stats["gain"] == pytest.approx(
-            stats["tuned_macro_f1"] - stats["default_macro_f1"]
-        )
-
 
 class TestConfusion:
     def test_matrix_counts(self):
@@ -100,31 +76,3 @@ class TestConfusion:
     def test_matrix_shape_mismatch(self):
         with pytest.raises(ValueError):
             confusion_matrix(np.zeros(2), np.zeros(3), 2)
-
-    def test_format_contains_labels(self):
-        matrix = np.eye(2, dtype=int)
-        text = format_confusion(matrix, ["stop", "go"])
-        assert "stop" in text and "go" in text
-
-    def test_trained_model_reports(self):
-        from repro.data import SynthDriveConfig, generate_dataset
-        from repro.models import ModelConfig, build_model
-        from repro.train import TrainConfig, Trainer
-
-        dataset = generate_dataset(SynthDriveConfig(
-            num_clips=16, frames=4, height=16, width=16, seed=6,
-            families=("free-drive", "stopped-lead"),
-        ))
-        model = build_model("frame-mlp", ModelConfig(
-            frames=4, height=16, width=16, dim=16, depth=1, num_heads=2,
-        ))
-        trainer = Trainer(model, TrainConfig(epochs=4, batch_size=8))
-        trainer.fit(dataset)
-
-        matrix = ego_confusion(trainer, dataset)
-        assert matrix.sum() == len(dataset)
-        report = per_family_report(trainer, dataset)
-        assert set(report) == {"free-drive", "stopped-lead"}
-        for stats in report.values():
-            assert stats["count"] == 8
-            assert 0.0 <= stats["ego_acc"] <= 1.0

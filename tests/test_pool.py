@@ -475,9 +475,8 @@ class TestRollingReload:
 
     def test_pool_keeps_extractor_settings(self, model, clips):
         # Workers serve the extractor they were given, decoding settings
-        # and precision included, and a reload keeps them.
-        tuned = ScenarioExtractor(model, threshold=0.3, batch_size=3,
-                                  precision="fp16")
+        # included, and a reload keeps them.
+        tuned = ScenarioExtractor(model, threshold=0.3, batch_size=3)
         model_b = build_model(
             "vt-divided",
             ModelConfig(frames=4, dim=16, depth=1, num_heads=2, seed=9),

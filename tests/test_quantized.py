@@ -1,5 +1,6 @@
-"""Tests for the quantized no-grad fast path and sliding-window
-temporal-overlap reuse (docs/performance.md)."""
+"""Tests for the fp32 no-grad inference engine — bit-identical to the
+autograd forward — and sliding-window temporal-overlap reuse
+(docs/performance.md)."""
 
 import hashlib
 import sys
@@ -20,7 +21,6 @@ from repro.core.pipeline import (
     _frame_hasher,
 )
 from repro.core.cache import extractor_version, model_fingerprint
-from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, VideoTransformer, build_model
 from repro.models import engine as engine_module
 from repro.models.engine import (
@@ -29,17 +29,6 @@ from repro.models.engine import (
     _Site,
     _row_max,
 )
-from repro.nn.quant import (
-    QMAX,
-    activation_scale,
-    dequantize_fp16,
-    dequantize_per_channel,
-    quantization_error,
-    quantize_activations,
-    quantize_fp16,
-    quantize_per_channel,
-)
-from repro.train import TrainConfig, Trainer
 
 CFG = ModelConfig(frames=4, height=16, width=16, dim=16, depth=1,
                   num_heads=2, dropout=0.0)
@@ -56,70 +45,6 @@ def _clips(n=6, seed=0, frames=4):
     return rng.random((n, frames, 3, 16, 16)).astype(np.float32)
 
 
-@pytest.fixture(scope="module")
-def trained():
-    dataset = generate_dataset(SynthDriveConfig(
-        num_clips=24, frames=4, height=16, width=16, seed=3,
-        families=("free-drive", "pedestrian-crossing", "turn-left"),
-    ))
-    model = build_model("vt-divided", CFG)
-    Trainer(model, TrainConfig(epochs=4, batch_size=8,
-                               lr=3e-3)).fit(dataset)
-    return model, dataset
-
-
-class TestQuantPrimitives:
-    def test_round_trip_error_bounded_by_half_step(self):
-        rng = np.random.default_rng(0)
-        weight = rng.standard_normal((48, 32)).astype(np.float32)
-        codes, scales = quantize_per_channel(weight)
-        assert codes.dtype == np.int8
-        assert scales.shape == (32,)
-        error = np.abs(dequantize_per_channel(codes, scales) - weight)
-        # Symmetric round-to-nearest: at most half a step per channel.
-        assert (error <= scales / 2 + 1e-7).all()
-        assert quantization_error(weight) <= scales.max() / 2 + 1e-7
-
-    def test_codes_stay_on_symmetric_grid(self):
-        rng = np.random.default_rng(1)
-        weight = (rng.standard_normal((16, 8)) * 100).astype(np.float32)
-        codes, _ = quantize_per_channel(weight)
-        assert codes.min() >= -QMAX and codes.max() <= QMAX
-
-    def test_zero_channel_gets_unit_scale(self):
-        weight = np.zeros((4, 3), dtype=np.float32)
-        weight[:, 0] = 2.0
-        codes, scales = quantize_per_channel(weight)
-        assert scales[1] == 1.0 and scales[2] == 1.0
-        assert (codes[:, 1:] == 0).all()
-        np.testing.assert_allclose(
-            dequantize_per_channel(codes, scales)[:, 0], 2.0)
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            quantize_per_channel(np.zeros(3, dtype=np.float32))
-
-    def test_activation_quantization_saturates(self):
-        scale = activation_scale(2.0)
-        x = np.array([-5.0, -2.0, 0.0, 1.0, 2.0], dtype=np.float32)
-        q = quantize_activations(x.copy(), scale)
-        assert q[0] == -QMAX  # saturated, not wrapped
-        assert q[2] == 0.0
-        assert q[4] == QMAX
-        assert float(q[3]) == round(1.0 / scale)
-
-    def test_activation_scale_degenerate_site(self):
-        assert activation_scale(0.0) == 1.0
-
-    def test_fp16_round_trip(self):
-        rng = np.random.default_rng(2)
-        weight = rng.standard_normal((8, 8)).astype(np.float32)
-        widened = dequantize_fp16(quantize_fp16(weight))
-        assert widened.dtype == np.float32
-        # fp16 has 10 mantissa bits: relative error under 2**-10.
-        assert np.abs(widened - weight).max() <= np.abs(weight).max() / 1024
-
-
 def _autograd_logits(model, clips):
     """The training forward under ``no_grad`` — the parity reference."""
     model.eval()
@@ -133,7 +58,7 @@ class TestInferenceEngine:
     def test_fp32_engine_matches_autograd_path(self, attention):
         for pool in ("mean", "attention"):
             model = _model(attention, pool=pool)
-            engine = InferenceEngine(model, "fp32")
+            engine = InferenceEngine(model)
             for batch in (1, 3, 16):
                 clips = _clips(batch)
                 reference = _autograd_logits(model, clips)
@@ -148,7 +73,7 @@ class TestInferenceEngine:
     @pytest.mark.parametrize("attention", ["divided", "factorized"])
     def test_fp32_engine_frame_hooks_match_model(self, attention, pool):
         model = _model(attention, pool=pool)
-        engine = InferenceEngine(model, "fp32")
+        engine = InferenceEngine(model)
         frames = _clips(1, frames=7)[0]
         with no_grad():
             reference = model.frame_features(frames)
@@ -168,51 +93,10 @@ class TestInferenceEngine:
             np.testing.assert_array_equal(_row_max(x),
                                           x.max(axis=-1, keepdims=True))
 
-    def test_quantized_logits_close_to_fp32(self):
-        model = _model()
-        clips = _clips()
-        reference = InferenceEngine(model, "fp32").logits(clips)
-        for precision, atol in (("fp16", 0.05), ("int8", 0.6)):
-            quantized = InferenceEngine(model, precision).logits(clips)
-            for head in reference:
-                scale = max(np.abs(reference[head]).max(), 1.0)
-                assert (np.abs(quantized[head] - reference[head]).max()
-                        <= atol * scale), (precision, head)
-
-    def test_int8_calibration_is_deterministic(self):
-        model = _model()
-        first = InferenceEngine(model, "int8", calibration_seed=11)
-        second = InferenceEngine(model, "int8", calibration_seed=11)
-        assert first.activation_scales() == second.activation_scales()
-        clips = _clips()
-        a, b = first.logits(clips), second.logits(clips)
-        for head in a:
-            np.testing.assert_array_equal(a[head], b[head])
-
-    def test_int8_weights_shrink(self):
-        size = InferenceEngine(_model(), "int8").weight_bytes()
-        assert size["stored"] < size["fp32"] / 3
-
-    def test_rejects_unknown_precision(self):
-        with pytest.raises(ValueError):
-            InferenceEngine(_model(), "int4")
-
     def test_rejects_non_transformer(self):
         mlp = build_model("frame-mlp", CFG)
         with pytest.raises(ValueError):
-            InferenceEngine(mlp, "int8")
-
-    def test_quantized_logits_batch_independent(self):
-        """Static activation scales make int8 results independent of
-        how clips are batched — the property reuse composition needs."""
-        model = _model()
-        engine = InferenceEngine(model, "int8")
-        clips = _clips(5)
-        together = engine.logits(clips)
-        alone = engine.logits(clips[2:3])
-        for head in together:
-            np.testing.assert_array_equal(together[head][2:3],
-                                          alone[head])
+            InferenceEngine(mlp)
 
 
 def _deep_model(attention, depth=2):
@@ -225,13 +109,13 @@ def _deep_model(attention, depth=2):
 
 class TestCLSReadout:
     """The last encoder layer carries only the CLS row past attention
-    (a lone sequence keeps two rows); calibration still sees them all."""
+    (a lone sequence keeps two rows)."""
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("attention", ["joint", "factorized"])
     def test_fp32_matches_autograd_at_batch_edges(self, attention, depth):
         model = _deep_model(attention, depth)
-        engine = InferenceEngine(model, "fp32")
+        engine = InferenceEngine(model)
         for batch in (1, 2, 3, 16):
             clips = _clips(batch, seed=batch)
             reference = _autograd_logits(model, clips)
@@ -243,7 +127,7 @@ class TestCLSReadout:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_frame_hooks_match_model_on_one_frame_and_window(self, depth):
         model = _deep_model("factorized", depth)
-        engine = InferenceEngine(model, "fp32")
+        engine = InferenceEngine(model)
         frames = _clips(1, seed=5, frames=7)[0]
         for count in (1, 2, 7):
             with no_grad():
@@ -262,33 +146,13 @@ class TestCLSReadout:
                     logits[head], expected[head],
                     err_msg=f"windows={len(starts)}")
 
-    @pytest.mark.parametrize("precision", ["fp16", "int8"])
-    @pytest.mark.parametrize("attention", ["joint", "factorized"])
-    def test_quantized_equals_full_row_engine(self, attention, precision,
-                                              monkeypatch):
-        model = _deep_model(attention)
-        clips = _clips(3)
-        engine = InferenceEngine(model, precision)
-        trimmed = {b: engine.logits(clips[:b]) for b in (1, 3)}
-        # The untrimmed reference: every row through the last layer.
-        monkeypatch.setattr(InferenceEngine, "_readout_rows",
-                            lambda self, batch: slice(None))
-        full = InferenceEngine(model, precision)
-        assert engine.activation_scales() == full.activation_scales()
-        for batch, logits in trimmed.items():
-            expected = full.logits(clips[:batch])
-            for head in expected:
-                np.testing.assert_array_equal(
-                    logits[head], expected[head], err_msg=f"batch={batch}")
-
     @pytest.mark.parametrize("attention", ["joint", "factorized"])
     def test_last_layer_row_counts(self, attention, monkeypatch):
         """Inference feeds the last layer's proj/fc1/fc2 one row per
-        sequence (two for a lone one) and earlier layers every row;
-        calibration feeds every layer every row."""
+        sequence (two for a lone one) and earlier layers every row."""
         model = _deep_model(attention)
         cfg = model.config
-        engine = InferenceEngine(model, "int8")
+        engine = InferenceEngine(model)
         rows: Dict[str, int] = {}
         call = _Site.__call__
 
@@ -307,14 +171,13 @@ class TestCLSReadout:
                                             1 + cfg.patches_per_frame),
                         "temporal_encoder": (1, 1 + cfg.frames)}
 
-        def expect(clips, calibrating):
+        def expect(clips):
             want = {}
             for name, (per_clip, tokens) in encoders.items():
                 sequences = clips * per_clip
                 trimmed = 2 if sequences == 1 else sequences
                 for layer in (0, 1):
-                    count = (trimmed if layer == 1 and not calibrating
-                             else sequences * tokens)
+                    count = trimmed if layer == 1 else sequences * tokens
                     for site in ("attn.proj", "mlp.fc1", "mlp.fc2"):
                         want[f"{name}.layers.{layer}.{site}"] = count
             return want
@@ -326,10 +189,7 @@ class TestCLSReadout:
         for batch in (1, 2, 3):
             rows.clear()
             engine.logits(_clips(batch))
-            assert observed() == expect(batch, False), batch
-        rows.clear()
-        engine.calibrate(samples=2)
-        assert observed() == expect(2, True)
+            assert observed() == expect(batch), batch
 
 
 def _assert_identical(got, want):
@@ -473,16 +333,6 @@ class TestSlidingReuse:
         assert stats["frame_misses"] == sum(calls["frames"])
         assert len(extractor._frame_memo) <= max(size, window)
 
-    def test_quantized_sliding_matches_quantized_naive(self):
-        extractor = ScenarioExtractor(_model("factorized"),
-                                      precision="int8")
-        rng = np.random.default_rng(9)
-        video = rng.random((12, 3, 16, 16)).astype(np.float32)
-        naive = extractor.extract_sliding(video, 4, 1, reuse=False)
-        memoized = extractor.extract_sliding(video, 4, 1, reuse=True)
-        for a, b in zip(naive, memoized):
-            assert a.confidences == b.confidences
-
     def test_iter_window_clips_matches_window_clips(self):
         rng = np.random.default_rng(10)
         video = rng.random((11, 3, 16, 16)).astype(np.float32)
@@ -541,11 +391,12 @@ class TestChunkFanOut:
 
     @pytest.mark.parametrize("attention",
                              ["divided", "factorized", "joint"])
-    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    @pytest.mark.parametrize("precision", ["fp32"])
     @pytest.mark.parametrize("clips", [1, 4, 5, 17])
     def test_byte_equal_to_one_forward_per_chunk(self, attention,
                                                  precision, clips):
-        engine = InferenceEngine(_model(attention), precision)
+        # ``precision`` names the engine's one weight format in the ids.
+        engine = InferenceEngine(_model(attention))
         batch = _clips(clips, seed=clips)
         got = engine.logits(batch, batch_size=self.BATCH)
         chunks = [engine._forward(batch[i:i + self.BATCH])
@@ -580,7 +431,7 @@ class TestChunkFanOut:
         return clips
 
     def test_row_order_preserved(self, monkeypatch):
-        engine = InferenceEngine(_model(), "fp32")
+        engine = InferenceEngine(_model())
         monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(engine, "_forward", self._tagging_forward())
         out = engine.logits(self._tagged(3 * self.BATCH + 5),
@@ -611,7 +462,7 @@ class TestChunkFanOut:
             == [2 * i for i in range(400)]
 
     def test_chunk_error_propagates_and_joins(self, monkeypatch):
-        engine = InferenceEngine(_model(), "fp32")
+        engine = InferenceEngine(_model())
         monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(engine, "_forward",
                             self._tagging_forward(fail_on=2 * self.BATCH))
@@ -634,7 +485,7 @@ class TestChunkFanOut:
         return started
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
-        engine = InferenceEngine(_model(), "fp32")
+        engine = InferenceEngine(_model())
         monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 4)
         started = self._spy_threads(monkeypatch)
         for clips in (1, self.BATCH):
@@ -644,7 +495,7 @@ class TestChunkFanOut:
         assert 1 <= len(started) <= 2
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
-        engine = InferenceEngine(_model(), "fp32")
+        engine = InferenceEngine(_model())
         batch = _clips(3 * self.BATCH + 5)
         monkeypatch.setattr(engine_module, "_usable_cpus", lambda: 1)
         started = self._spy_threads(monkeypatch)
@@ -659,7 +510,7 @@ class TestChunkFanOut:
     @pytest.mark.skipif(engine_module._usable_cpus() < 2,
                         reason="needs two usable CPUs")
     def test_chunks_run_on_several_threads(self, monkeypatch):
-        engine = InferenceEngine(_model(), "fp32")
+        engine = InferenceEngine(_model())
         idents = set()
         forward = engine._forward
 
@@ -694,10 +545,10 @@ class TestChunkFanOut:
 
 
 class TestEngineInputEdges:
-    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    @pytest.mark.parametrize("precision", ["fp32"])
     def test_zero_clips_give_zero_row_heads(self, precision):
         model = _model()
-        engine = InferenceEngine(model, precision)
+        engine = InferenceEngine(model)
         got = engine.logits(_clips(0))
         want = ScenarioExtractor(model).logits(_clips(0))
         assert set(got) == set(want)
@@ -707,7 +558,7 @@ class TestEngineInputEdges:
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_engine_rejects_non_positive_batch_size(self, batch_size):
-        engine = InferenceEngine(_model(), "fp32")
+        engine = InferenceEngine(_model())
         with pytest.raises(ValueError, match="batch_size must be positive"):
             engine.logits(_clips(2), batch_size=batch_size)
 
@@ -779,75 +630,18 @@ class TestExtractorBackend:
 
 
 class TestPrecisionPlumbing:
-    def test_extractor_rejects_unknown_precision(self):
-        with pytest.raises(ValueError):
-            ScenarioExtractor(_model(), precision="bf16")
-
     def test_cache_version_distinguishes_precision(self):
         model = _model()
         fp32 = extractor_version(ScenarioExtractor(model))
-        int8 = extractor_version(ScenarioExtractor(model,
-                                                   precision="int8"))
-        fp16 = extractor_version(ScenarioExtractor(model,
-                                                   precision="fp16"))
-        assert len({fp32, int8, fp16}) == 3
-        assert int8.endswith("-int8")
-        assert not fp32.endswith("fp32")  # seed caches stay valid
         # fp32 output is bit-identical whichever forward runs it, so
         # its version stays the bare fingerprint.
         assert fp32 == model_fingerprint(model)
-
-    def test_clone_preserves_precision(self):
-        extractor = ScenarioExtractor(_model(), precision="int8",
-                                      threshold=0.4)
-        clone = extractor.clone_with_model(_model(seed=9))
-        assert clone.precision == "int8"
-        assert clone.threshold == 0.4
-
-    def test_clone_downgrades_for_unquantizable_model(self):
-        extractor = ScenarioExtractor(_model(), precision="int8")
-        clone = extractor.clone_with_model(build_model("frame-mlp", CFG))
-        assert clone.precision == "fp32"
-
-    def test_api_load_extractor_precision(self):
-        from repro import api
-
-        extractor = api.load_extractor(model=_model(), precision="fp16")
-        assert extractor.precision == "fp16"
-        assert extractor._engine is not None
 
     def test_service_health_reports_precision_and_reuse(self):
         from repro.serve.service import ExtractionService
 
         service = ExtractionService(
-            ScenarioExtractor(_model("factorized"), precision="int8"))
+            ScenarioExtractor(_model("factorized")))
         health = service.health()
-        assert health["precision"] == "int8"
+        assert health["precision"] == "fp32"
         assert health["reuse"]["supported"]
-
-    def test_cli_precision_flag(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["extract", "--data", "d.npz",
-                                  "--checkpoint", "m.npz",
-                                  "--precision", "int8"])
-        assert args.precision == "int8"
-        args = parser.parse_args(["serve", "--data", "d.npz",
-                                  "--checkpoint", "m.npz"])
-        assert args.precision == "fp32"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["mine", "--data", "d.npz",
-                               "--checkpoint", "m.npz", "--out", "o",
-                               "--precision", "int4"])
-
-
-class TestAccuracyGate:
-    def test_quantized_macro_f1_within_one_point(self, trained):
-        from repro.eval import quantized_accuracy_delta
-
-        model, dataset = trained
-        report = quantized_accuracy_delta(model, dataset)
-        assert report["fp16_macro_f1_drop_pts"] <= 1.0
-        assert report["int8_macro_f1_drop_pts"] <= 1.0
-        assert report["int8_scene_acc_drop_pts"] <= 5.0

@@ -11,11 +11,7 @@ from repro.core.criticality import (
 )
 from repro.sdl import ScenarioDescription
 from repro.sim import simulate_scenario
-from repro.sim.safety import (
-    SafetyMetrics,
-    compute_safety_metrics,
-    rank_by_criticality,
-)
+from repro.sim.safety import SafetyMetrics, compute_safety_metrics
 
 
 class TestSafetyMetrics:
@@ -58,12 +54,6 @@ class TestSafetyMetrics:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             compute_safety_metrics([])
-
-    def test_rank_by_criticality(self):
-        recs = [simulate_scenario("free-drive", seed=3),
-                simulate_scenario("lead-brake", seed=3)]
-        ranking = rank_by_criticality(recs)
-        assert ranking[0] == 1  # lead-brake first
 
 
 class TestDescriptionCriticality:

@@ -18,7 +18,6 @@ from repro.sdl import (
     sdl_similarity,
     sdl_vector,
 )
-from repro.sdl.similarity import tag_jaccard
 
 
 def desc(scene="straight-road", ego="drive-straight", actors=(),
@@ -299,12 +298,6 @@ class TestSimilarity:
         scene_diff = desc(scene="intersection", ego="stop")
         ego_diff = desc(scene="straight-road", ego="drive-straight")
         assert sdl_similarity(base, scene_diff) > sdl_similarity(base, ego_diff)
-
-    def test_jaccard_bounds(self):
-        a = desc(actors={"car"})
-        b = desc(scene="intersection", ego="turn-left")
-        assert 0.0 <= tag_jaccard(a, b) <= 1.0
-        assert tag_jaccard(a, a) == 1.0
 
 
 def _one_hot_logits(index, size):

@@ -7,7 +7,6 @@ from repro.autograd import Tensor, gradcheck
 from repro.autograd import functional as F
 from repro.sdl import ScenarioDescription
 from repro.sdl.statistics import (
-    cooccurrence_matrix,
     format_statistics,
     imbalance_report,
     tag_frequencies,
@@ -43,15 +42,6 @@ class TestStatistics:
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError):
             tag_frequencies([])
-
-    def test_cooccurrence_symmetric(self):
-        matrix, tags = cooccurrence_matrix(descs())
-        np.testing.assert_array_equal(matrix, matrix.T)
-        # diagonal = tag occurrence counts
-        i_lead = tags.index("leading")
-        assert matrix[i_lead, i_lead] == 2
-        i_car = tags.index("car")
-        assert matrix[i_lead, i_car] == 2  # always together here
 
     def test_imbalance_report_fields(self):
         report = imbalance_report(descs())

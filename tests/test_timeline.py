@@ -6,7 +6,6 @@ import pytest
 from repro.core.pipeline import ExtractionResult
 from repro.eval.localization import (
     frame_level_metrics,
-    interval_iou,
     predictions_to_frame_tags,
 )
 from repro.sdl import ScenarioDescription
@@ -166,9 +165,3 @@ class TestLocalizationMetrics:
         pred = {tag: np.zeros(4, dtype=bool) for tag in TIMELINE_TAGS}
         metrics = frame_level_metrics(pred, truth)
         assert set(metrics) == {"_micro"}
-
-    def test_interval_iou_cases(self):
-        assert interval_iou([(0, 4)], [(0, 4)]) == 1.0
-        assert interval_iou([(0, 4)], [(2, 6)]) == pytest.approx(2 / 6)
-        assert interval_iou([], []) == 1.0
-        assert interval_iou([(0, 2)], []) == 0.0
