@@ -224,6 +224,13 @@ def mine_corpus(source: ExtractorSource,
     ``heartbeat_s`` seconds (see ``docs/mining.md``); ``events`` (an
     :class:`~repro.obs.events.EventLog` or a directory path) is the
     active event log for the duration of the call.
+
+    A shard's forward fans its ``batch_size`` chunks out over the CPUs
+    only when BLAS is pinned below the CPU count, and this function
+    (like ``repro mine``) leaves BLAS as the environment set it: start
+    the process with ``OPENBLAS_NUM_THREADS=1`` to get the fan-out (on
+    2 cores ~830 against ~457 vt-divided clips/s unpinned; see
+    ``docs/performance.md`` §3).
     """
     extractor = _as_extractor(source)
     events = _coerce(events, EventLog)

@@ -10,6 +10,9 @@ Public surface:
 - :class:`Tensor` — an ndarray wrapper that records a computation graph.
 - :func:`tensor`, :func:`zeros`, :func:`ones`, :func:`randn` — constructors.
 - :func:`no_grad` / :func:`is_grad_enabled` — graph-recording control.
+- ``repro.autograd.kernels`` — the raw-numpy forward kernels (affine,
+  softmax, layer norm, GELU, attention weights) under both the autograd
+  ops and the no-grad inference engine.
 - ``repro.autograd.functional`` — activations, fused softmax/layer-norm,
   losses and structural ops (concat/stack/pad/where/...).
 - ``repro.autograd.fused`` — single-node fused kernels for the
@@ -28,6 +31,7 @@ from repro.autograd.tensor import (
 )
 from repro.autograd import functional
 from repro.autograd import fused
+from repro.autograd import kernels
 from repro.autograd.gradcheck import gradcheck
 
 __all__ = [
@@ -40,5 +44,6 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "fused",
+    "kernels",
     "gradcheck",
 ]

@@ -11,14 +11,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd import kernels
 from repro.autograd.tensor import (
     Tensor,
     _coerce,
     _unbroadcast,
     is_grad_enabled,
 )
-
-SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
 def _recording(*tensors: Tensor) -> bool:
@@ -47,21 +46,14 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
-    v = x.data
-    # v*v*v, not v**3: np.power on non-square exponents is ~100x slower
-    # than repeated multiplication and this runs on every MLP forward.
-    inner = SQRT_2_OVER_PI * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
-    data = 0.5 * v * (1.0 + t)
+    z = x.data
+    data = kernels.gelu(z)
     if not _recording(x):
         return Tensor(data)
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dinner = SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * (v * v))
-        dt = (1.0 - t * t) * dinner
-        x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * v * dt), fresh=True)
+        if x.requires_grad:
+            x._accumulate(kernels.gelu_grad(z, g), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -85,54 +77,20 @@ def tanh(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Fused, numerically-stable reductions
 # ----------------------------------------------------------------------
-#: Rows up to this long take their max column by column (see
-#: :func:`_row_max`); longer rows use numpy's reduction, which was
-#: faster at 129 tokens and slower at 64 on a 2-core x86 host.
-_COLUMN_MAX_LIMIT = 64
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)``, faster on short rows.
-
-    numpy reduces a short last axis one row at a time; for attention
-    scores over 16 tokens that costs ~10x more than ``n - 1``
-    elementwise maxima across the columns.  A max is exact in any
-    order, so the result is bit-identical either way.  The one
-    last-axis max of every softmax: :func:`softmax`,
-    :func:`log_softmax`, the fused attention and the inference engine.
-    """
-    n = x.shape[-1]
-    if n > _COLUMN_MAX_LIMIT:
-        return x.max(axis=-1, keepdims=True)
-    out = x[..., :1].copy()
-    for j in range(1, n):
-        np.maximum(out, x[..., j:j + 1], out=out)
-    return out
-
-
-def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
-    if axis in (-1, x.ndim - 1):
-        return _row_max(x)
-    return x.max(axis=axis, keepdims=True)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - _max_keepdims(x.data, axis)
-    exp = np.exp(shifted)
-    data = exp / exp.sum(axis=axis, keepdims=True)
+    data = kernels.softmax(x.data, axis)
     if not _recording(x):
         return Tensor(data)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            x._accumulate(data * (g - dot), fresh=True)
+            x._accumulate(kernels.softmax_grad(data, g, axis), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - _max_keepdims(x.data, axis)
+    shifted = x.data - kernels._max_keepdims(x.data, axis)
     log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - log_norm
     if not _recording(x):
@@ -149,12 +107,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    data = x_hat * weight.data + bias.data
+    data, x_hat, inv_std = kernels.layer_norm(x.data, weight.data,
+                                              bias.data, eps)
     if not _recording(x, weight, bias):
         return Tensor(data)
 

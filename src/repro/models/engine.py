@@ -3,20 +3,17 @@
 :class:`InferenceEngine` is a straight-line numpy forward pass over a
 trained :class:`~repro.models.video_transformer.VideoTransformer` —
 no autograd ``Tensor`` wrappers, no graph bookkeeping, in-place
-softmax/GELU/residuals.  :class:`~repro.core.pipeline.\
-ScenarioExtractor` runs every video transformer through it.  Every
-kernel performs the autograd forward's float32 operations in the same
-order, so logits and frame features are bit-identical to
-``VideoTransformer.forward`` (pinned by ``tests/test_quantized.py``);
+residuals.  :class:`~repro.core.pipeline.ScenarioExtractor` runs every
+video transformer through it.  The affine maps, layer norms, softmaxes,
+GELUs and attention weights are the :mod:`repro.autograd.kernels` that
+the autograd forward calls too, so logits and frame features are
+bit-identical to ``VideoTransformer.forward`` by construction (pinned
+by ``tests/test_quantized.py``); the engine only composes them, and
 the autograd forward remains the training path and the parity
-reference.  The in-place softmax takes its last-axis max with
-``repro.autograd.functional._row_max``, the same short-row kernel as
-``F.softmax``, ``F.log_softmax`` and the fused attention: one row max
-for training and inference.  Weights are the model's own parameter
-arrays, never copies.  The engine exposes the same frame-level reuse
-hooks as the model (``frame_features`` /
-``head_logits_from_frame_features``), so the sliding-window
-overlap-reuse path runs on it too.
+reference.  Weights are the model's own parameter arrays, never
+copies.  The engine exposes the same frame-level reuse hooks as the
+model (``frame_features`` / ``head_logits_from_frame_features``), so
+the sliding-window overlap-reuse path runs on it too.
 
 Rows the output reads: every joint or factorized encoder is read only
 at its CLS row, so the last encoder layer carries only that row past
@@ -51,19 +48,21 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-# The softmax row max is the autograd one; its limit is re-exported for
-# the engine's tests.
-from repro.autograd.functional import _COLUMN_MAX_LIMIT, _row_max  # noqa: F401
+from repro.autograd.kernels import (
+    affine,
+    attention_weights,
+    gelu,
+    inv_sqrt,
+    layer_norm,
+    softmax,
+)
 from repro.models.video_transformer import VideoTransformer
 from repro.nn.layers import LayerNorm, Linear
-
-_SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
-_GELU_C = np.float32(0.044715)
 
 
 class _Site:
     """One Linear projection: the model's own weight and bias arrays
-    and a plain ``x @ weight + bias`` over the last axis."""
+    through the shared affine kernel."""
 
     def __init__(self, name: str, linear: Linear) -> None:
         self.name = name
@@ -72,47 +71,12 @@ class _Site:
         self.in_features, self.out_features = self.weight.shape
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        shape = x.shape
-        flat = x.reshape(-1, self.in_features) if x.ndim != 2 else x
-        out = flat @ self.weight
-        if self.bias is not None:
-            out += self.bias
-        if x.ndim != 2:
-            out = out.reshape(shape[:-1] + (out.shape[-1],))
-        return out
+        return affine(x, self.weight, self.bias)
 
 
-# -- fused kernels -------------------------------------------------------
-def _layer_norm(x: np.ndarray, norm: LayerNorm) -> np.ndarray:
-    """``norm(x)`` in the op order of ``autograd.functional.layer_norm``,
-    so fp32 results are bit-identical to the training forward."""
-    c = x - x.mean(axis=-1, keepdims=True)
-    var = np.square(c).mean(axis=-1, keepdims=True)
-    c *= 1.0 / np.sqrt(var + np.float32(norm.eps))
-    c *= norm.weight.data
-    c += norm.bias.data
-    return c
-
-
-def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-    scores -= _row_max(scores)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
-def _gelu_inplace(z: np.ndarray) -> np.ndarray:
-    """tanh-approximation GELU computed with one scratch array."""
-    inner = z * z
-    inner *= z
-    inner *= _GELU_C
-    inner += z
-    inner *= _SQRT_2_OVER_PI
-    np.tanh(inner, out=inner)
-    inner += 1.0
-    inner *= 0.5
-    inner *= z
-    return inner
+def _norm(x: np.ndarray, norm: LayerNorm) -> np.ndarray:
+    """``norm(x)`` through the shared layer-norm kernel."""
+    return layer_norm(x, norm.weight.data, norm.bias.data, norm.eps)[0]
 
 
 def _usable_cpus() -> int:
@@ -226,7 +190,7 @@ class InferenceEngine:
             "encoder": encoder,
         }
 
-    # -- kernels -------------------------------------------------------
+    # -- composition ---------------------------------------------------
     def _attention(self, x: np.ndarray, spec: Dict[str, object],
                    rows: slice = slice(None)) -> np.ndarray:
         """Attention over every row of ``x``; the output projection runs
@@ -235,16 +199,13 @@ class InferenceEngine:
         qkv = spec["qkv"](x).reshape(
             batch, tokens, 3, spec["heads"], spec["head_dim"]
         ).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = q @ k.swapaxes(-1, -2)
-        scores *= spec["scale"]
-        _softmax_inplace(scores)
-        out = (scores @ v)[:, :, rows]
+        weights = attention_weights(qkv[0], qkv[1], spec["scale"])
+        out = (weights @ qkv[2])[:, :, rows]
         out = out.transpose(0, 2, 1, 3).reshape(batch, -1, dim)
         return spec["proj"](out)
 
     def _mlp(self, x: np.ndarray, spec: Dict[str, _Site]) -> np.ndarray:
-        return spec["fc2"](_gelu_inplace(spec["fc1"](x)))
+        return spec["fc2"](gelu(spec["fc1"](x)))
 
     def _readout_rows(self, batch: int) -> slice:
         """Rows of each sequence the last encoder layer carries past
@@ -262,10 +223,10 @@ class InferenceEngine:
             layer = entry["layer"]
             rows = (self._readout_rows(len(x)) if i == len(layers) - 1
                     else slice(None))
-            x = x[:, rows] + self._attention(_layer_norm(x, layer.norm1),
+            x = x[:, rows] + self._attention(_norm(x, layer.norm1),
                                              entry["attn"], rows)
-            x += self._mlp(_layer_norm(x, layer.norm2), entry["mlp"])
-        return _layer_norm(x, enc["encoder"].norm)[:, 0]
+            x += self._mlp(_norm(x, layer.norm2), entry["mlp"])
+        return _norm(x, enc["encoder"].norm)[:, 0]
 
     def _patch_tokens(self, clips: np.ndarray) -> np.ndarray:
         """(B, T, C, H, W) → (B, T, N, D) per-frame patch tokens."""
@@ -310,24 +271,24 @@ class InferenceEngine:
             blk = entry["block"]
             xt = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(
                 batch * patches, frames, dim)
-            yt = self._attention(_layer_norm(xt, blk.norm_t),
+            yt = self._attention(_norm(xt, blk.norm_t),
                                  entry["attn_t"])
             x += yt.reshape(batch, patches, frames,
                             dim).transpose(0, 2, 1, 3)
             xs = x.reshape(batch * frames, patches, dim)
-            ys = self._attention(_layer_norm(xs, blk.norm_s),
+            ys = self._attention(_norm(xs, blk.norm_s),
                                  entry["attn_s"])
             x += ys.reshape(batch, frames, patches, dim)
-            x += self._mlp(_layer_norm(x, blk.norm_m), entry["mlp"])
-        x = _layer_norm(x, m.norm)
+            x += self._mlp(_norm(x, blk.norm_m), entry["mlp"])
+        x = _norm(x, m.norm)
         # Pooling mirrors VideoTransformer._divided_from_tokens op for
         # op (``Tensor.mean`` multiplies the sum by the reciprocal).
         if self.config.pool == "attention":
             flat = x.reshape(batch, frames * patches, dim)
             scores = (flat * m.pool_query.data).sum(axis=-1)
-            scores *= np.float32(1.0 / np.sqrt(dim))
-            _softmax_inplace(scores)
-            feat = (flat * scores[..., None]).sum(axis=1)
+            scores *= np.float32(inv_sqrt(dim))
+            weights = softmax(scores)
+            feat = (flat * weights[..., None]).sum(axis=1)
         else:
             feat = x.sum(axis=(1, 2))
             feat *= np.float32(1.0 / (frames * patches))

@@ -18,6 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.autograd.kernels import inv_sqrt
 from repro.autograd.tensor import Tensor
 from repro.obs import span
 from repro.nn import (
@@ -193,7 +194,7 @@ class VideoTransformer(Module):
             frames, patches, dim = x.shape[1], x.shape[2], x.shape[3]
             flat = x.reshape(batch, frames * patches, dim)
             scores = (flat * self.pool_query.reshape(1, 1, dim)) \
-                .sum(axis=-1) * (1.0 / np.sqrt(dim))
+                .sum(axis=-1) * inv_sqrt(dim)
             weights = F.softmax(scores, axis=-1)
             return (flat
                     * weights.reshape(batch, frames * patches, 1)) \

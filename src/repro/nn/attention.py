@@ -6,27 +6,23 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import fused
+from repro.autograd import fused, no_grad
+from repro.autograd.kernels import attention_weights, inv_sqrt
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.obs import span
-
-NEG_INF = fused.NEG_INF
 
 
 class MultiHeadAttention(Module):
     """Self-attention over token sequences ``(B, N, D)``.
 
     Splits ``dim`` into ``num_heads`` heads, computes scaled dot-product
-    attention per head, and projects back.  An optional boolean mask of
-    shape ``(N, N)`` or ``(B, N, N)`` marks *allowed* attention pairs.
+    attention per head, and projects back.
 
     The attention core runs through the fused
     :func:`~repro.autograd.fused.scaled_dot_product_attention` kernel —
-    one autograd node instead of ~10 — and masks are converted to
-    additive biases once per mask object via
-    :func:`~repro.autograd.fused.mask_bias`.
+    one autograd node instead of ~10.
 
     ``name`` labels this instance in telemetry traces — the divided
     video transformer names its two attentions ``"temporal"`` and
@@ -43,15 +39,21 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.scale = 1.0 / np.sqrt(self.head_dim)
+        self.scale = inv_sqrt(self.head_dim)
         self.qkv = Linear(dim, 3 * dim, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
         self.attn_dropout = Dropout(dropout, rng=rng)
         self.span_name = f"nn/attention/{name}"
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         with span(self.span_name):
-            return self._attend(x, mask)
+            q, k, v = self._qkv(x)
+            out = fused.scaled_dot_product_attention(
+                q, k, v, scale=self.scale,
+                dropout_p=self.attn_dropout.p, rng=self.attn_dropout.rng,
+                training=self.training, merge_heads=True,
+            )  # (B, N, D)
+            return self.proj(out)
 
     def _qkv(self, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
         """Project to per-head queries/keys/values ``(B, H, N, hd)``.
@@ -66,24 +68,9 @@ class MultiHeadAttention(Module):
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, N, hd)
         return qkv[0], qkv[1], qkv[2]
 
-    def _attend(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-        q, k, v = self._qkv(x)
-        bias = fused.mask_bias(mask) if mask is not None else None
-        out = fused.scaled_dot_product_attention(
-            q, k, v, bias=bias, scale=self.scale,
-            dropout_p=self.attn_dropout.p, rng=self.attn_dropout.rng,
-            training=self.training, merge_heads=True,
-        )  # (B, N, D)
-        return self.proj(out)
-
     def attention_map(self, x: Tensor) -> np.ndarray:
         """Return the softmax attention weights ``(B, H, N, N)`` without
         recording the graph — used for attention-rollout analysis."""
-        from repro.autograd import no_grad
-
         with no_grad():
-            q, k, v = self._qkv(x)
-            _, weights = fused.scaled_dot_product_attention(
-                q, k, v, scale=self.scale, return_weights=True,
-            )
-        return weights
+            q, k, _ = self._qkv(x)
+        return attention_weights(q.data, k.data, self.scale)

@@ -47,8 +47,8 @@ class TransformerEncoderLayer(Module):
         self.mlp = MLP(dim, int(dim * mlp_ratio), dropout=dropout, rng=rng)
         self.drop = Dropout(dropout, rng=rng)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        x = x + self.drop(self.attn(self.norm1(x), mask=mask))
+    def forward(self, x: Tensor) -> Tensor:
+        x = x + self.drop(self.attn(self.norm1(x)))
         x = x + self.drop(self.mlp(self.norm2(x)))
         return x
 
@@ -67,7 +67,7 @@ class TransformerEncoder(Module):
         ])
         self.norm = LayerNorm(dim)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
-            x = layer(x, mask=mask)
+            x = layer(x)
         return self.norm(x)

@@ -3,16 +3,15 @@
 Covers the perf layer end to end: parity of the fused
 scaled-dot-product-attention / linear+GELU kernels against the composed
 reference ops (forward bit-exact, backward by gradcheck and against the
-composed graph), the mask→bias cache, the grad-disabled dispatch that
-skips graph bookkeeping, batched extraction, parallel dataset
-generation determinism.
+composed graph), the grad-disabled dispatch that skips graph
+bookkeeping, batched extraction, parallel dataset generation
+determinism.
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import fused, functional as F, gradcheck, no_grad, tensor
-from repro.autograd.tensor import Tensor
 
 
 def _qkv(seed: int, shape=(2, 3, 5, 4), requires_grad=True):
@@ -24,11 +23,9 @@ def _qkv(seed: int, shape=(2, 3, 5, 4), requires_grad=True):
     )
 
 
-def _composed_sdpa(q, k, v, bias=None, scale=1.0, merge_heads=False):
+def _composed_sdpa(q, k, v, scale=1.0, merge_heads=False):
     """The pre-fusion reference: one graph node per primitive."""
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    if bias is not None:
-        scores = scores + Tensor(bias)
     attn = F.softmax(scores, axis=-1)
     out = attn @ v
     if merge_heads:
@@ -44,15 +41,6 @@ class TestSDPAParity:
         ref_out = _composed_sdpa(q, k, v, scale=0.5)
         np.testing.assert_array_equal(fused_out.data, ref_out.data)
 
-    def test_forward_with_mask_matches_composed_bitwise(self):
-        q, k, v = _qkv(1)
-        mask = np.tril(np.ones((5, 5), dtype=bool))
-        bias = fused.mask_bias(mask)
-        fused_out = fused.scaled_dot_product_attention(
-            q, k, v, bias=bias, scale=0.5)
-        ref_out = _composed_sdpa(q, k, v, bias=bias, scale=0.5)
-        np.testing.assert_array_equal(fused_out.data, ref_out.data)
-
     def test_merge_heads_matches_composed_bitwise(self):
         q, k, v = _qkv(2)
         fused_out = fused.scaled_dot_product_attention(
@@ -64,12 +52,9 @@ class TestSDPAParity:
     def test_backward_matches_composed(self):
         q1, k1, v1 = _qkv(3)
         q2, k2, v2 = _qkv(3)
-        mask = np.tril(np.ones((5, 5), dtype=bool))
-        bias = fused.mask_bias(mask)
         fused_out = fused.scaled_dot_product_attention(
-            q1, k1, v1, bias=bias, scale=0.5, merge_heads=True)
-        ref_out = _composed_sdpa(q2, k2, v2, bias=bias, scale=0.5,
-                                 merge_heads=True)
+            q1, k1, v1, scale=0.5, merge_heads=True)
+        ref_out = _composed_sdpa(q2, k2, v2, scale=0.5, merge_heads=True)
         g = np.random.default_rng(9).standard_normal(
             fused_out.shape).astype(np.float32)
         fused_out.backward(g)
@@ -88,11 +73,9 @@ class TestSDPAParity:
 
     def test_gradcheck_with_mask_and_merge(self):
         q, k, v = _qkv(5, shape=(1, 2, 3, 2))
-        mask = np.tril(np.ones((3, 3), dtype=bool))
-        bias = fused.mask_bias(mask)
         assert gradcheck(
             lambda a, b, c: fused.scaled_dot_product_attention(
-                a, b, c, bias=bias, scale=0.7, merge_heads=True),
+                a, b, c, scale=0.7, merge_heads=True),
             (q, k, v),
         )
 
@@ -114,14 +97,6 @@ class TestSDPAParity:
         with pytest.raises(ValueError, match="rng"):
             fused.scaled_dot_product_attention(
                 q, k, v, dropout_p=0.5, training=True)
-
-    def test_return_weights_rows_sum_to_one(self):
-        q, k, v = _qkv(8)
-        with no_grad():
-            _, weights = fused.scaled_dot_product_attention(
-                q, k, v, return_weights=True)
-        assert weights.shape == (2, 3, 5, 5)
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-5)
 
 
 class TestLinearGelu:
@@ -166,35 +141,6 @@ class TestLinearGelu:
         F.gelu(x2 @ w2 + b2).backward(g)
         for a, b in ((x1, x2), (w1, w2), (b1, b2)):
             np.testing.assert_allclose(a.grad, b.grad, rtol=1e-5, atol=1e-6)
-
-
-class TestMaskBiasCache:
-    def test_cached_per_mask_object(self):
-        mask = np.tril(np.ones((4, 4), dtype=bool))
-        first = fused.mask_bias(mask)
-        assert fused.mask_bias(mask) is first
-        assert first.dtype == np.float32
-        np.testing.assert_array_equal(
-            first, np.where(mask, 0.0, fused.NEG_INF).astype(np.float32))
-
-    def test_batched_mask_broadcasts_over_heads(self):
-        mask = np.ones((2, 4, 4), dtype=bool)
-        mask[1, :, 3] = False
-        bias = fused.mask_bias(mask)
-        assert bias.shape == (2, 1, 4, 4)
-        assert (bias[1, 0, :, 3] == np.float32(fused.NEG_INF)).all()
-
-    def test_evicted_when_mask_dies(self):
-        before = len(fused._BIAS_CACHE)
-        mask = np.ones((3, 3), dtype=bool)
-        fused.mask_bias(mask)
-        assert len(fused._BIAS_CACHE) == before + 1
-        del mask
-        assert len(fused._BIAS_CACHE) == before
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError, match="mask"):
-            fused.mask_bias(np.ones(4, dtype=bool))
 
 
 class TestInferenceFastPath:

@@ -1,4 +1,4 @@
-"""Tests for calibration, threshold tuning and confusion analysis."""
+"""Tests for calibration and threshold tuning."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.eval.calibration import (
     reliability_bins,
     tune_thresholds,
 )
-from repro.eval.confusion import confusion_matrix
 
 RNG = np.random.default_rng(0)
 
@@ -61,18 +60,3 @@ class TestThresholdTuning:
         default = multilabel_prf(probs, targets, 0.5)["macro_f1"]
         best = multilabel_prf(probs, targets, tuned)["macro_f1"]
         assert best >= default - 1e-9
-
-
-class TestConfusion:
-    def test_matrix_counts(self):
-        preds = np.array([0, 1, 1, 2])
-        targets = np.array([0, 1, 2, 2])
-        matrix = confusion_matrix(preds, targets, 3)
-        assert matrix[0, 0] == 1
-        assert matrix[2, 1] == 1
-        assert matrix[2, 2] == 1
-        assert matrix.sum() == 4
-
-    def test_matrix_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.zeros(2), np.zeros(3), 2)

@@ -1,56 +1,14 @@
 """Deeper attention / encoder behaviour tests."""
 
 import numpy as np
-import pytest
 
-from repro import nn
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor
 
 RNG = np.random.default_rng(21)
 
 
 def rand(*shape, scale=1.0, grad=False):
     return Tensor(RNG.standard_normal(shape) * scale, requires_grad=grad)
-
-
-class TestMaskedEncoder:
-    def test_encoder_accepts_mask(self):
-        enc = nn.TransformerEncoder(8, depth=2, num_heads=2,
-                                    rng=np.random.default_rng(0))
-        x = rand(2, 5, 8)
-        mask = np.tril(np.ones((5, 5), dtype=bool))
-        out = enc(x, mask=mask)
-        assert out.shape == (2, 5, 8)
-
-    def test_causal_mask_blocks_future(self):
-        """With a causal mask, output at position 0 is independent of
-        later tokens."""
-        enc = nn.TransformerEncoder(8, depth=1, num_heads=2, dropout=0.0,
-                                    rng=np.random.default_rng(1))
-        enc.eval()
-        mask = np.tril(np.ones((4, 4), dtype=bool))
-        x = rand(1, 4, 8)
-        base = enc(x, mask=mask).data[0, 0].copy()
-        x2 = Tensor(x.data.copy())
-        x2.data[0, 3] += 5.0
-        out2 = enc(x2, mask=mask).data[0, 0]
-        np.testing.assert_allclose(base, out2, atol=1e-4)
-
-    def test_full_mask_equals_no_mask(self):
-        enc = nn.TransformerEncoder(8, depth=1, num_heads=2, dropout=0.0,
-                                    rng=np.random.default_rng(2))
-        enc.eval()
-        x = rand(2, 4, 8)
-        full = np.ones((4, 4), dtype=bool)
-        np.testing.assert_allclose(enc(x, mask=full).data,
-                                   enc(x).data, atol=1e-5)
-
-    def test_masked_attention_grad(self):
-        attn = nn.MultiHeadAttention(8, 2, rng=np.random.default_rng(3))
-        x = rand(1, 3, 8, scale=0.5, grad=True)
-        mask = np.tril(np.ones((3, 3), dtype=bool))
-        gradcheck(lambda a: attn(a, mask=mask).sum(), [x],
-                  atol=3e-2, rtol=8e-2)
 
 
 class TestDividedBlockInternals:

@@ -23,12 +23,7 @@ from repro.core.pipeline import (
 from repro.core.cache import extractor_version, model_fingerprint
 from repro.models import ModelConfig, VideoTransformer, build_model
 from repro.models import engine as engine_module
-from repro.models.engine import (
-    _COLUMN_MAX_LIMIT,
-    InferenceEngine,
-    _Site,
-    _row_max,
-)
+from repro.models.engine import InferenceEngine, _Site
 
 CFG = ModelConfig(frames=4, height=16, width=16, dim=16, depth=1,
                   num_heads=2, dropout=0.0)
@@ -85,13 +80,6 @@ class TestInferenceEngine:
         logits = engine.head_logits_from_frame_features(windows)
         for head in expected:
             np.testing.assert_array_equal(logits[head], expected[head])
-
-    def test_row_max_matches_reduction(self):
-        rng = np.random.default_rng(13)
-        for n in (1, 5, 16, _COLUMN_MAX_LIMIT, _COLUMN_MAX_LIMIT + 1, 129):
-            x = rng.standard_normal((3, 7, n)).astype(np.float32)
-            np.testing.assert_array_equal(_row_max(x),
-                                          x.max(axis=-1, keepdims=True))
 
     def test_rejects_non_transformer(self):
         mlp = build_model("frame-mlp", CFG)
