@@ -9,7 +9,7 @@ Recall@1/5 and MRR, compared against a random-ranking floor.
 
 import numpy as np
 
-from repro.api import RetrievalIndex, load_extractor, retrieval_metrics
+from repro.api import ScenarioMiner, load_extractor, retrieval_metrics
 from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, build_model
 from repro.train import TrainConfig, Trainer
@@ -29,8 +29,8 @@ def main() -> None:
     extractor = load_extractor(model=model)
     extracted = [r.description
                  for r in extractor.extract_batch(test_set.videos)]
-    index = RetrievalIndex()
-    index.add_batch(extracted)
+    index = ScenarioMiner()
+    index.add_descriptions(extracted)
 
     queries = list(test_set.descriptions)
     correct = list(range(len(queries)))
@@ -48,8 +48,8 @@ def main() -> None:
 
     print("\nexample query:")
     print(f"  text:  {queries[0].to_sentence()}")
-    top = index.query(queries[0], top_k=3)
-    for rank, clip_id in enumerate(top, 1):
+    top, _ = index.rank(queries[0], top_k=3)
+    for rank, clip_id in enumerate(top.tolist(), 1):
         print(f"  #{rank}: clip {clip_id} — "
               f"{extracted[clip_id].to_sentence()}")
 

@@ -35,7 +35,7 @@ from repro.core.fleet import mine_corpus as _fleet_mine_corpus
 from repro.core.fleet import write_corpus as _fleet_write_corpus
 from repro.core.mining import MiningHit, ScenarioMiner
 from repro.core.pipeline import ExtractionResult, ScenarioExtractor
-from repro.core.retrieval import RetrievalIndex, retrieval_metrics
+from repro.core.retrieval import retrieval_metrics
 from repro.nn.module import Module
 from repro.obs import context as _obs_context
 from repro.obs import events as _obs_events
@@ -172,10 +172,13 @@ def mine(source: ExtractorSource, clips: np.ndarray,
     :class:`ExtractionCache` or a directory path) to reuse descriptions
     across calls: mining an
     already-cached corpus performs zero extractor forward passes (see
-    ``docs/caching.md``).
+    ``docs/caching.md``).  Passing neither a query nor tags, or both,
+    raises ``ValueError`` before any clip is extracted.
     """
     if query is not None and tags:
         raise ValueError("pass either query or tags, not both")
+    if query is None and not tags:
+        raise ValueError("pass a query or tags to mine for")
     extractor = _as_extractor(source)
     miner = ScenarioMiner(extractor, cache=_coerce(cache, ExtractionCache))
     miner.index(np.asarray(clips))
@@ -256,10 +259,9 @@ def retrieve(source: ExtractorSource, clips: np.ndarray,
     extracted description.  ``cache=`` (instance or directory path)
     reuses descriptions exactly as in :func:`mine`."""
     extractor = _as_extractor(source)
-    index = RetrievalIndex(extractor=extractor,
-                           cache=_coerce(cache, ExtractionCache))
-    index.add_clips(np.asarray(clips))
-    return index.query(query, top_k=top_k)
+    miner = ScenarioMiner(extractor, cache=_coerce(cache, ExtractionCache))
+    miner.index(np.asarray(clips))
+    return miner.rank(query, top_k=top_k)[0].tolist()
 
 
 def serve(source: ExtractorSource,
@@ -330,7 +332,6 @@ __all__ = [
     "QualityMonitor",
     "SLOConfig",
     "MiningHit",
-    "RetrievalIndex",
     "ScenarioDescription",
     "ScenarioExtractor",
     "ScenarioMiner",

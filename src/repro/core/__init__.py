@@ -21,7 +21,7 @@ from repro.core.fleet import (
     write_corpus,
 )
 from repro.core.mining import MiningHit, ScenarioMiner
-from repro.core.retrieval import RetrievalIndex, retrieval_metrics
+from repro.core.retrieval import retrieval_metrics
 
 __all__ = [
     "ScenarioExtractor",
@@ -32,7 +32,6 @@ __all__ = [
     "FleetStore",
     "ScenarioMiner",
     "MiningHit",
-    "RetrievalIndex",
     "extract_corpus",
     "extraction_fingerprint",
     "mine_corpus",

@@ -39,9 +39,9 @@ different directory).
 Queries go through :class:`FleetIndex`: on the first query the
 per-shard SDL-vector files are stacked into one float32 matrix in
 manifest order, so a row's position is its global clip id, and every
-query is one :func:`~repro.core.retrieval.cosine_topk` call over it —
-the top-k is bit-identical to :meth:`ScenarioMiner.query` over the same
-clips.
+query is the one :meth:`~repro.core.mining.SDLIndex.query` the
+in-memory :class:`~repro.core.mining.ScenarioMiner` also runs — the
+top-k is bit-identical to the miner's over the same clips.
 
 Counters (``repro.obs``): ``fleet.shards_scanned`` /
 ``fleet.shards_skipped`` / ``fleet.shards_extracted`` /
@@ -84,9 +84,8 @@ from repro.core.cache import (
     extractor_version,
 )
 from repro.core.export import result_to_record
-from repro.core.mining import MiningHit, tag_query
+from repro.core.mining import MiningHit, SDLIndex
 from repro.core.pipeline import ScenarioExtractor
-from repro.core.retrieval import cosine_topk
 from repro.durable import atomic_open, read_records
 from repro.obs import get_logger, metrics
 from repro.obs import events as obs_events
@@ -486,19 +485,21 @@ def extract_corpus(extractor: ScenarioExtractor, corpus_dir: str,
 
 
 # -- stacked retrieval -------------------------------------------------
-class FleetIndex:
+class FleetIndex(SDLIndex):
     """Retrieval over a fingerprint store's shard files.
 
     ``open`` reads only the manifest.  The first query stacks the
     per-shard SDL-vector files into one float32 matrix in manifest
     order, with one row-norm vector, so a row's position is its global
-    clip id; each query is then one :func:`cosine_topk` call over it,
-    and a hit's shard is found from the manifest offsets.  The query
+    clip id; each query is then :meth:`SDLIndex.query` over it, and a
+    hit's shard is found from the manifest offsets.  The query
     vectors sit in RAM: 19 float32 values (76 B) per clip, about 16 MB
     for 215,090 clips.  Tag records stay on disk until a hit needs
     them.  Rankings are bit-identical to the in-memory
     :class:`~repro.core.mining.ScenarioMiner` over the same clips.
     """
+
+    _EMPTY = "fleet index holds no clips; run extract_corpus() first"
 
     def __init__(self, store: FleetStore) -> None:
         self.store = store
@@ -544,39 +545,18 @@ class FleetIndex:
             self._record_cache[shard] = records
         return records[local_index]
 
-    def query(self, query: ScenarioDescription, top_k: int = 5,
-              min_score: float = 0.0) -> List[MiningHit]:
-        """Rank the corpus by SDL similarity; same contract as
-        :meth:`ScenarioMiner.query` (inclusive ``min_score``, ties by
-        ascending clip id)."""
-        if len(self) == 0:
-            raise RuntimeError("fleet index holds no clips; run "
-                               "extract_corpus() first")
-        if top_k <= 0:
-            raise ValueError("top_k must be positive")
-        matrix, norms = self._stack()
-        ids, scores = cosine_topk(matrix, norms, sdl_vector(query), top_k)
-        shard_of = np.searchsorted(self._offsets, ids, side="right") - 1
-        hits: List[MiningHit] = []
-        for clip_id, score, shard in zip(ids.tolist(), scores.tolist(),
-                                         shard_of.tolist()):
-            if score < min_score:
-                continue
+    def _describe(self, clip_ids: np.ndarray
+                  ) -> Iterator[Tuple[ScenarioDescription, str]]:
+        """Each hit's tag record, its shard found from the manifest
+        offsets with one ``searchsorted`` per query."""
+        shard_of = np.searchsorted(self._offsets, clip_ids,
+                                   side="right") - 1
+        for clip_id, shard in zip(clip_ids.tolist(), shard_of.tolist()):
             entry = self._shards[shard]
             record = self._record(entry["name"],
                                   clip_id - int(entry["offset"]))
-            desc = ScenarioDescription.from_dict(record["description"])
-            hits.append(MiningHit(clip_id=clip_id, score=score,
-                                  description=desc,
-                                  sentence=record["sentence"]))
-        return hits
-
-    def query_tags(self, top_k: int = 5, min_score: float = 0.0,
-                   **tags) -> List[MiningHit]:
-        """Keyword-tag convenience query, mirroring
-        :meth:`ScenarioMiner.query_tags`."""
-        return self.query(tag_query(**tags), top_k=top_k,
-                          min_score=min_score)
+            yield (ScenarioDescription.from_dict(record["description"]),
+                   record["sentence"])
 
     def iter_records(self) -> Iterator[dict]:
         """Stream every tag record in global clip-id order."""

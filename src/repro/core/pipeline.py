@@ -435,14 +435,9 @@ class ScenarioExtractor:
         }
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over ``(N, K)`` logits — bit-identical per row
-    to :func:`_softmax` on that row."""
+    """Row-wise softmax over ``(N, K)`` logits, each row shifted by its
+    own max."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.retrieval import RetrievalIndex, retrieval_metrics
+from repro.core.mining import ScenarioMiner
+from repro.core.retrieval import retrieval_metrics
 from repro.data import SynthDriveConfig, generate_dataset, inject_label_noise
 from repro.models import ModelConfig, build_model
 from repro.sdl.codec import LabelCodec
@@ -143,12 +144,12 @@ def run_table3_retrieval(scale: ExperimentScale,
         extracted = trainer.codec.decode_batch(
             trainer.predict_logits(test_set.videos)
         )
-        index = RetrievalIndex()
-        index.add_batch(extracted)
+        index = ScenarioMiner()
+        index.add_descriptions(extracted)
         results[name] = retrieval_metrics(queries, index, correct)
 
-    oracle = RetrievalIndex()
-    oracle.add_batch(queries)
+    oracle = ScenarioMiner()
+    oracle.add_descriptions(queries)
     results["oracle"] = retrieval_metrics(queries, oracle, correct)
 
     rng = np.random.default_rng(scale.seed)

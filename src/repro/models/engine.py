@@ -8,7 +8,7 @@ video transformer through it.  The affine maps, layer norms, softmaxes,
 GELUs and attention weights are the :mod:`repro.autograd.kernels` that
 the autograd forward calls too, so logits and frame features are
 bit-identical to ``VideoTransformer.forward`` by construction (pinned
-by ``tests/test_quantized.py``); the engine only composes them, and
+by ``tests/test_engine.py``); the engine only composes them, and
 the autograd forward remains the training path and the parity
 reference.  Weights are the model's own parameter arrays, never
 copies.  The engine exposes the same frame-level reuse hooks as the

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.mining import MiningHit, ScenarioMiner
 from repro.serve.service import ExtractionService, ServeResult
 
 
@@ -47,47 +46,6 @@ class ServiceClient:
 
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             return list(pool.map(one, clips))
-
-    # -- mining over the service --------------------------------------
-    def mine(self, clips: np.ndarray, top_k: int = 5,
-             concurrency: int = 8, timeout: Optional[float] = None,
-             strict: bool = True, **tags) -> List[MiningHit]:
-        """Index a corpus via served extraction and answer a tag query.
-
-        With ``strict`` (default), any non-ok request raises — a mined
-        corpus with holes is silently wrong.  ``strict=False`` indexes
-        whatever succeeded (clip ids still match positions in
-        ``clips``: failed positions are skipped)."""
-        results = self.extract_many(list(clips), concurrency=concurrency,
-                                    timeout=timeout)
-        bad = [r for r in results if not r.ok]
-        if bad and strict:
-            statuses = sorted({r.status for r in bad})
-            # Trace ids make the failures greppable in the event log /
-            # structured console output without re-running the burst.
-            traces = [r.trace_id for r in bad[:5] if r.trace_id]
-            trace_note = (f" (failing traces: {', '.join(traces)}"
-                          + (", ..." if len(bad) > 5 else "") + ")"
-                          if traces else "")
-            raise RuntimeError(
-                f"{len(bad)}/{len(results)} requests failed "
-                f"(statuses: {statuses}){trace_note}; pass strict=False "
-                "to mine the successful subset"
-            )
-        miner = ScenarioMiner(self.service._primary)
-        descriptions = []
-        keep_ids = []
-        for i, r in enumerate(results):
-            if r.ok:
-                descriptions.append(r.result.description)
-                keep_ids.append(i)
-        miner.index_descriptions(descriptions)
-        hits = miner.query_tags(top_k=top_k, **tags)
-        return [
-            MiningHit(clip_id=keep_ids[h.clip_id], score=h.score,
-                      description=h.description, sentence=h.sentence)
-            for h in hits
-        ]
 
     # -- probes --------------------------------------------------------
     def health(self) -> Dict[str, object]:

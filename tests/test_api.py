@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro import api
 from repro.core import ScenarioExtractor, ScenarioMiner
-from repro.core.retrieval import RetrievalIndex
 from repro.models import ModelConfig, build_model
 from repro.models.factory import load_model
 from repro.nn.module import (
@@ -112,13 +111,28 @@ class TestFacadeFunctions:
             api.mine(extractor, clips, query=query, ego_action="stop")
         assert forwards == []  # rejected before extracting the corpus
 
+    def test_mine_rejects_no_query(self, extractor, clips, monkeypatch):
+        """Regression: with neither a query nor tags, ``mine`` ranked
+        against ``tag_query()``'s defaults instead of refusing."""
+        forwards = []
+        real = extractor.extract_batch
+
+        def counting(batch, **kwargs):
+            forwards.append(len(batch))
+            return real(batch, **kwargs)
+
+        monkeypatch.setattr(extractor, "extract_batch", counting)
+        with pytest.raises(ValueError, match="query or tags"):
+            api.mine(extractor, clips)
+        assert forwards == []  # rejected before extracting the corpus
+
     def test_retrieve_matches_manual_index(self, extractor, clips):
         query = extractor.extract(clips[0]).description
-        index = RetrievalIndex()
-        index.add_batch([r.description
-                         for r in extractor.extract_batch(clips)])
+        index = ScenarioMiner()
+        index.add_descriptions([r.description
+                                for r in extractor.extract_batch(clips)])
         assert api.retrieve(extractor, clips, query, top_k=3) \
-            == index.query(query, top_k=3)
+            == index.rank(query, top_k=3)[0].tolist()
 
     def test_serve_returns_started_service(self, extractor, clips):
         service = api.serve(extractor, max_batch=4)

@@ -7,7 +7,6 @@ import pytest
 from repro import api
 from repro.core import (
     ExtractionCache,
-    RetrievalIndex,
     ScenarioExtractor,
     ScenarioMiner,
     cached_extract_batch,
@@ -329,16 +328,16 @@ class TestMinerIncremental:
 
 class TestRetrievalIncremental:
     def test_add_batch_offsets_ids_regression(self):
-        """Regression: a second ``add_batch`` used to restart ids at 0,
+        """Regression: a second batch used to restart ids at 0,
         silently duplicating clips."""
-        index = RetrievalIndex()
-        first = index.add_batch([_description("stop"),
-                                 _description("accelerate")])
-        second = index.add_batch([_description("turn-left")])
+        index = ScenarioMiner()
+        first = index.add_descriptions([_description("stop"),
+                                        _description("accelerate")])
+        second = index.add_descriptions([_description("turn-left")])
         assert first == [0, 1]
         assert second == [2]
         assert len(index) == 3
-        ranked = index.query(_description("turn-left"), top_k=3)
+        ranked, _ = index.rank(_description("turn-left"), top_k=3)
         assert ranked[0] == 2
 
     def test_two_batch_metrics_resolve_to_correct_clip(self):
@@ -346,40 +345,35 @@ class TestRetrievalIncremental:
         ``retrieval_metrics`` credited ties to the wrong clip."""
         batch_a = [_description("stop"), _description("accelerate")]
         batch_b = [_description("turn-left"), _description("turn-right")]
-        index = RetrievalIndex()
-        index.add_batch(batch_a)
-        index.add_batch(batch_b)
+        index = ScenarioMiner()
+        index.add_descriptions(batch_a)
+        index.add_descriptions(batch_b)
         queries = batch_a + batch_b
         result = retrieval_metrics(queries, index,
                                    correct_ids=[0, 1, 2, 3])
         assert result["recall@1"] == 1.0
         assert result["mrr"] == 1.0
 
-    def test_duplicate_id_rejected(self):
-        index = RetrievalIndex()
-        index.add(3, _description())
-        with pytest.raises(ValueError, match="already indexed"):
-            index.add(3, _description("accelerate"))
-
     def test_topk_matches_full_ranking_prefix(self, extractor, clips):
-        index = RetrievalIndex(extractor=extractor)
+        index = ScenarioMiner(extractor)
         index.add_clips(clips)
         query = _description()
-        full = index.query(query, top_k=len(index))
-        assert index.query(query, top_k=3) == full[:3]
-        assert index.query(query, top_k=1) == full[:1]
+        full = index.rank(query, top_k=len(index))[0].tolist()
+        assert index.rank(query, top_k=3)[0].tolist() == full[:3]
+        assert index.rank(query, top_k=1)[0].tolist() == full[:1]
 
     def test_add_clips_cache_backed(self, extractor, clips):
         cache = ExtractionCache()
-        warm = RetrievalIndex(extractor=extractor, cache=cache)
+        warm = ScenarioMiner(extractor, cache=cache)
         warm.add_clips(clips)
         counting, counts = _counting(extractor)
-        cold = RetrievalIndex(extractor=counting, cache=cache)
+        cold = ScenarioMiner(counting, cache=cache)
         ids = cold.add_clips(clips)
         assert counts["clips"] == 0
         assert ids == list(range(len(clips)))
         query = _description()
-        assert cold.query(query, top_k=4) == warm.query(query, top_k=4)
+        assert cold.rank(query, top_k=4)[0].tolist() \
+            == warm.rank(query, top_k=4)[0].tolist()
 
 
 class TestServiceCache:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    RetrievalIndex,
     ScenarioExtractor,
     ScenarioMiner,
     retrieval_metrics,
@@ -214,91 +213,62 @@ class TestRetrieval:
 
     def test_oracle_retrieval_perfect(self):
         descs = self.descriptions()
-        index = RetrievalIndex()
-        index.add_batch(descs)
+        index = ScenarioMiner()
+        index.add_descriptions(descs)
         metrics = retrieval_metrics(descs, index, [0, 1, 2], ks=(1,))
         assert metrics["recall@1"] == 1.0
         assert metrics["mrr"] == 1.0
 
     def test_query_ranks_exact_match_first(self):
         descs = self.descriptions()
-        index = RetrievalIndex()
-        index.add_batch(descs)
-        assert index.query(descs[1], top_k=1) == [1]
+        index = ScenarioMiner()
+        index.add_descriptions(descs)
+        assert index.rank(descs[1], top_k=1)[0].tolist() == [1]
 
     def test_empty_index_raises(self):
         with pytest.raises(RuntimeError):
-            RetrievalIndex().query(self.descriptions()[0])
+            ScenarioMiner().rank(self.descriptions()[0])
 
     def test_metrics_validate_lengths(self):
-        index = RetrievalIndex()
-        index.add_batch(self.descriptions())
+        index = ScenarioMiner()
+        index.add_descriptions(self.descriptions())
         with pytest.raises(ValueError):
             retrieval_metrics(self.descriptions(), index, [0])
 
     def test_recall_at_5_geq_recall_at_1(self):
         descs = self.descriptions() * 3
-        index = RetrievalIndex()
-        index.add_batch(descs)
+        index = ScenarioMiner()
+        index.add_descriptions(descs)
         metrics = retrieval_metrics(descs, index, list(range(len(descs))),
                                     ks=(1, 5))
         assert metrics["recall@5"] >= metrics["recall@1"]
 
     def test_len(self):
-        index = RetrievalIndex()
-        index.add_batch(self.descriptions())
+        index = ScenarioMiner()
+        index.add_descriptions(self.descriptions())
         assert len(index) == 3
 
     def test_add_batch_twice_assigns_disjoint_ids(self):
-        """Regression: the second ``add_batch`` restarted clip ids at 0,
+        """Regression: a second batch restarted clip ids at 0,
         overwriting the first batch instead of extending the index."""
         descs = self.descriptions()
-        index = RetrievalIndex()
-        assert index.add_batch(descs[:2]) == [0, 1]
-        assert index.add_batch(descs[2:]) == [2]
+        index = ScenarioMiner()
+        assert index.add_descriptions(descs[:2]) == [0, 1]
+        assert index.add_descriptions(descs[2:]) == [2]
         assert len(index) == 3
-        assert index.query(descs[2], top_k=1) == [2]
+        assert index.rank(descs[2], top_k=1)[0].tolist() == [2]
         metrics = retrieval_metrics(descs, index, [0, 1, 2], ks=(1,))
         assert metrics["recall@1"] == 1.0
 
 
-class CountingId(int):
-    """Int whose equality comparisons are tallied — detects the old
-    list-scan membership check, which compared each new id against
-    every id already indexed."""
-
-    eq_calls = 0
-
-    def __eq__(self, other):
-        CountingId.eq_calls += 1
-        return int(self) == other
-
-    __hash__ = int.__hash__
-
-
 class TestIndexRegressions:
-    """Pins for the O(N) indexing and cached-matrix query fixes."""
+    """Pins for the cached-matrix query fix."""
 
     def _desc(self, i):
         scenes = ("straight-road", "intersection")
         actions = ("stop", "turn-left", "drive-straight", "decelerate")
         return ScenarioDescription(scene=scenes[i % 2],
                                    ego_action=actions[(i // 2) % 4])
-
-    def test_add_membership_check_is_not_quadratic(self):
-        """Regression: ``RetrievalIndex.add`` scanned the id list per
-        insert, so 10k adds cost ~50M comparisons.  The id-set check
-        should need vanishingly few."""
-        index = RetrievalIndex()
-        CountingId.eq_calls = 0
-        for i in range(10_000):
-            index.add(CountingId(i), self._desc(i))
-        assert len(index) == 10_000
-        # A list scan would make ~50,000,000 __eq__ calls here; the
-        # hash-set membership check makes essentially none.
-        assert CountingId.eq_calls < 40_000
-        with pytest.raises(ValueError):
-            index.add(CountingId(5), self._desc(5))
 
     def test_retrieval_cached_matrix_ranking_identical(self):
         """The cached stacked matrix must rank bit-identically to
@@ -307,8 +277,8 @@ class TestIndexRegressions:
         from repro.sdl import sdl_vector
 
         descs = [self._desc(i) for i in range(24)]
-        index = RetrievalIndex()
-        index.add_batch(descs)
+        index = ScenarioMiner()
+        index.add_descriptions(descs)
         for qi in (0, 5, 11):
             q = sdl_vector(descs[qi])
             matrix = np.stack([sdl_vector(d) for d in descs])
@@ -316,20 +286,20 @@ class TestIndexRegressions:
                      * max(np.linalg.norm(q), 1e-9))
             scores = matrix @ q / np.maximum(norms, 1e-9)
             expected = list(topk_indices(scores, 24))
-            assert index.query(descs[qi], top_k=24) == expected
+            assert index.rank(descs[qi], top_k=24)[0].tolist() == expected
 
     def test_retrieval_matrix_reused_then_invalidated(self):
-        index = RetrievalIndex()
-        index.add_batch([self._desc(i) for i in range(6)])
-        index.query(self._desc(0), top_k=3)
-        matrix = index._matrix
+        index = ScenarioMiner()
+        index.add_descriptions([self._desc(i) for i in range(6)])
+        index.rank(self._desc(0), top_k=3)
+        matrix = index._stacked[0]
         assert matrix is not None
-        index.query(self._desc(1), top_k=3)
-        assert index._matrix is matrix  # reused, not re-stacked
-        index.add_batch([self._desc(6)])
-        assert index._matrix is None  # append invalidates
-        index.query(self._desc(0), top_k=3)
-        assert index._matrix.shape[0] == 7
+        index.rank(self._desc(1), top_k=3)
+        assert index._stacked[0] is matrix  # reused, not re-stacked
+        index.add_descriptions([self._desc(6)])
+        assert index._stacked is None  # append invalidates
+        index.rank(self._desc(0), top_k=3)
+        assert index._stacked[0].shape[0] == 7
 
     def test_miner_cached_scores_bit_identical(self, trained_extractor):
         from repro.sdl import sdl_vector
@@ -347,15 +317,14 @@ class TestIndexRegressions:
 
         def scores():
             by_position = np.empty_like(naive)
-            for position, _, score in miner._index.search(query,
-                                                          miner.size):
-                by_position[position] = score
+            positions, ranked = miner.rank(query, miner.size)
+            by_position[positions] = ranked
             return by_position
 
         first = scores()
-        cached = miner._index._matrix
+        cached = miner._stacked[0]
         again = scores()  # served from the cached matrix
-        assert miner._index._matrix is cached
+        assert miner._stacked[0] is cached
         assert np.array_equal(first, naive)
         assert np.array_equal(again, naive)
         assert [h.score for h in miner.query(query, top_k=miner.size)] \
@@ -367,15 +336,15 @@ class TestIndexRegressions:
         miner = ScenarioMiner(extractor)
         miner.index_descriptions(dataset.descriptions[:8])
         miner.query(dataset.descriptions[0], top_k=2)
-        matrix = miner._index._matrix
+        matrix = miner._stacked[0]
         assert matrix is not None
         miner.query(dataset.descriptions[1], top_k=2)
-        assert miner._index._matrix is matrix
+        assert miner._stacked[0] is matrix
         miner.add_descriptions(dataset.descriptions[8:10])
-        assert miner._index._matrix is None
-        assert len(miner._index.search(dataset.descriptions[0], 50)) == 10
-        assert miner._index._matrix.shape[0] == 10
+        assert miner._stacked is None
+        assert len(miner.rank(dataset.descriptions[0], 50)[0]) == 10
+        assert miner._stacked[0].shape[0] == 10
         miner.index_descriptions(dataset.descriptions[:4])
-        assert miner._index._matrix is None
-        assert len(miner._index.search(dataset.descriptions[0], 50)) == 4
-        assert miner._index._matrix.shape[0] == 4
+        assert miner._stacked is None
+        assert len(miner.rank(dataset.descriptions[0], 50)[0]) == 4
+        assert miner._stacked[0].shape[0] == 4

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RetrievalIndex
+from repro.core import ScenarioMiner
 from repro.sdl import ScenarioDescription
 from repro.sdl.vocabulary import ACTOR_ACTIONS, EGO_ACTIONS
 
@@ -65,20 +65,17 @@ class TestRetrievalTies:
     def test_stable_order_for_identical_descriptions(self):
         desc = ScenarioDescription(scene="straight-road",
                                    ego_action="stop")
-        index = RetrievalIndex()
-        for i in range(4):
-            index.add(i, desc)
+        index = ScenarioMiner()
+        index.add_descriptions([desc] * 4)
         # Identical embeddings: stable sort keeps insertion order.
-        assert index.query(desc, top_k=4) == [0, 1, 2, 3]
+        assert index.rank(desc, top_k=4)[0].tolist() == [0, 1, 2, 3]
 
     def test_distinct_query_prefers_match_over_ties(self):
         stop = ScenarioDescription(scene="straight-road",
                                    ego_action="stop")
         turn = ScenarioDescription(scene="intersection",
                                    ego_action="turn-left")
-        index = RetrievalIndex()
-        index.add(0, stop)
-        index.add(1, turn)
-        index.add(2, stop)
-        ranked = index.query(turn, top_k=3)
+        index = ScenarioMiner()
+        index.add_descriptions([stop, turn, stop])
+        ranked, _ = index.rank(turn, top_k=3)
         assert ranked[0] == 1

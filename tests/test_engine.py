@@ -533,8 +533,7 @@ class TestChunkFanOut:
 
 
 class TestEngineInputEdges:
-    @pytest.mark.parametrize("precision", ["fp32"])
-    def test_zero_clips_give_zero_row_heads(self, precision):
+    def test_zero_clips_give_zero_row_heads(self):
         model = _model()
         engine = InferenceEngine(model)
         got = engine.logits(_clips(0))

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    RetrievalIndex,
     ScenarioExtractor,
     ScenarioMiner,
     fleet,
@@ -264,8 +263,8 @@ class TestOutOfCoreParity:
 
     def test_topk_bitwise_equal_to_memory_miner(self, mined, dataset):
         _, _, index, miner = mined
-        retrieval = RetrievalIndex()
-        retrieval.add_batch([
+        retrieval = ScenarioMiner()
+        retrieval.add_descriptions([
             h.description for h in sorted(miner.query(QUERY, miner.size),
                                           key=lambda h: h.clip_id)])
         queries = [QUERY] + list(dataset.descriptions[:5])
@@ -277,10 +276,9 @@ class TestOutOfCoreParity:
                         for h in fleet_hits] \
                     == [(h.clip_id, h.score, h.sentence, h.description)
                         for h in memory_hits]
-                assert retrieval.query(query, top_k=top_k) \
-                    == [h.clip_id for h in memory_hits]
-                assert all(score <= 1.0 for _, _, score
-                           in retrieval.search(query, top_k=top_k))
+                ids, scores = retrieval.rank(query, top_k=top_k)
+                assert ids.tolist() == [h.clip_id for h in memory_hits]
+                assert all(score <= 1.0 for score in scores)
 
     def test_min_score_filter_matches(self, mined):
         _, _, index, miner = mined

@@ -214,18 +214,6 @@ class TestPoolDropIn:
         pool.stop()
         assert not pool.ready()
 
-    def test_mine_over_pool(self, extractor, clips):
-        from repro.core import ScenarioMiner
-
-        miner = ScenarioMiner(extractor)
-        miner.index(clips)
-        expected = miner.query_tags(top_k=3, ego_action="stop")
-        with ServicePool(extractor, workers=2) as pool:
-            hits = ServiceClient(pool).mine(clips, top_k=3,
-                                            ego_action="stop")
-        assert [(h.clip_id, h.score) for h in hits] \
-            == [(h.clip_id, h.score) for h in expected]
-
     def test_workers_validated(self, extractor):
         with pytest.raises(ValueError, match="workers"):
             ServicePool(extractor, workers=0)

@@ -370,30 +370,6 @@ class TestMetricsAndProbes:
             assert client.health()["status"] == "ok"
 
 
-class TestClientMining:
-    def test_mine_over_service(self, extractor, clips):
-        from repro.core import ScenarioMiner
-
-        miner = ScenarioMiner(extractor)
-        miner.index(clips)
-        expected = miner.query_tags(top_k=3, ego_action="stop")
-        with ExtractionService(extractor) as service:
-            hits = ServiceClient(service).mine(clips, top_k=3,
-                                               ego_action="stop")
-        assert [(h.clip_id, h.score) for h in hits] \
-            == [(h.clip_id, h.score) for h in expected]
-
-    def test_mine_strict_raises_on_failures(self, extractor, clips):
-        # every request times out -> strict mining must refuse the holes
-        injector = FaultInjector(latency_s=0.2, latency_rate=1.0)
-        service = ExtractionService(extractor, ServiceConfig(),
-                                    fault_injector=injector)
-        with service:
-            client = ServiceClient(service)
-            with pytest.raises(RuntimeError, match="requests failed"):
-                client.mine(clips[:3], timeout=0.02, ego_action="stop")
-
-
 class TestFaultBurstAccounting:
     """The acceptance scenario: a 200-request concurrent burst under
     heavy fault injection completes with zero silent failures."""
